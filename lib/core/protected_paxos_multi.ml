@@ -163,7 +163,7 @@ type reign = {
 
    Spawned as a sub-fiber so a memory that re-crashes mid-transfer
    cannot wedge the caller. *)
-let spawn_repair (ctx : _ Cluster.ctx) cfg reign handle mid =
+let spawn_slot_repair (ctx : _ Cluster.ctx) cfg reign handle mid =
   ctx.Cluster.spawn_sub
     (Printf.sprintf "pmpm.repair%d" mid)
     (fun () ->
@@ -321,7 +321,7 @@ let takeover (ctx : _ Cluster.ctx) cfg reign handle =
       reign.active <- true;
       (* State-transfer repair of the memories whose chains nak'd (they
          restarted and lost their slots). *)
-      List.iter (fun mid -> spawn_repair ctx cfg reign handle mid) failed;
+      List.iter (fun mid -> spawn_slot_repair ctx cfg reign handle mid) failed;
       true
 
 (* Decide one instance under an active reign: a single replicated write.
@@ -449,7 +449,7 @@ let program (ctx : _ Cluster.ctx) cfg ~input_for handle =
                 if
                   (not (Memory.is_crashed mem))
                   && Memory.stale_registers mem ~region <> []
-                then spawn_repair ctx cfg reign handle mid
+                then spawn_slot_repair ctx cfg reign handle mid
               done
           end;
           Engine.sleep 5.0

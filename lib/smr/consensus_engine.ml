@@ -90,9 +90,6 @@ let on_recover (Running ((module E), r)) f = E.on_recover r f
 
 let stop (Running ((module E), r)) = E.stop r
 
-let leader_hint cluster ~cfg =
-  min (Omega.leader (Cluster.omega cluster)) (cfg.replicas - 1)
-
 let on_leader_change cluster f =
   let omega = Cluster.omega cluster in
   let rec arm () =

@@ -6,8 +6,8 @@
     ({!Kv}, {!Lock_service}) and the chaos workloads consume.  Two
     engines ship today: ["pmp"] ({!Smr_log}, the Mu-style log on the
     Protected Memory Paxos permission discipline) and ["velos"]
-    ({!Velos_engine}, one-sided Paxos with passive memory replicas and
-    leader leases on virtual time). *)
+    ({!Velos}, one-sided Paxos with passive memory replicas and leader
+    leases on virtual time), both built on the {!Replicated_log} core. *)
 
 open Rdma_mm
 open Rdma_mem
@@ -126,14 +126,7 @@ val on_recover : running -> (term:int -> unit) -> unit
 
 val stop : running -> unit
 
-(** {2 Leader identity — shared by every engine}
-
-    Both engines route clients with the same Ω discipline, so leader
-    identity and change notification live here rather than per-engine. *)
-
-(** The replica the Ω oracle currently points at (clamped to the replica
-    range, as the client protocols do). *)
-val leader_hint : 'm Cluster.t -> cfg:config -> int
+(** {2 Leader changes — shared by every engine} *)
 
 (** Persistent leadership-change notification: [f leader] on every
     subsequent Ω change (re-armed after each firing; not retroactive). *)

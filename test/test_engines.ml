@@ -181,6 +181,41 @@ let test_lock_service ((module E : Consensus_engine.S) as engine) () =
   Alcotest.(check (option string)) "queued waiter promoted" (Some "p4")
     (Option.map fst (Lock_service.holder locks "l"))
 
+(* Memory 1 crashes mid-workload and rejoins EMPTY: the leader's
+   rejoin server must transfer it the whole region (checkpoint, header
+   registers, log) so no register stays stale, while every command still
+   commits and the replicas' logs agree. *)
+let test_rejoin_repair ~checkpoint_every
+    ((module E : Consensus_engine.S) as engine) () =
+  let cfg = { base_cfg with Consensus_engine.checkpoint_every } in
+  let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
+  let replicas = spawn_replicas engine ~cfg cluster in
+  let committed = ref 0 in
+  Cluster.spawn cluster ~pid:3 (fun ctx ->
+      for seq = 0 to 9 do
+        match
+          E.submit ctx ~cfg ~seq ~cmd:(Printf.sprintf "cmd%d" seq) ~timeout:200.0
+        with
+        | Some _ -> incr committed
+        | None -> ()
+      done);
+  Rdma_consensus.Fault.apply cluster
+    [
+      Rdma_consensus.Fault.Crash_memory { mid = 1; at = 20.0 };
+      Rdma_consensus.Fault.Recover_memory { mid = 1; at = 40.0 };
+    ];
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check int) "all commands committed across the outage" 10 !committed;
+  let logs = Array.map Consensus_engine.applied replicas in
+  Alcotest.(check bool) "replicas agree" true
+    (logs.(0) = logs.(1) && logs.(1) = logs.(2));
+  Alcotest.(check int) "log fully applied" 10 (List.length logs.(0));
+  Alcotest.(check bool) "leader transferred state to the rejoiner" true
+    (Stats.get (Cluster.stats cluster) (E.region ^ ".repairs") >= 1);
+  Alcotest.(check (list string)) "rejoined memory fully re-replicated" []
+    (Rdma_mem.Memory.stale_registers (Cluster.memory cluster 1) ~region:E.region)
+
 (* --- registry ------------------------------------------------------- *)
 
 let test_registry () =
@@ -196,7 +231,7 @@ let test_registry () =
 
 (* --- velos lease safety --------------------------------------------- *)
 
-let velos : Consensus_engine.engine = (module Velos_engine)
+let velos : Consensus_engine.engine = (module Velos)
 
 let run_profiled cluster =
   let prof = Prof.create ~clock:(fun () -> 0.0) () in
@@ -233,7 +268,7 @@ let leased_scope_seen prof =
     (Prof.by_scope prof)
 
 let test_leased_read_zero_mem_ops () =
-  let module E = Velos_engine in
+  let module E = Velos in
   (* Long enough that the reign-start lease covers every read below
      (the serve loop paces one read per 4-delay request timeout). *)
   let cfg = { base_cfg with Consensus_engine.lease_duration = 60.0 } in
@@ -262,7 +297,7 @@ let test_leased_read_zero_mem_ops () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum")
 
 let test_expired_lease_pays_quorum () =
-  let module E = Velos_engine in
+  let module E = Velos in
   let cfg = { base_cfg with Consensus_engine.lease_duration = 5.0 } in
   let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
   let _replicas = spawn_replicas velos ~cfg cluster in
@@ -280,7 +315,7 @@ let test_expired_lease_pays_quorum () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 1)
 
 let test_zero_duration_disables_leases () =
-  let module E = Velos_engine in
+  let module E = Velos in
   let cfg = { base_cfg with Consensus_engine.lease_duration = 0.0 } in
   let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
   let _replicas = spawn_replicas velos ~cfg cluster in
@@ -297,7 +332,7 @@ let test_zero_duration_disables_leases () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 2)
 
 let test_read_after_failover () =
-  let module E = Velos_engine in
+  let module E = Velos in
   (* Long lease so it is still valid when the successor's recovery
      finishes (~27 delays in: detection + permission swap + gather). *)
   let cfg = { base_cfg with Consensus_engine.lease_duration = 60.0 } in
@@ -349,6 +384,18 @@ let per_engine =
       ])
     Engines.all
 
+let per_engine_repair =
+  List.concat_map
+    (fun ((module E : Consensus_engine.S) as engine) ->
+      List.map
+        (fun checkpoint_every ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: rejoin repair ckpt=%d" E.name checkpoint_every)
+            `Quick
+            (test_rejoin_repair ~checkpoint_every engine))
+        [ 0; 2 ])
+    Engines.all
+
 let suite =
   per_engine
   @ [
@@ -364,3 +411,4 @@ let suite =
       Alcotest.test_case "velos: stale-lease fixture caught" `Quick
         test_stale_lease_fixture_caught;
     ]
+  @ per_engine_repair
