@@ -103,10 +103,10 @@ let exp_d1 env =
     "agreement";
   List.iter
     (fun (n, m) ->
-      let report, _, cluster = Fast_robust.run ~n ~m ~inputs:(inputs n) () in
+      let report, _, _ = Fast_robust.run ~n ~m ~inputs:(inputs n) () in
       pr env "%-8d %-8d %-14s %-16d %-12s@." n m
         (fmt_delay (Report.first_decision_time report))
-        (Rdma_sim.Stats.get (Rdma_mm.Cluster.stats cluster) "sigs_at_fast_decision")
+        (Report.named report "sigs_at_fast_decision")
         (check (Report.agreement_ok report)))
     [ (3, 3); (5, 3); (5, 5); (7, 3) ];
   pr env "@.Paper: decides in 2 delays with 1 signature in common executions;@.";
@@ -490,8 +490,7 @@ let exp_f1 env =
   let open Rdma_sim in
   let open Rdma_mem in
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let mem = Memory.create ~engine ~stats ~mid:0 () in
+  let mem = Memory.create ~engine ~mid:0 () in
   Memory.add_region mem ~name:"mr1" ~perm:(Permission.swmr ~writer:0 ~n:3)
     ~registers:[ "r1"; "r2" ];
   Memory.add_region mem
@@ -538,16 +537,18 @@ let exp_f6 env =
   let cq_cfg = { Cheap_quorum.default_config with fast_timeout = 40.0 } in
   let cfg = { Fast_robust.default_config with cheap_quorum = cq_cfg } in
   let report, byz, cluster =
-    Fast_robust.run ~cfg ~n ~m ~inputs:(inputs n) ~byzantine ~faults ()
+    Fast_robust.run ~cfg ~n ~m ~inputs:(inputs n) ~byzantine ~faults
+      ~prepare:(fun c -> Obs.set_recording (Rdma_mm.Cluster.obs c) true)
+      ()
   in
   pr env "Component hand-off events (the arrows of Figure 6):@.";
   List.iter
-    (fun e ->
-      if
-        String.length e.Rdma_sim.Trace.label >= 12
-        && String.sub e.Rdma_sim.Trace.label 0 12 = "cheap-quorum"
-      then pr env "  %a@." Rdma_sim.Trace.pp_event e)
-    (Rdma_sim.Trace.events (Rdma_mm.Cluster.trace cluster));
+    (function
+      | at, actor, Event.Custom { name; detail }
+        when name = Fast_robust.handoff_event ->
+          pr env "  [%6.2f] %-12s %s@." at actor detail
+      | _ -> ())
+    (Obs.events (Rdma_mm.Cluster.obs cluster));
   pr env "@.Final decisions (via the backup path):@.";
   Array.iteri
     (fun pid d ->
@@ -799,7 +800,7 @@ let exp_r1 env =
       in
       pr env "%-18d %-9d %-7d %-16s %-12s@." checkpoint_every
         (Smr_log.applied_count replicas.(0))
-        (Rdma_sim.Stats.get (Cluster.stats cluster) "smr.checkpoints")
+        (Obs.counter (Cluster.obs cluster) "smr.checkpoints")
         (if Float.is_nan !repaired_at || Float.is_nan !restart_at then "-"
          else Printf.sprintf "%.1f" (!repaired_at -. !restart_at))
         (check (stale = [])))
@@ -858,7 +859,7 @@ let v1_run (engine : Rdma_smr.Consensus_engine.engine) ~mode ~crash =
     Array.init cfg.Consensus_engine.replicas (fun pid ->
         E.spawn_replica cluster ~cfg ~pid ())
   in
-  let stats = Cluster.stats cluster in
+  let obs = Cluster.obs cluster in
   let eng = Cluster.engine cluster in
   let n_cmds = if crash then 10 else 8 in
   let commit_delays = ref [] and read_delays = ref [] in
@@ -924,15 +925,14 @@ let v1_run (engine : Rdma_smr.Consensus_engine.engine) ~mode ~crash =
     v1_commits = E.applied_count replicas.(1);
     v1_commit_delay = avg !commit_delays;
     v1_read_delay = avg !read_delays;
-    v1_leased = Rdma_sim.Stats.get stats "velos.reads.leased";
+    v1_leased = Obs.counter obs "velos.reads.leased";
     v1_paid =
-      Rdma_sim.Stats.get stats "smr.reads.confirm"
-      + Rdma_sim.Stats.get stats "velos.reads.quorum";
-    v1_msgs = stats.Rdma_sim.Stats.messages_sent;
-    v1_mem_ops = Rdma_sim.Stats.mem_ops stats;
+      Obs.counter obs "smr.reads.confirm" + Obs.counter obs "velos.reads.quorum";
+    v1_msgs = Obs.counter obs "net.msgs.sent";
+    v1_mem_ops = Obs.counter obs "mem.ops";
     v1_agree = agree;
     v1_gap = gap;
-    v1_lease_waits = Rdma_sim.Stats.get stats "velos.lease.waits";
+    v1_lease_waits = Obs.counter obs "velos.lease.waits";
   }
 
 let exp_v1 env =

@@ -176,6 +176,30 @@ let ordering_arg =
   Arg.(value & opt (some ordering_conv) None
       & info [ "ordering" ] ~docv:"MODE" ~doc)
 
+(* One line of the [run --trace] listing, rendered from a retained
+   collector event: memory writes and permission changes (on the
+   memory's track, as they arrive there), sends, and Fast & Robust's
+   Cheap Quorum -> Preferential Paxos hand-offs.  Other events are not
+   listed. *)
+let io_line (at, actor, (ev : Event.t)) =
+  let line fmt =
+    Printf.ksprintf
+      (fun s -> Some (Printf.sprintf "[%6.2f] %-12s %s" at actor s))
+      fmt
+  in
+  match ev with
+  | Mem_write { pid; region; reg; value; ok = true; _ } ->
+      line "p%d write %s/%s := %s -> ack" pid region reg value
+  | Mem_write { pid; region; reg; ok = false; _ } ->
+      line "p%d write %s/%s -> nak" pid region reg
+  | Mem_perm { pid; region; applied; _ } ->
+      line "p%d changePermission %s -> %s" pid region
+        (if applied then "applied" else "refused")
+  | Net_send { dst; _ } -> line "send -> p%d" dst
+  | Custom { name; detail } when name = Fast_robust.handoff_event ->
+      line "%s" detail
+  | _ -> None
+
 let run_cmd =
   let algo =
     let doc = "Algorithm to run (see the list command)." in
@@ -231,7 +255,10 @@ let run_cmd =
     Arg.(value & opt (some event_conv) None & info [ "async-until" ] ~docv:"GST@EXTRA" ~doc)
   in
   let trace =
-    let doc = "Print the I/O event trace (memory writes, permission changes, sends)." in
+    let doc =
+      "Print the first $(docv) I/O events (memory writes, permission changes, \
+       sends, Fast & Robust hand-offs)."
+    in
     Arg.(value & opt (some int) None & info [ "trace" ] ~docv:"N" ~doc)
   in
   let trace_out =
@@ -301,10 +328,10 @@ let run_cmd =
         let captured = ref None in
         let prepare cluster =
           captured := Some cluster;
-          if trace <> None then Rdma_mm.Cluster.enable_io_trace cluster;
           (* Retaining the raw event/span stream costs memory, so it is
-             only on when an export was requested. *)
-          if trace_out <> None then
+             only on when an export or the --trace listing was
+             requested. *)
+          if trace <> None || trace_out <> None then
             Obs.set_recording (Rdma_mm.Cluster.obs cluster) true
         in
         (* Profile only when a perf export was asked for: the profiler
@@ -378,13 +405,12 @@ let run_cmd =
           flame_out;
         match (trace, !captured) with
         | Some limit, Some cluster ->
-            let events = Rdma_sim.Trace.events (Rdma_mm.Cluster.trace cluster) in
-            let total = List.length events in
+            let lines =
+              List.filter_map io_line (Obs.events (Rdma_mm.Cluster.obs cluster))
+            in
+            let total = List.length lines in
             Fmt.pr "@.I/O trace (first %d of %d events):@." (min limit total) total;
-            List.iteri
-              (fun i e ->
-                if i < limit then Fmt.pr "  %a@." Rdma_sim.Trace.pp_event e)
-              events
+            List.iteri (fun i l -> if i < limit then Fmt.pr "  %s@." l) lines
         | _ -> ()
   in
   let doc = "Run one consensus instance under a fault schedule." in

@@ -15,7 +15,7 @@ let () =
   Fmt.pr "Fast & Robust: n=%d processes (tolerates f=%d Byzantine), m=%d memories@."
     n ((n - 1) / 2) m;
   Array.iteri (fun pid v -> Fmt.pr "  p%d proposes %S@." pid v) inputs;
-  let report, _, cluster = Fast_robust.run ~n ~m ~inputs () in
+  let report, _, _ = Fast_robust.run ~n ~m ~inputs () in
   Fmt.pr "@.Decisions:@.";
   Array.iteri
     (fun pid d ->
@@ -28,6 +28,6 @@ let () =
   Fmt.pr "First decision: %.1f network delays (the paper's 2-deciding fast path)@."
     (Option.get (Report.first_decision_time report));
   Fmt.pr "Signatures on the fast path: %d@."
-    (Rdma_sim.Stats.get (Rdma_mm.Cluster.stats cluster) "sigs_at_fast_decision");
+    (Report.named report "sigs_at_fast_decision");
   Fmt.pr "Totals: %d memory ops, %d messages, %d signatures@." report.Report.mem_ops
     report.Report.messages report.Report.signatures

@@ -26,12 +26,11 @@ let acceptor_pid = 2
 
 let () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
   (* the acceptor's host memory, exposed through its NIC *)
-  let memory = Memory.create ~engine ~stats ~mid:0 () in
+  let memory = Memory.create ~engine ~mid:0 () in
   let nic = Verbs.nic memory in
   let pd = Verbs.alloc_pd nic in
-  let net : string Network.t = Network.create ~engine ~stats ~n:3 () in
+  let net : string Network.t = Network.create ~engine ~n:3 () in
   let qps = Array.init 3 (fun remote -> Verbs.create_qp pd ~remote) in
 
   (* The acceptor: registers the slot array writable by proposer 0

@@ -369,7 +369,4 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let decisions = Array.map (fun (h : handle) -> Ivar.peek h.decision) handles in
-  Report.of_stats ~algorithm:"fast-paxos" ~n ~m:0 ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps (Cluster.engine cluster)) ()
+  Report.of_cluster ~algorithm:"fast-paxos" ~n ~m:0 ~decisions cluster

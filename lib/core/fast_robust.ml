@@ -86,6 +86,10 @@ let setup_regions cluster ?(cfg = default_config) () =
 
 let legal_change ~n = Cheap_quorum.legal_change ~n
 
+(* Each process records its Cheap Quorum -> Preferential Paxos hand-off
+   (the arrows of Figure 6) as a custom collector event of this name. *)
+let handoff_event = "fr.handoff"
+
 (* The per-process program: Cheap Quorum, then Preferential Paxos. *)
 let program (ctx : _ Cluster.ctx) cfg ~input decision =
   let n = ctx.Cluster.cluster_n in
@@ -102,24 +106,27 @@ let program (ctx : _ Cluster.ctx) cfg ~input decision =
           Obs.event obs ~actor
             (Event.Decide { pid = ctx.Cluster.pid; value });
         if ctx.Cluster.pid = Cheap_quorum.leader then
-          Stats.set ctx.Cluster.ctx_stats "sigs_at_fast_decision"
-            (Stats.get ctx.Cluster.ctx_stats
-               (Printf.sprintf "sigs.p%d" Cheap_quorum.leader));
+          Obs.gauge obs "sigs_at_fast_decision"
+            (float_of_int
+               (Obs.counter obs (Printf.sprintf "sigs.p%d" Cheap_quorum.leader)));
         (value, proof)
     | Cheap_quorum.Aborted { value; proof } -> (value, proof)
   in
-  Trace.recordf ctx.Cluster.ctx_trace
-    ~at:(Engine.now ctx.Cluster.ctx_engine)
-    ~actor:(Printf.sprintf "p%d" ctx.Cluster.pid)
-    "%s -> preferential-paxos value=%s class=%s"
-    (match outcome with
-    | Cheap_quorum.Decided _ -> "cheap-quorum COMMIT"
-    | Cheap_quorum.Aborted _ -> "cheap-quorum ABORT")
-    value
-    (match evidence with
-    | Cheap_quorum.Unanimity _ -> "T"
-    | Cheap_quorum.Leader_signed _ -> "M"
-    | Cheap_quorum.Bare -> "B");
+  Obs.event obs ~actor
+    (Event.Custom
+       {
+         name = handoff_event;
+         detail =
+           Printf.sprintf "%s -> preferential-paxos value=%s class=%s"
+             (match outcome with
+             | Cheap_quorum.Decided _ -> "cheap-quorum COMMIT"
+             | Cheap_quorum.Aborted _ -> "cheap-quorum ABORT")
+             value
+             (match evidence with
+             | Cheap_quorum.Unanimity _ -> "T"
+             | Cheap_quorum.Leader_signed _ -> "M"
+             | Cheap_quorum.Bare -> "B");
+       });
   (* The backup phase runs in auxiliary fibers; open the span here and
      close it when the backup's decision lands (or never, if it doesn't —
      an unfinished span in the trace is the signal). *)
@@ -168,9 +175,6 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
     Array.map (function Some h -> Ivar.peek h.decision | None -> None) handles
   in
   let report =
-    Report.of_stats ~algorithm:"fast-robust" ~n ~m ~decisions
-      ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-      ~steps:(Engine.steps (Cluster.engine cluster)) ()
+    Report.of_cluster ~algorithm:"fast-robust" ~n ~m ~decisions cluster
   in
   (report, List.map fst byzantine, cluster)

@@ -30,6 +30,13 @@ type handle
 
 val decision : handle -> Report.decision Ivar.t
 
+(** Name of the [Event.Custom] each process records on the collector
+    when Cheap Quorum hands off to Preferential Paxos.  Its detail reads
+    [cheap-quorum COMMIT|ABORT -> preferential-paxos value=V class=C],
+    where the class is the evidence kind: [T] unanimity proof, [M]
+    leader-signed value, [B] bare value. *)
+val handoff_event : string
+
 val setup_regions : 'm Cluster.t -> ?cfg:config -> unit -> unit
 
 val legal_change : n:int -> Rdma_mem.Permission.legal_change
@@ -44,7 +51,7 @@ val spawn :
   string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
 
 (** Run one instance; returns the report, the Byzantine pids, and the
-    cluster (for stats and trace inspection). *)
+    cluster (for inspecting its collector). *)
 val run :
   ?cfg:config ->
   ?seed:int ->

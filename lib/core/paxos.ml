@@ -289,7 +289,4 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let decisions = Array.map (fun h -> Ivar.peek (Over_network.decision h)) handles in
-  Report.of_stats ~algorithm:"paxos" ~n ~m:0 ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps (Cluster.engine cluster)) ()
+  Report.of_cluster ~algorithm:"paxos" ~n ~m:0 ~decisions cluster

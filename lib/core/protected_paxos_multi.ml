@@ -212,7 +212,7 @@ let spawn_slot_repair (ctx : _ Cluster.ctx) cfg reign handle mid =
       if batch <> [] then
         match Memclient.write_many client ~mem:mid ~region ~values:batch with
         | Memory.Ack ->
-            Stats.bump ctx.Cluster.ctx_stats "pmpm.repairs";
+            Obs.count ctx.Cluster.ctx_obs "pmpm.repairs" 1;
             Obs.event ctx.Cluster.ctx_obs ~actor:(Printf.sprintf "p%d" me)
               (Event.Custom
                  { name = "pmpm.repair"; detail = Printf.sprintf "mu%d" mid })
@@ -403,7 +403,7 @@ let program (ctx : _ Cluster.ctx) cfg ~input_for handle =
         in
         ignore (Par.await_k truncs quorum);
         last_ckpt := decided;
-        Stats.bump ctx.Cluster.ctx_stats "pmpm.checkpoints"
+        Obs.count ctx.Cluster.ctx_obs "pmpm.checkpoints" 1
       end
       else reign.active <- false
     end
@@ -509,9 +509,6 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
   Cluster.check_errors cluster;
   Array.init cfg.slots (fun instance ->
       let decisions = Array.map (fun h -> Ivar.peek h.decisions.(instance)) handles in
-      Report.of_stats
+      Report.of_cluster
         ~algorithm:(Printf.sprintf "protected-paxos-multi[%d]" instance)
-        ~n ~m ~decisions
-        ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-        ~steps:(Engine.steps (Cluster.engine cluster)) ())
+        ~n ~m ~decisions cluster)

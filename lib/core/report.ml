@@ -2,11 +2,13 @@
 
    Every algorithm runner produces a [Report.t]: per-process decisions
    with their virtual decision times (= delay counts, since one network
-   delay is the time unit), plus the substrate counters.  The property
-   checks used throughout the tests and benches live here too. *)
+   delay is the time unit), plus the run's costs, all read from the
+   cluster's telemetry collector.  The property checks used throughout
+   the tests and benches live here too. *)
 
 open Rdma_sim
 open Rdma_obs
+open Rdma_mm
 
 type decision = { value : string; at : float }
 
@@ -29,10 +31,8 @@ type t = {
   messages : int;
   mem_ops : int;
   signatures : int;
-  verifications : int;
   sim_steps : int;
-  wall_events : int;
-  named : (string * int) list; (* snapshot of the named counters *)
+  named : (string * int) list; (* the collector's counters and gauges *)
   phases : phase list; (* per-phase latency breakdown, sorted by name *)
 }
 
@@ -49,20 +49,24 @@ let phases_of_obs obs =
       })
     (Obs.summaries ~cat:"phase" obs)
 
-let of_stats ?obs ~algorithm ~n ~m ~decisions ~(stats : Stats.t) ~steps () =
+(* Gauges are high watermarks of integer quantities (history lengths,
+   payload bytes), so they read back as ints next to the counters. *)
+let of_cluster ~algorithm ~n ~m ~decisions cluster =
+  let obs = Cluster.obs cluster in
   {
     algorithm;
     n;
     m;
     decisions;
-    messages = stats.Stats.messages_sent;
-    mem_ops = Stats.mem_ops stats;
-    signatures = stats.Stats.signatures;
-    verifications = stats.Stats.verifications;
-    sim_steps = steps;
-    wall_events = steps;
-    named = Stats.named_sorted stats;
-    phases = (match obs with None -> [] | Some obs -> phases_of_obs obs);
+    messages = Obs.counter obs "net.msgs.sent";
+    mem_ops = Obs.counter obs "mem.ops";
+    signatures = Obs.counter obs "crypto.signs";
+    sim_steps = Engine.steps (Cluster.engine cluster);
+    named =
+      List.sort compare
+        (Obs.counters obs
+        @ List.map (fun (k, v) -> (k, int_of_float v)) (Obs.gauges obs));
+    phases = phases_of_obs obs;
   }
 
 let named t key =

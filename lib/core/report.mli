@@ -1,8 +1,6 @@
 (** Uniform run reports: per-process decisions with virtual decision times
-    (= delay counts) and substrate counters. *)
-
-open Rdma_sim
-open Rdma_obs
+    (= delay counts) and the run's costs, read from the cluster's
+    telemetry collector. *)
 
 type decision = { value : string; at : float }
 
@@ -25,27 +23,25 @@ type t = {
   messages : int;
   mem_ops : int;
   signatures : int;
-  verifications : int;
   sim_steps : int;
-  wall_events : int;
-  named : (string * int) list;  (** snapshot of the named counters *)
+  named : (string * int) list;
+      (** the collector's counters and gauges (as ints), sorted *)
   phases : phase list;  (** per-phase latency breakdown, sorted by name *)
 }
 
-(** [obs], when given, fills {!field-phases} from the collector's
-    [~cat:"phase"] histograms. *)
-val of_stats :
-  ?obs:Obs.t ->
+(** Snapshot a finished run from its cluster's collector: [messages],
+    [mem_ops] and [signatures] are the [net.msgs.sent], [mem.ops] and
+    [crypto.signs] counters, {!field-phases} the [~cat:"phase"]
+    histograms, [sim_steps] the engine's step count. *)
+val of_cluster :
   algorithm:string ->
   n:int ->
   m:int ->
   decisions:decision option array ->
-  stats:Stats.t ->
-  steps:int ->
-  unit ->
+  'm Rdma_mm.Cluster.t ->
   t
 
-(** Look up a named counter (0 if absent). *)
+(** Look up a named counter or gauge (0 if absent). *)
 val named : t -> string -> int
 
 val decided : t -> decision list

@@ -17,9 +17,9 @@
    To let receivers verify those citations, T-send attaches a bare
    signature alongside the NEB-signed payload. *)
 
-open Rdma_sim
 open Rdma_mm
 open Rdma_crypto
+open Rdma_obs
 
 type entry =
   | Sent of { k : int; msg : string }
@@ -65,7 +65,7 @@ type t = {
   n : int;
   chain : Keychain.t;
   signer : Keychain.signer;
-  stats : Stats.t;
+  obs : Obs.t;
   neb : Neb.t;
   validator : validator;
   on_receive : src:int -> msg:string -> unit;
@@ -146,7 +146,7 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_al
         n;
         chain = ctx.Cluster.chain;
         signer = ctx.Cluster.signer;
-        stats = ctx.Cluster.ctx_stats;
+        obs = ctx.Cluster.ctx_obs;
         neb =
           Neb.create ctx ~cfg:cfg.neb
             ~deliver:(fun ~k ~msg ~src ->
@@ -193,9 +193,8 @@ let t_send t msg =
   (* observability: the cost of carrying full histories (the known
      burden of the Clement et al. transform, which motivates the Cheap
      Quorum fast path) *)
-  let hist_len = List.length oldest_first in
-  if hist_len > Stats.get t.stats "trusted.max_history_entries" then
-    Stats.set t.stats "trusted.max_history_entries" hist_len;
-  if String.length payload > Stats.get t.stats "trusted.max_payload_bytes" then
-    Stats.set t.stats "trusted.max_payload_bytes" (String.length payload);
+  Obs.gauge t.obs "trusted.max_history_entries"
+    (float_of_int (List.length oldest_first));
+  Obs.gauge t.obs "trusted.max_payload_bytes"
+    (float_of_int (String.length payload));
   Neb.broadcast t.neb payload

@@ -14,8 +14,6 @@ open Rdma_obs
 
 type 'm t = {
   engine : Engine.t;
-  stats : Stats.t;
-  trace : Trace.t;
   n : int;
   m : int;
   keychain : Keychain.t;
@@ -48,8 +46,6 @@ type 'm ctx = {
   signer : Keychain.signer;
   chain : Keychain.t;
   ctx_omega : Omega.t;
-  ctx_stats : Stats.t;
-  ctx_trace : Trace.t;
   ctx_obs : Obs.t;
   (* Spawn an auxiliary fiber belonging to this process: it dies with the
      process when a crash is injected. *)
@@ -78,17 +74,15 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
     ?(legal_change = Permission.static_permissions) ?(initial_leader = 0)
     ?(ordering = Ordering.Strict) ~n ~m () =
   let engine = Engine.create ~max_steps ~seed () in
-  let stats = Stats.create () in
-  let trace = Trace.create () in
   let keychain = Keychain.create ~seed ~n () in
   let obs = Engine.obs engine in
   Keychain.set_hooks keychain
     ~on_sign:(fun pid ->
-      Stats.incr_signatures stats;
-      Stats.bump stats (Printf.sprintf "sigs.p%d" pid);
+      Obs.count obs "crypto.signs" 1;
+      Obs.count obs (Printf.sprintf "sigs.p%d" pid) 1;
       Obs.event obs ~actor:(Printf.sprintf "p%d" pid) (Event.Sign { pid }))
     ~on_verify:(fun ~ok ->
-      Stats.incr_verifications stats;
+      Obs.count obs "crypto.verifies" 1;
       Obs.event obs ~actor:"crypto" (Event.Verify { ok }));
   (* The run's seed also keys each memory's per-op ordering stream, so a
      chaos schedule replays its weak-mode lag/reorder decisions
@@ -96,15 +90,13 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
   let memories =
     Array.init m (fun mid ->
         Memory.create ~one_way:(latency *. 1.0) ~legal_change ~ordering ~seed
-          ~engine ~stats ~mid ())
+          ~engine ~mid ())
   in
-  let net = Network.create ~latency ~engine ~stats ~n () in
+  let net = Network.create ~latency ~engine ~n () in
   let omega = Omega.create ~engine ~initial:initial_leader in
   let t =
     {
       engine;
-      stats;
-      trace;
       n;
       m;
       keychain;
@@ -137,10 +129,6 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
 
 let engine t = t.engine
 
-let stats t = t.stats
-
-let trace t = t.trace
-
 let n t = t.n
 
 let m t = t.m
@@ -168,25 +156,9 @@ let keychain t = t.keychain
 
 let obs t = Engine.obs t.engine
 
-let set_auto_leader t flag = t.auto_leader <- flag
+let stats = obs
 
-(* Record every memory write/permission change and every message send
-   into the cluster trace — heavyweight; for debugging and the CLI's
-   --trace flag.  Implemented as a subscriber on the typed telemetry
-   stream; the line formats predate the telemetry subsystem and are kept
-   for the human-readable `--trace` output. *)
-let enable_io_trace t =
-  Obs.subscribe (obs t) (fun ~at ~actor ev ->
-      let record fmt = Trace.recordf t.trace ~at ~actor fmt in
-      match (ev : Event.t) with
-      | Mem_write { pid; region; reg; value; ok; _ } ->
-          if ok then record "p%d write %s/%s := %s -> ack" pid region reg value
-          else record "p%d write %s/%s -> nak" pid region reg
-      | Mem_perm { pid; region; applied; _ } ->
-          record "p%d changePermission %s -> %s" pid region
-            (if applied then "applied" else "refused")
-      | Net_send { dst; _ } -> record "send -> p%d" dst
-      | _ -> ())
+let set_auto_leader t flag = t.auto_leader <- flag
 
 let set_detection_delay t d = t.detection_delay <- d
 
@@ -212,8 +184,6 @@ let ctx t pid =
     signer = Keychain.signer t.keychain pid;
     chain = t.keychain;
     ctx_omega = t.omega;
-    ctx_stats = t.stats;
-    ctx_trace = t.trace;
     ctx_obs = Engine.obs t.engine;
     spawn_sub;
   }
@@ -256,8 +226,6 @@ let crash_process t pid =
     t.crashed.(pid) <- true;
     (match t.fibers.(pid) with Some f -> Engine.cancel f | None -> ());
     List.iter Engine.cancel t.sub_fibers.(pid);
-    Trace.recordf t.trace ~at:(Engine.now t.engine) ~actor:(Printf.sprintf "p%d" pid)
-      "CRASH";
     if t.auto_leader then schedule_repoint t
   end
 
@@ -265,10 +233,7 @@ let crash_process_at t ~at pid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
       crash_process t pid)
 
-let crash_memory t mid =
-  Memory.crash t.memories.(mid);
-  Trace.recordf t.trace ~at:(Engine.now t.engine) ~actor:(Printf.sprintf "mu%d" mid)
-    "MEMORY CRASH"
+let crash_memory t mid = Memory.crash t.memories.(mid)
 
 let crash_memory_at t ~at mid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
@@ -278,13 +243,8 @@ let crash_memory_at t ~at mid =
    [Memory.restart]).  A benign no-op when the memory is not crashed, so
    a shrunk fault schedule that dropped the paired crash stays valid. *)
 let restart_memory ?rejoin t mid =
-  if Memory.is_crashed t.memories.(mid) then begin
-    Memory.restart ?rejoin t.memories.(mid);
-    Trace.recordf t.trace ~at:(Engine.now t.engine)
-      ~actor:(Printf.sprintf "mu%d" mid)
-      "MEMORY RESTART (epoch %d)"
-      (Memory.epoch t.memories.(mid))
-  end
+  let mem = t.memories.(mid) in
+  if Memory.is_crashed mem then Memory.restart ?rejoin mem
 
 let restart_memory_at ?rejoin t ~at mid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
@@ -302,9 +262,7 @@ let restart_process t pid =
       let fiber =
         Engine.spawn t.engine (Printf.sprintf "p%d" pid) (fun () -> program pid)
       in
-      t.fibers.(pid) <- Some fiber;
-      Trace.recordf t.trace ~at:(Engine.now t.engine)
-        ~actor:(Printf.sprintf "p%d" pid) "RESTART"
+      t.fibers.(pid) <- Some fiber
   | _ -> ()
 
 let restart_process_at t ~at pid =

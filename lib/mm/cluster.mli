@@ -22,8 +22,6 @@ type 'm ctx = {
   signer : Keychain.signer;
   chain : Keychain.t;
   ctx_omega : Omega.t;
-  ctx_stats : Stats.t;
-  ctx_trace : Trace.t;
   ctx_obs : Obs.t;
   spawn_sub : string -> (unit -> unit) -> unit;
       (** Spawn an auxiliary fiber belonging to this process; it dies with
@@ -48,10 +46,6 @@ val create :
 
 val engine : 'm t -> Engine.t
 
-val stats : 'm t -> Stats.t
-
-val trace : 'm t -> Trace.t
-
 val n : 'm t -> int
 
 val m : 'm t -> int
@@ -73,13 +67,16 @@ val omega : 'm t -> Omega.t
 
 val keychain : 'm t -> Keychain.t
 
-(** The engine's telemetry collector (shared by every layer of this
-    cluster). *)
+(** The engine's telemetry collector, shared by every layer of this
+    cluster and its only table of counts: [net.msgs.sent], [mem.ops],
+    [crypto.signs], [crypto.verifies] and [sigs.p<pid>] here, protocol
+    counters and gauges from the layers above. *)
 val obs : 'm t -> Obs.t
 
-(** Record every memory write/permission change and message send into
-    the cluster trace (heavyweight; for debugging). *)
-val enable_io_trace : 'm t -> unit
+(** {!obs} under its old name, kept only for [bench/e2e/kv_session.ml],
+    which reads counters through {!Rdma_sim.Stats.get}.  Nothing else
+    may use it. *)
+val stats : 'm t -> Stats.t
 
 (** Whether Ω automatically repoints to the lowest-id live process when the
     current leader crashes (default true). *)

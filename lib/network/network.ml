@@ -20,8 +20,8 @@ type 'm envelope = { from : int; payload : 'm }
 
 type 'm t = {
   engine : Engine.t;
-  stats : Stats.t;
   obs : Obs.t;
+  sent : int ref; (* the collector's [net.msgs.sent] counter *)
   n : int;
   boxes : 'm envelope Mailbox.t array;
   mutable base_latency : src:int -> dst:int -> float;
@@ -34,11 +34,12 @@ type 'm t = {
   mutable buffered : (int * int * 'm envelope) list;
 }
 
-let create ?(latency = 1.0) ~engine ~stats ~n () =
+let create ?(latency = 1.0) ~engine ~n () =
+  let obs = Engine.obs engine in
   {
     engine;
-    stats;
-    obs = Engine.obs engine;
+    obs;
+    sent = Obs.cell obs "net.msgs.sent";
     n;
     boxes = Array.init n (fun _ -> Mailbox.create ());
     base_latency = (fun ~src:_ ~dst:_ -> latency);
@@ -109,7 +110,7 @@ let heal t =
     pending
 
 let deliver t ~src ~dst payload =
-  Stats.incr_messages t.stats;
+  incr t.sent;
   Prof.bump "net.msgs.sent" 1;
   Obs.event t.obs ~actor:(Printf.sprintf "p%d" src) (Event.Net_send { src; dst });
   let env = { from = src; payload } in

@@ -5,7 +5,8 @@ open Rdma_sim
 
 type 'm t
 
-val create : ?latency:float -> engine:Engine.t -> stats:Stats.t -> n:int -> unit -> 'm t
+(** Every send counts one [net.msgs.sent] on the engine's collector. *)
+val create : ?latency:float -> engine:Engine.t -> n:int -> unit -> 'm t
 
 val n : 'm t -> int
 

@@ -4,14 +4,16 @@
    One collector is shared by every layer of a simulated cluster (the
    engine owns it).  Three concerns, with different costs:
 
-   - Metrics (histograms over span durations + named counters) are always
-     on: they are O(1) per observation and bounded in size, so reports
-     can include per-phase percentiles for free.
-   - Subscribers (typed callbacks) are always notified; the cluster uses
-     one to render the legacy human-readable I/O trace.
-   - Event/span *retention* (for the exporters) is opt-in via
-     [set_recording]: a long stress run would otherwise accumulate
-     millions of entries.
+   - Metrics (histograms over span durations + named counters + gauges)
+     are always on: they are O(1) per observation and bounded in size.
+     They are the run's only table of counts: [Report.t]'s messages,
+     memory operations, signatures and named counters are read from
+     here.
+   - Subscribers (typed callbacks) are always notified; the chaos
+     oracle and the SMR rejoin server react to events this way.
+   - Event/span *retention* (for the exporters and the CLI's [--trace]
+     listing) is opt-in via [set_recording]: a long stress run would
+     otherwise accumulate millions of entries.
 
    Timestamps come from the installed clock — the simulation engine's
    virtual [now] — so recorded data is deterministic for a fixed seed. *)
@@ -89,10 +91,23 @@ let hist_for t ~cat name =
 
 let observe t ?(cat = "metric") name v = Hist.add (hist_for t ~cat name) v
 
-let count t name n =
+(* A counter's own storage, so a hot path (one bump per message or
+   memory operation) pays the string lookup once, at creation, and a
+   plain increment afterwards. *)
+let cell t name =
   match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t.counters name (ref n)
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.add t.counters name r;
+      r
+
+let count t name n =
+  let r = cell t name in
+  r := !r + n
+
+let counter t name =
+  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 (* Gauges are high watermarks: [gauge] keeps the max of everything set,
    which is the only combination that also merges associatively —

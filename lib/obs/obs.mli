@@ -26,8 +26,8 @@ val recording : t -> bool
 (** Toggle retention of the raw event/span stream. *)
 val set_recording : t -> bool -> unit
 
-(** Register a typed tap called on every event regardless of recording;
-    the cluster's legacy I/O trace is one of these. *)
+(** Register a typed tap called on every event regardless of recording
+    (e.g. the chaos oracle watches decisions and memory restarts). *)
 val subscribe : t -> (at:float -> actor:string -> Event.t -> unit) -> unit
 
 (** Register a tap called at every span open, regardless of recording.
@@ -47,6 +47,14 @@ val observe : t -> ?cat:string -> string -> float -> unit
 
 (** Add [n] to a named counter. *)
 val count : t -> string -> int -> unit
+
+(** A named counter's value (0 if it was never counted). *)
+val counter : t -> string -> int
+
+(** A named counter's storage, created at 0 if absent.  Hot paths
+    resolve it once and [incr] it per event instead of paying a string
+    lookup per {!count}. *)
+val cell : t -> string -> int ref
 
 (** [gauge t name v] records a high-watermark gauge: the stored value
     is the max of everything set (e.g. peak event-heap depth).  Max is

@@ -15,7 +15,6 @@ type t = {
   pid : int;
   actor : string;
   obs : Obs.t option;
-  stats : Stats.t option;
   memories : Memory.t array;
 }
 
@@ -23,12 +22,8 @@ let create ~pid ~memories =
   {
     pid;
     actor = Printf.sprintf "p%d" pid;
-    (* All memories share one engine, hence one collector and one stats
-       table. *)
+    (* All memories share one engine, hence one collector. *)
     obs = (if Array.length memories = 0 then None else Some (Memory.obs memories.(0)));
-    stats =
-      (if Array.length memories = 0 then None
-       else Some (Memory.stats memories.(0)));
     memories;
   }
 
@@ -150,9 +145,8 @@ let write_many t ~mem ~region ~values =
    re-issues the operation to every memory and waits one exponentially
    growing backoff window; once the windows have consumed the deadline
    the op returns a typed [Timeout] instead of a result.  Retries and
-   timeouts are counted per operation name, both in the telemetry
-   counters (the metrics export) and in the substrate stats (the
-   [Report.t] named counters). *)
+   timeouts are counted per operation name in the collector, which
+   feeds both the metrics export and [Report.t]'s named counters. *)
 
 type 'a timed = Done of 'a | Timeout of { attempts : int; waited : float }
 
@@ -160,11 +154,7 @@ let default_deadline = 64.0
 
 let default_backoff = 4.0
 
-let count t name n =
-  (match t.obs with Some obs -> Obs.count obs name n | None -> ());
-  match t.stats with
-  | Some stats -> for _ = 1 to n do Stats.bump stats name done
-  | None -> ()
+let count t name = Option.iter (fun obs -> Obs.count obs name 1) t.obs
 
 (* One attempt per backoff window: [issue ()] fires the operation at
    every memory and the attempt succeeds when [k] of the fresh ivars fill
@@ -183,11 +173,11 @@ let retry_quorum ?k ?(deadline = default_deadline) ?(backoff = default_backoff)
           let waited = waited +. window in
           let remaining = deadline -. waited in
           if remaining > 0. then begin
-            count t (name ^ ".retries") 1;
+            count t (name ^ ".retries");
             attempt (n + 1) (Float.min (window *. 2.) remaining) waited
           end
           else begin
-            count t (name ^ ".timeouts") 1;
+            count t (name ^ ".timeouts");
             Timeout { attempts = n; waited }
           end
         end

@@ -96,8 +96,8 @@ val write_many :
     backoff window (initial [backoff], default 4 delays, doubling per
     attempt, clamped to the remaining deadline), then returns a typed
     [Timeout] once the deadline is spent.  Per-operation [.retries] and
-    [.timeouts] counters flow through the telemetry counters (metrics
-    export) and the substrate stats ([Report.t] named counters). *)
+    [.timeouts] counters go to the collector, which feeds the metrics
+    export and the [Report.t] named counters. *)
 
 type 'a timed = Done of 'a | Timeout of { attempts : int; waited : float }
 

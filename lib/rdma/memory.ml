@@ -62,8 +62,8 @@ type qp_state = { mutable floor : float; mutable horizon : float }
 type t = {
   mid : int;
   engine : Engine.t;
-  stats : Stats.t;
   obs : Obs.t;
+  ops : int ref; (* the collector's [mem.ops] counter *)
   actor : string; (* "mu<mid>": this memory's telemetry track *)
   legal_change : Permission.legal_change;
   one_way : float;
@@ -88,12 +88,13 @@ type t = {
 }
 
 let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
-    ?(ordering = Ordering.Strict) ?(seed = 0) ~engine ~stats ~mid () =
+    ?(ordering = Ordering.Strict) ?(seed = 0) ~engine ~mid () =
+  let obs = Engine.obs engine in
   {
     mid;
     engine;
-    stats;
-    obs = Engine.obs engine;
+    obs;
+    ops = Obs.cell obs "mem.ops";
     actor = Printf.sprintf "mu%d" mid;
     legal_change;
     one_way;
@@ -115,8 +116,6 @@ let set_ordering t mode = t.ordering <- mode
 let id t = t.mid
 
 let obs t = t.obs
-
-let stats t = t.stats
 
 (* Typed telemetry event on this memory's track, recorded as the
    operation *arrives* at the memory (one one-way delay after issue) —
@@ -237,7 +236,7 @@ let restart ?(rejoin = `Genesis) t =
      control-plane drain horizon reset with the reboot. *)
   Hashtbl.reset t.qps;
   t.data_horizon <- 0.0;
-  Stats.bump t.stats "mem.restarts";
+  Obs.count t.obs "mem.restarts" 1;
   emit t (Event.Mem_restart { mid = t.mid; epoch = t.epoch })
 
 let qp_state t ~from =
@@ -365,7 +364,7 @@ let lookup_region t name =
 let serving r ~epoch = r.granted_epoch = epoch
 
 let write_async t ~from ~region ~reg value =
-  Stats.incr_writes t.stats;
+  incr t.ops;
   operation t ~span_name:"mem.write" ~from ~cls:`Write (fun () ->
       let ok =
         match lookup_region t region with
@@ -381,7 +380,7 @@ let write_async t ~from ~region ~reg value =
       else (Nak, None))
 
 let read_async t ~from ~region ~reg =
-  Stats.incr_reads t.stats;
+  incr t.ops;
   operation t ~span_name:"mem.read" ~from ~cls:`Read (fun () ->
       let ok =
         match lookup_region t region with
@@ -403,7 +402,7 @@ let read_async t ~from ~region ~reg =
 type read_many_result = Read_many of string option array | Read_many_nak
 
 let read_many_async t ~from ~region ~regs =
-  Stats.incr_reads t.stats;
+  incr t.ops;
   operation t ~span_name:"mem.read_many" ~from ~cls:`Read (fun () ->
       let ok =
         match lookup_region t region with
@@ -432,7 +431,7 @@ let read_many_async t ~from ~region ~regs =
    the state-transfer primitive: installing a snapshot repairs the whole
    region in one two-delay operation. *)
 let write_many_async t ~from ~region ~values =
-  Stats.incr_writes t.stats;
+  incr t.ops;
   operation t ~span_name:"mem.write_many" ~from ~cls:`Write (fun () ->
       let ok =
         match lookup_region t region with
@@ -462,7 +461,7 @@ let write_many_async t ~from ~region ~values =
    whatever the policy allows from nothing is what a recovering memory
    may grant, and nothing else. *)
 let change_permission_async t ~from ~region ~perm =
-  Stats.incr_perm_changes t.stats;
+  incr t.ops;
   operation t ~span_name:"mem.perm" ~from ~cls:`Control (fun () ->
       let applied =
         match lookup_region t region with

@@ -35,7 +35,6 @@ val create :
   ?ordering:Ordering.mode ->
   ?seed:int ->
   engine:Engine.t ->
-  stats:Stats.t ->
   mid:int ->
   unit ->
   t
@@ -50,11 +49,9 @@ val ordering : t -> Ordering.mode
 val set_ordering : t -> Ordering.mode -> unit
 
 (** The engine's telemetry collector (every operation records a typed
-    event on this memory's [mu<mid>] track and a [mem.*] span). *)
+    event on this memory's [mu<mid>] track and a [mem.*] span, and
+    counts one [mem.ops]; a {!restart} counts one [mem.restarts]). *)
 val obs : t -> Rdma_obs.Obs.t
-
-(** The substrate-wide counters this memory reports into. *)
-val stats : t -> Stats.t
 
 (** Crash the memory: every outstanding and future operation hangs. *)
 val crash : t -> unit

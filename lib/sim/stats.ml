@@ -1,65 +1,5 @@
-(* Per-run counters.
+(* Read-only alias for the collector's counters; see stats.mli. *)
 
-   One [Stats.t] is shared by all the substrate components of a simulated
-   cluster; the benches read it to report message counts, memory-operation
-   counts and signature counts next to decision delays (e.g. the "one
-   signature on the fast path" claim of Section 4.2). *)
+type t = Rdma_obs.Obs.t
 
-type t = {
-  mutable messages_sent : int;
-  mutable mem_reads : int;
-  mutable mem_writes : int;
-  mutable perm_changes : int;
-  mutable signatures : int;
-  mutable verifications : int;
-  named : (string, int ref) Hashtbl.t;
-}
-
-let create () =
-  {
-    messages_sent = 0;
-    mem_reads = 0;
-    mem_writes = 0;
-    perm_changes = 0;
-    signatures = 0;
-    verifications = 0;
-    named = Hashtbl.create 16;
-  }
-
-let incr_messages t = t.messages_sent <- t.messages_sent + 1
-
-let incr_reads t = t.mem_reads <- t.mem_reads + 1
-
-let incr_writes t = t.mem_writes <- t.mem_writes + 1
-
-let incr_perm_changes t = t.perm_changes <- t.perm_changes + 1
-
-let incr_signatures t = t.signatures <- t.signatures + 1
-
-let incr_verifications t = t.verifications <- t.verifications + 1
-
-let bump t name =
-  match Hashtbl.find_opt t.named name with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.named name (ref 1)
-
-let get t name =
-  match Hashtbl.find_opt t.named name with Some r -> !r | None -> 0
-
-let set t name v =
-  match Hashtbl.find_opt t.named name with
-  | Some r -> r := v
-  | None -> Hashtbl.add t.named name (ref v)
-
-let mem_ops t = t.mem_reads + t.mem_writes + t.perm_changes
-
-(* Named counters sorted by key — [Hashtbl.fold] order depends on the
-   hash seed, and reports must be stable for expect-style comparison. *)
-let named_sorted t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.named [] |> List.sort compare
-
-let pp ppf t =
-  Fmt.pf ppf "msgs=%d reads=%d writes=%d perms=%d signs=%d verifies=%d"
-    t.messages_sent t.mem_reads t.mem_writes t.perm_changes t.signatures
-    t.verifications;
-  List.iter (fun (k, v) -> Fmt.pf ppf " %s=%d" k v) (named_sorted t)
+let get = Rdma_obs.Obs.counter

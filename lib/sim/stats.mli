@@ -1,44 +1,8 @@
-(** Per-run counters shared by the substrate components of a cluster. *)
+(** Read-only view of a run's named counters, kept only because
+    [bench/e2e/kv_session.ml] reads them through this name.  Everything
+    else reads {!Rdma_obs.Obs.counter} on the engine's collector. *)
 
-type t = {
-  mutable messages_sent : int;
-  mutable mem_reads : int;
-  mutable mem_writes : int;
-  mutable perm_changes : int;
-  mutable signatures : int;
-  mutable verifications : int;
-  named : (string, int ref) Hashtbl.t;
-}
+type t = Rdma_obs.Obs.t
 
-val create : unit -> t
-
-val incr_messages : t -> unit
-
-val incr_reads : t -> unit
-
-val incr_writes : t -> unit
-
-val incr_perm_changes : t -> unit
-
-val incr_signatures : t -> unit
-
-val incr_verifications : t -> unit
-
-(** Bump an ad-hoc named counter. *)
-val bump : t -> string -> unit
-
+(** [get t name] is {!Rdma_obs.Obs.counter}. *)
 val get : t -> string -> int
-
-(** Set a named counter to an absolute value. *)
-val set : t -> string -> int -> unit
-
-(** Total memory operations (reads + writes + permission changes). *)
-val mem_ops : t -> int
-
-(** Snapshot of the named counters, sorted by key (stable across runs,
-    unlike raw [Hashtbl] iteration order). *)
-val named_sorted : t -> (string * int) list
-
-(** Prints the fixed counters followed by the named counters in sorted
-    key order, so output is deterministic. *)
-val pp : Format.formatter -> t -> unit

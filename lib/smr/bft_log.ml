@@ -99,11 +99,8 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
               | None -> None)
             handles
         in
-        Report.of_stats
+        Report.of_cluster
           ~algorithm:(Printf.sprintf "bft-log[%d]" slot)
-          ~n ~m ~decisions
-          ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-          ~steps:(Engine.steps (Cluster.engine cluster)) ())
+          ~n ~m ~decisions cluster)
   in
   (reports, List.map fst byzantine)

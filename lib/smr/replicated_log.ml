@@ -327,7 +327,7 @@ module Make (E : ENGINE) = struct
         if values <> [] then
           match Memclient.write_many client ~mem:mid ~region ~values with
           | Memory.Ack ->
-              Stats.bump ctx.Cluster.ctx_stats (region ^ ".repairs");
+              Obs.count ctx.Cluster.ctx_obs (region ^ ".repairs") 1;
               Obs.event ctx.Cluster.ctx_obs ~actor:(Printf.sprintf "p%d" r.pid)
                 (Event.Custom
                    { name = region ^ ".repair"; detail = Printf.sprintf "mu%d" mid })
@@ -494,7 +494,7 @@ module Make (E : ENGINE) = struct
           in
           ignore (Par.await_k truncs rg.quorum);
           rg.ckpt_up_to <- up_to;
-          Stats.bump ctx.Cluster.ctx_stats (region ^ ".checkpoints")
+          Obs.count ctx.Cluster.ctx_obs (region ^ ".checkpoints") 1
         end
         else rg.deposed <- true
       end

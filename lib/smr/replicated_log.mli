@@ -111,7 +111,7 @@ module type ENGINE = sig
 
   val descr : string
 
-  (** The region, also the prefix of fiber names, [Stats] keys
+  (** The region, also the prefix of fiber names, collector counters
       ([<region>.checkpoints], [<region>.repairs]) and the
       [<region>.repair] event. *)
   val region : string

@@ -195,7 +195,7 @@ module Engine = struct
     | readers ->
         Prof.scope "pmp.read.lease" (fun () ->
             Prof.bump "smr.reads.confirmed" (List.length readers);
-            Stats.bump ctx.Cluster.ctx_stats "smr.reads.confirm";
+            Obs.count ctx.Cluster.ctx_obs "smr.reads.confirm" 1;
             if write_lease rg then R.reply_reads ctx r readers else rg.deposed <- true)
 
   let idle _ = ()

@@ -273,7 +273,7 @@ module Engine = struct
           else begin
             let now = Engine.now ctx.Cluster.ctx_engine in
             if lease_until > now then begin
-              Stats.bump ctx.Cluster.ctx_stats "velos.lease.waits";
+              Obs.count ctx.Cluster.ctx_obs "velos.lease.waits" 1;
               Engine.sleep (lease_until -. now)
             end;
             Some (header ~term ~until:lease_until ~committed:prefix_len)
@@ -314,7 +314,7 @@ module Engine = struct
          watermark"]
     then begin
       rg.r.ext.published <- index - 1;
-      Stats.bump rg.ctx.Cluster.ctx_stats "velos.appends";
+      Obs.count rg.ctx.Cluster.ctx_obs "velos.appends" 1;
       true
     end
     else false
@@ -338,7 +338,7 @@ module Engine = struct
     | readers ->
         if r.cfg.lease_violation then begin
           (* TEST FIXTURE: skip every validity check. *)
-          Stats.bump ctx.Cluster.ctx_stats "velos.reads.stale";
+          Obs.count ctx.Cluster.ctx_obs "velos.reads.stale" 1;
           R.reply_reads ctx r readers
         end
         else if
@@ -352,11 +352,11 @@ module Engine = struct
           Prof.scope "velos.read.leased" (fun () ->
               Prof.bump "mem.ops.issued" 0;
               Prof.bump "smr.reads.leased" (List.length readers);
-              Stats.bump ctx.Cluster.ctx_stats "velos.reads.leased";
+              Obs.count ctx.Cluster.ctx_obs "velos.reads.leased" 1;
               R.reply_reads ctx r readers)
         else
           Prof.scope "velos.read.quorum" (fun () ->
-              Stats.bump ctx.Cluster.ctx_stats "velos.reads.quorum";
+              Obs.count ctx.Cluster.ctx_obs "velos.reads.quorum" 1;
               if refresh_lease rg then R.reply_reads ctx r readers)
 
   (* Idle: flush the watermark so pollers converge on the final entry
@@ -380,7 +380,7 @@ module Engine = struct
             (match Mailbox.drain r.reads with
             | [] -> ()
             | readers ->
-                Stats.bump ctx.Cluster.ctx_stats "velos.reads.stale";
+                Obs.count ctx.Cluster.ctx_obs "velos.reads.stale" 1;
                 R.reply_reads ctx r readers);
             Engine.sleep 2.0
           done)

@@ -29,6 +29,18 @@ echo "== simlint v2 =="
 dune build @lint
 dune exec tools/simlint/simlint.exe -- --json lib/ bin/ bench/ > /dev/null
 
+echo "== one table of counts =="
+# The engine's telemetry collector is the only per-run table of counts
+# and I/O events.  Rdma_sim.Stats and Cluster.stats survive only as a
+# read-only alias for bench/e2e/kv_session.ml; nothing else may use
+# them.
+if git grep -nw -e 'Stats' -e 'Cluster\.stats' -- lib bin bench test \
+  examples tools ':!lib/sim/stats.ml' ':!lib/sim/stats.mli' \
+  ':!lib/mm/cluster.ml' ':!lib/mm/cluster.mli' ':!bench/e2e'; then
+  echo "Stats / Cluster.stats used outside the bench/e2e alias" >&2
+  exit 1
+fi
+
 echo "== telemetry smoke test =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -47,6 +59,13 @@ echo "trace deterministic: same seed, same bytes"
 
 grep -q "pmp.phase2" "$tmp/metrics1.json" || {
   echo "metrics missing per-phase histograms" >&2
+  exit 1
+}
+# The collector backs Report.t, so the exported counters carry the
+# message count the run printed.
+msgs="$(sed -n 's/^cost *: \([0-9][0-9]*\) msgs.*/\1/p' "$tmp/run1.out")"
+[ -n "$msgs" ] && grep -q "\"net.msgs.sent\":$msgs[,}]" "$tmp/metrics1.json" || {
+  echo "metrics missing the run's message counter (net.msgs.sent=$msgs)" >&2
   exit 1
 }
 

@@ -71,7 +71,8 @@ let test_one_signature_on_fast_path () =
       match Cheap_quorum.participate ctx ~cfg:cq_cfg ~input:"L" () with
       | Cheap_quorum.Decided _ ->
           if !sigs_at_decide < 0 then
-            sigs_at_decide := ctx.Cluster.ctx_stats.Rdma_sim.Stats.signatures
+            sigs_at_decide :=
+              Rdma_obs.Obs.counter ctx.Cluster.ctx_obs "crypto.signs"
       | _ -> ());
   for pid = 1 to n - 1 do
     Cluster.spawn cluster ~pid (fun _ctx -> ())

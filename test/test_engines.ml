@@ -212,7 +212,7 @@ let test_rejoin_repair ~checkpoint_every
     (logs.(0) = logs.(1) && logs.(1) = logs.(2));
   Alcotest.(check int) "log fully applied" 10 (List.length logs.(0));
   Alcotest.(check bool) "leader transferred state to the rejoiner" true
-    (Stats.get (Cluster.stats cluster) (E.region ^ ".repairs") >= 1);
+    (Obs.counter (Cluster.obs cluster) (E.region ^ ".repairs") >= 1);
   Alcotest.(check (list string)) "rejoined memory fully re-replicated" []
     (Rdma_mem.Memory.stale_registers (Cluster.memory cluster 1) ~region:E.region)
 
@@ -294,7 +294,7 @@ let test_leased_read_zero_mem_ops () =
   Alcotest.(check bool) "leased reads were served" true
     (counter_in prof ~scope:"velos.read.leased" ~name:"smr.reads.leased" >= 4);
   Alcotest.(check int) "stat plane agrees: no read paid a quorum round" 0
-    (Stats.get (Cluster.stats cluster) "velos.reads.quorum")
+    (Obs.counter (Cluster.obs cluster) "velos.reads.quorum")
 
 let test_expired_lease_pays_quorum () =
   let module E = Velos in
@@ -312,7 +312,7 @@ let test_expired_lease_pays_quorum () =
   Cluster.check_errors cluster;
   Alcotest.(check (option int)) "read still linearizes" (Some 1) !read;
   Alcotest.(check bool) "expired lease paid a quorum round" true
-    (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 1)
+    (Obs.counter (Cluster.obs cluster) "velos.reads.quorum" >= 1)
 
 let test_zero_duration_disables_leases () =
   let module E = Velos in
@@ -327,9 +327,9 @@ let test_zero_duration_disables_leases () =
   Cluster.run cluster;
   Cluster.check_errors cluster;
   Alcotest.(check int) "no leased reads" 0
-    (Stats.get (Cluster.stats cluster) "velos.reads.leased");
+    (Obs.counter (Cluster.obs cluster) "velos.reads.leased");
   Alcotest.(check bool) "every read paid quorum" true
-    (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 2)
+    (Obs.counter (Cluster.obs cluster) "velos.reads.quorum" >= 2)
 
 let test_read_after_failover () =
   let module E = Velos in
@@ -352,7 +352,7 @@ let test_read_after_failover () =
   Alcotest.(check (option int)) "post-failover read sees every acked append"
     (Some 2) !read;
   Alcotest.(check bool) "successor waited out the predecessor's lease" true
-    (Stats.get (Cluster.stats cluster) "velos.lease.waits" >= 1)
+    (Obs.counter (Cluster.obs cluster) "velos.lease.waits" >= 1)
 
 let test_stale_lease_fixture_caught () =
   let scenario =

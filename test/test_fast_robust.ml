@@ -31,9 +31,9 @@ let test_one_signature_fast_decision () =
      fast path: exactly one signature (Section 4.2). *)
   let n = 3 and m = 3 in
   let byzantine = [ (1, fun _ -> ()); (2, fun _ -> ()) ] in
-  let _, _, cluster = Fast_robust.run ~n ~m ~inputs:(inputs n) ~byzantine () in
+  let report, _, _ = Fast_robust.run ~n ~m ~inputs:(inputs n) ~byzantine () in
   Alcotest.(check int) "one signature at the fast decision" 1
-    (Rdma_sim.Stats.get (Rdma_mm.Cluster.stats cluster) "sigs_at_fast_decision")
+    (Report.named report "sigs_at_fast_decision")
 
 let test_five_processes () =
   let n = 5 and m = 3 in
@@ -163,6 +163,41 @@ let test_seed_sweep_agreement () =
       | None -> Alcotest.fail "no decision")
     [ 1; 2; 3 ]
 
+let test_silent_leader_handoffs () =
+  (* Figure 6's run (bench f6): the leader stays silent, so each correct
+     process aborts Cheap Quorum with its own bare value and hands it to
+     Preferential Paxos — one fr.handoff event per correct process. *)
+  let open Rdma_obs in
+  let n = 3 and m = 3 in
+  let cq = { Cheap_quorum.default_config with fast_timeout = 40.0 } in
+  let cfg = { Fast_robust.default_config with cheap_quorum = cq } in
+  let _, _, cluster =
+    Fast_robust.run ~cfg ~n ~m ~inputs:(inputs n)
+      ~byzantine:[ (0, Attacks.cq_silent_leader) ]
+      ~faults:[ Fault.Set_leader { pid = 1; at = 0.0 } ]
+      ~prepare:(fun c -> Obs.set_recording (Rdma_mm.Cluster.obs c) true)
+      ()
+  in
+  let handoffs =
+    List.filter_map
+      (function
+        | _, actor, Event.Custom { name; detail }
+          when name = Fast_robust.handoff_event ->
+            Some (actor, detail)
+        | _ -> None)
+      (Obs.events (Rdma_mm.Cluster.obs cluster))
+  in
+  Alcotest.(check (list string)) "one hand-off each from p1 and p2"
+    [ "p1"; "p2" ] (List.map fst handoffs);
+  List.iter
+    (fun (actor, detail) ->
+      Alcotest.(check bool) (actor ^ " aborts Cheap Quorum") true
+        (String.starts_with ~prefix:"cheap-quorum ABORT -> preferential-paxos "
+           detail);
+      Alcotest.(check bool) (actor ^ " hands off a bare value") true
+        (String.ends_with ~suffix:" class=B" detail))
+    handoffs
+
 let suite =
   [
     Alcotest.test_case "common case decides in 2 delays" `Quick
@@ -171,6 +206,8 @@ let suite =
       test_one_signature_fast_decision;
     Alcotest.test_case "n=5 common case" `Quick test_five_processes;
     Alcotest.test_case "silent Byzantine leader" `Quick test_silent_byzantine_leader;
+    Alcotest.test_case "silent leader: two ABORT hand-offs" `Quick
+      test_silent_leader_handoffs;
     Alcotest.test_case "equivocating Byzantine leader" `Quick
       test_equivocating_byzantine_leader;
     Alcotest.test_case "Byzantine follower contained" `Quick test_byzantine_follower;

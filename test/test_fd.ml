@@ -11,8 +11,7 @@ let cfg = { Heartbeat_fd.default_config with run_until = 120.0 }
 
 let run_fd_scenario ?(n = 4) ~crash () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let net : unit Network.t = Network.create ~engine ~stats ~n () in
+  let net : unit Network.t = Network.create ~engine ~n () in
   let fds =
     Array.init n (fun pid ->
         Heartbeat_fd.spawn ~engine ~ep:(Network.endpoint net pid) ~n ~cfg ())

@@ -6,8 +6,7 @@ open Rdma_mem
 
 let make_memory ?legal_change () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let mem = Memory.create ?legal_change ~engine ~stats ~mid:0 () in
+  let mem = Memory.create ?legal_change ~engine ~mid:0 () in
   (engine, mem)
 
 let in_fiber engine f =

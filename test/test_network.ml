@@ -7,12 +7,11 @@ open Rdma_mm
 
 let build ?(n = 3) () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let net : string Network.t = Network.create ~engine ~stats ~n () in
-  (engine, stats, net)
+  let net : string Network.t = Network.create ~engine ~n () in
+  (engine, net)
 
 let test_one_delay () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   let arrival = ref 0.0 in
   ignore
     (Engine.spawn engine "recv" (fun () ->
@@ -27,15 +26,16 @@ let test_one_delay () =
   Alcotest.(check (float 0.0)) "a message costs one delay" 1.0 !arrival
 
 let test_broadcast_counts () =
-  let engine, stats, net = build ~n:4 () in
+  let engine, net = build ~n:4 () in
   ignore
     (Engine.spawn engine "send" (fun () ->
          Network.broadcast (Network.endpoint net 2) "x"));
   Engine.run engine;
-  Alcotest.(check int) "broadcast = n sends" 4 stats.Stats.messages_sent
+  Alcotest.(check int) "broadcast = n sends" 4
+    (Rdma_obs.Obs.counter (Engine.obs engine) "net.msgs.sent")
 
 let test_fifo_per_link_by_time () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   let got = ref [] in
   ignore
     (Engine.spawn engine "recv" (fun () ->
@@ -55,7 +55,7 @@ let test_fifo_per_link_by_time () =
     (List.rev !got)
 
 let test_gst_extra_delay () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   Network.set_gst net ~at:10.0 ~extra:(fun ~src:_ ~dst:_ ~now:_ -> 7.0);
   let first = ref 0.0 and second = ref 0.0 in
   ignore
@@ -76,7 +76,7 @@ let test_gst_extra_delay () =
   Alcotest.(check (float 0.0)) "post-GST message takes one delay" 13.0 !second
 
 let test_partition_buffers_not_drops () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   Network.partition net [ (0, 1) ];
   let got_at = ref (-1.0) in
   ignore
@@ -94,7 +94,7 @@ let test_partition_buffers_not_drops () =
    directions are buffered (never dropped) and every one is delivered
    once the partition heals. *)
 let test_partition_no_loss_multi () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   Network.partition net [ (0, 1); (1, 0) ];
   Alcotest.(check (list (pair int int)))
     "severed pairs visible" [ (0, 1); (1, 0) ] (Network.severed net);
@@ -136,8 +136,7 @@ let test_partition_no_loss_multi () =
    flushes them — the model only guarantees integrity and no-loss. *)
 let test_partition_heal_overtakes () =
   let engine = Engine.create ~seed:3 () in
-  let stats = Stats.create () in
-  let net : string Network.t = Network.create ~engine ~stats ~n:2 () in
+  let net : string Network.t = Network.create ~engine ~n:2 () in
   Network.randomize_latency net ~rng:(Engine.rng engine) ~min:0.5 ~max:5.0;
   Network.partition net [ (0, 1) ];
   let got = ref [] in
@@ -160,13 +159,13 @@ let test_partition_heal_overtakes () =
     (List.rev !got)
 
 let test_partition_rejects_bad_pid () =
-  let _, _, net = build () in
+  let _, net = build () in
   Alcotest.check_raises "pid out of range"
     (Invalid_argument "Network.partition: pid out of range") (fun () ->
       Network.partition net [ (0, 3) ])
 
 let test_recv_timeout () =
-  let engine, _, net = build () in
+  let engine, net = build () in
   let got = ref (Some (0, "x")) in
   ignore
     (Engine.spawn engine "recv" (fun () ->

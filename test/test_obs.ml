@@ -288,32 +288,6 @@ let test_metric_order_invariant () =
   check bool "histograms sorted" true
     (List.sort compare hist_names = hist_names)
 
-(* Stats.pp must print named counters in sorted order regardless of
-   insertion order (Hashtbl iteration order is seed-dependent). *)
-let test_stats_pp_sorted () =
-  let render order =
-    let s = Stats.create () in
-    List.iter (Stats.bump s) order;
-    Fmt.str "%a" Stats.pp s
-  in
-  let a = render [ "zeta"; "alpha"; "mid"; "alpha" ] in
-  let b = render [ "alpha"; "mid"; "zeta"; "alpha" ] in
-  check string "insertion order does not leak" a b;
-  let index_of needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i =
-      if i + nl > hl then Alcotest.failf "%s not printed" needle
-      else if String.sub hay i nl = needle then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  check bool "sorted keys appear in order" true
-    (let ia = index_of "alpha" a in
-     let im = index_of "mid" a in
-     let iz = index_of "zeta" a in
-     ia < im && im < iz)
-
 (* {2 Merging domain-confined collectors} *)
 
 (* Hist.merge's contract: folding src into into is observationally the
@@ -433,8 +407,6 @@ let suite =
       test_identical_runs_identical_traces;
     Alcotest.test_case "metric registration order never leaks" `Quick
       test_metric_order_invariant;
-    Alcotest.test_case "Stats.pp sorts named counters" `Quick
-      test_stats_pp_sorted;
     Alcotest.test_case "Hist.merge equals re-adding samples" `Quick
       test_hist_merge_equals_readd;
     Alcotest.test_case "Obs.merge is order-stable" `Quick

@@ -16,8 +16,7 @@ open Rdma_mem
 
 let make_memory ?legal_change ?(ordering = Ordering.Strict) ?(seed = 1) () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let mem = Memory.create ?legal_change ~ordering ~seed ~engine ~stats ~mid:0 () in
+  let mem = Memory.create ?legal_change ~ordering ~seed ~engine ~mid:0 () in
   (engine, mem)
 
 let in_fiber engine f =
@@ -248,13 +247,12 @@ let test_reorder_fence_restores_order () =
 
 let test_memclient_fence_quorum () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
   let memories =
     Array.init 3 (fun mid ->
         let m =
           Memory.create
             ~ordering:(Ordering.Completion_lag { max_lag = 50.0 })
-            ~seed:1 ~engine ~stats ~mid ()
+            ~seed:1 ~engine ~mid ()
         in
         Memory.add_region m ~name:"r" ~perm:region_all ~registers:[ "x" ];
         m)
@@ -277,10 +275,9 @@ let test_memclient_fence_quorum () =
 
 let test_memclient_fence_strict_free () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
   let memories =
     Array.init 3 (fun mid ->
-        let m = Memory.create ~engine ~stats ~mid () in
+        let m = Memory.create ~engine ~mid () in
         Memory.add_region m ~name:"r" ~perm:region_all ~registers:[ "x" ];
         m)
   in

@@ -142,8 +142,7 @@ let swmr_regular_semantics =
       let open Rdma_sim in
       let open Rdma_mem in
       let engine = Engine.create ~seed () in
-      let stats = Stats.create () in
-      let memories = Array.init 3 (fun mid -> Memory.create ~engine ~stats ~mid ()) in
+      let memories = Array.init 3 (fun mid -> Memory.create ~engine ~mid ()) in
       Array.iter
         (fun mem ->
           Memory.add_region mem ~name:"r" ~perm:(Permission.swmr ~writer:0 ~n:2)

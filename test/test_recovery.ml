@@ -37,13 +37,14 @@ let test_timed_write_times_out () =
       Alcotest.(check (float 0.0001)) "waited the whole deadline" 32.0 waited
   | _ -> Alcotest.fail "dead majority must yield Timeout, not hang");
   Alcotest.(check (float 0.0001)) "bounded in virtual time" 32.0 !took;
-  let stats = Cluster.stats cluster in
-  Alcotest.(check int) "retries counted" 3 (Stats.get stats "rdma.write_quorum.retries");
-  Alcotest.(check int) "timeout counted" 1 (Stats.get stats "rdma.write_quorum.timeouts");
+  let obs = Cluster.obs cluster in
+  Alcotest.(check int) "retries counted" 3
+    (Rdma_obs.Obs.counter obs "rdma.write_quorum.retries");
+  Alcotest.(check int) "timeout counted" 1
+    (Rdma_obs.Obs.counter obs "rdma.write_quorum.timeouts");
   (* and the counters flow into the report consumers read *)
   let report =
-    Report.of_stats ~algorithm:"timed" ~n:1 ~m:3 ~decisions:[| None |] ~stats
-      ~steps:0 ()
+    Report.of_cluster ~algorithm:"timed" ~n:1 ~m:3 ~decisions:[| None |] cluster
   in
   Alcotest.(check int) "timeouts in Report.named" 1
     (Report.named report "rdma.write_quorum.timeouts");
@@ -73,7 +74,7 @@ let test_timed_write_recovers_within_deadline () =
   | Some (Memclient.Done r) -> Alcotest.(check bool) "write acks" true (r = Memory.Ack)
   | _ -> Alcotest.fail "rejoin within the deadline must yield Done");
   Alcotest.(check bool) "earlier attempts were retried" true
-    (Stats.get (Cluster.stats cluster) "rdma.write_quorum.retries" >= 1);
+    (Rdma_obs.Obs.counter (Cluster.obs cluster) "rdma.write_quorum.retries" >= 1);
   Alcotest.(check (list string)) "the re-issued write repaired the register" []
     (Memory.stale_registers (Cluster.memory cluster 1) ~region:"r")
 
@@ -138,7 +139,7 @@ let test_smr_checkpoint_truncates_and_commits () =
   Alcotest.(check int) "all commands committed" 10 !committed;
   Alcotest.(check int) "log fully applied" 10 (List.length (check_logs_equal replicas));
   Alcotest.(check bool) "checkpoints were written" true
-    (Stats.get (Cluster.stats cluster) "smr.checkpoints" >= 3)
+    (Rdma_obs.Obs.counter (Cluster.obs cluster) "smr.checkpoints" >= 3)
 
 let test_smr_repairs_restarted_memory () =
   let cluster, replicas, committed = build_smr () in
@@ -152,7 +153,7 @@ let test_smr_repairs_restarted_memory () =
   Alcotest.(check int) "all commands committed across the outage" 10 !committed;
   ignore (check_logs_equal replicas);
   Alcotest.(check bool) "leader transferred state to the rejoiner" true
-    (Stats.get (Cluster.stats cluster) "smr.repairs" >= 1);
+    (Rdma_obs.Obs.counter (Cluster.obs cluster) "smr.repairs" >= 1);
   Alcotest.(check (list string)) "rejoined memory fully re-replicated" []
     (Memory.stale_registers (Cluster.memory cluster 1) ~region:Smr_log.region)
 

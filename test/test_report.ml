@@ -1,14 +1,15 @@
-(* Unit tests for the reporting/observability layer: Report invariant
-   checks, Trace, Stats, Fault pretty-printing, Memclient quorum
-   helpers. *)
+(* Unit tests for the reporting layer: Report invariant checks, Fault
+   pretty-printing, Memclient quorum helpers. *)
 
 open Rdma_sim
 open Rdma_mem
+open Rdma_mm
 open Rdma_consensus
 
 let mk_report decisions =
-  Report.of_stats ~algorithm:"test" ~n:(Array.length decisions) ~m:0 ~decisions
-    ~stats:(Stats.create ()) ~steps:0 ()
+  let n = Array.length decisions in
+  Report.of_cluster ~algorithm:"test" ~n ~m:0 ~decisions
+    (Cluster.create ~n ~m:0 () : unit Cluster.t)
 
 let d v at = Some { Report.value = v; at }
 
@@ -39,38 +40,6 @@ let test_decision_times () =
   Alcotest.(check (option (float 0.0))) "no decisions" None
     (Report.first_decision_time (mk_report [| None |]))
 
-let test_trace () =
-  let t = Trace.create () in
-  Trace.record t ~at:1.0 ~actor:"p0" "hello";
-  Trace.recordf t ~at:2.0 ~actor:"p1" "x=%d" 42;
-  let events = Trace.events t in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  Alcotest.(check bool) "chronological" true
-    ((List.nth events 0).Trace.at <= (List.nth events 1).Trace.at);
-  Alcotest.(check int) "count filter" 1
-    (Trace.count t (fun e -> e.Trace.actor = "p1"));
-  (match Trace.find t (fun e -> e.Trace.label = "x=42") with
-  | Some e -> Alcotest.(check string) "formatted label" "p1" e.Trace.actor
-  | None -> Alcotest.fail "recordf event not found");
-  let disabled = Trace.create ~enabled:false () in
-  Trace.record disabled ~at:0.0 ~actor:"p" "dropped";
-  Alcotest.(check int) "disabled trace records nothing" 0
-    (List.length (Trace.events disabled))
-
-let test_stats () =
-  let s = Stats.create () in
-  Stats.incr_messages s;
-  Stats.incr_reads s;
-  Stats.incr_writes s;
-  Stats.incr_perm_changes s;
-  Alcotest.(check int) "mem ops sum" 3 (Stats.mem_ops s);
-  Stats.bump s "foo";
-  Stats.bump s "foo";
-  Alcotest.(check int) "named counter" 2 (Stats.get s "foo");
-  Stats.set s "foo" 7;
-  Alcotest.(check int) "set overrides" 7 (Stats.get s "foo");
-  Alcotest.(check int) "unknown counter is 0" 0 (Stats.get s "bar")
-
 let test_fault_pp () =
   let s = Fmt.str "%a" Fault.pp (Fault.Crash_process { pid = 2; at = 1.5 }) in
   Alcotest.(check string) "crash pp" "crash p2@1.5" s;
@@ -79,8 +48,7 @@ let test_fault_pp () =
 
 let test_memclient_quorum () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let memories = Array.init 5 (fun mid -> Memory.create ~engine ~stats ~mid ()) in
+  let memories = Array.init 5 (fun mid -> Memory.create ~engine ~mid ()) in
   Array.iter
     (fun mem ->
       Memory.add_region mem ~name:"r" ~perm:(Permission.all_readwrite ~n:2)
@@ -113,8 +81,6 @@ let suite =
     Alcotest.test_case "agreement checks" `Quick test_agreement;
     Alcotest.test_case "validity checks" `Quick test_validity;
     Alcotest.test_case "decision time extraction" `Quick test_decision_times;
-    Alcotest.test_case "trace recording and queries" `Quick test_trace;
-    Alcotest.test_case "stats counters" `Quick test_stats;
     Alcotest.test_case "fault pretty-printing" `Quick test_fault_pp;
     Alcotest.test_case "memclient quorum helpers" `Quick test_memclient_quorum;
     Alcotest.test_case "report pretty-printing" `Quick test_report_pp_smoke;

@@ -8,9 +8,8 @@ open Rdma_reg
 
 let build ?(n = 3) ?(m = 3) () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
   let memories =
-    Array.init m (fun mid -> Memory.create ~engine ~stats ~mid ())
+    Array.init m (fun mid -> Memory.create ~engine ~mid ())
   in
   Array.iter
     (fun mem ->
@@ -93,11 +92,10 @@ let test_write_nak_on_revoked_replica () =
   (* If some replica refuses the write (permission revoked there), the
      writer learns Nak. *)
   let engine = Engine.create () in
-  let stats = Stats.create () in
   let legal_change ~pid ~region:_ ~current:_ ~requested =
     Permission.sole_writer requested = Some pid
   in
-  let memories = Array.init 3 (fun mid -> Memory.create ~legal_change ~engine ~stats ~mid ()) in
+  let memories = Array.init 3 (fun mid -> Memory.create ~legal_change ~engine ~mid ()) in
   Array.iter
     (fun mem ->
       Memory.add_region mem ~name:"swmr.0"
@@ -116,8 +114,7 @@ let test_write_nak_on_revoked_replica () =
 
 let test_read_detailed_reports_naks () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let memories = Array.init 3 (fun mid -> Memory.create ~engine ~stats ~mid ()) in
+  let memories = Array.init 3 (fun mid -> Memory.create ~engine ~mid ()) in
   Array.iter
     (fun mem ->
       (* region readable only by process 0 *)

@@ -6,8 +6,7 @@ open Rdma_mem
 
 let build () =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let memory = Memory.create ~engine ~stats ~mid:0 () in
+  let memory = Memory.create ~engine ~mid:0 () in
   (engine, Verbs.nic memory)
 
 let run_fiber engine f =
