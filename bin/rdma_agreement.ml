@@ -8,92 +8,16 @@
      dune exec bin/rdma_agreement.exe -- list *)
 
 open Cmdliner
+open Rdma_sim
+open Rdma_mm
 open Rdma_consensus
 open Rdma_obs
 
-type algorithm = {
-  name : string;
-  descr : string;
-  needs_memories : bool;
-  exec :
-    seed:int ->
-    n:int ->
-    m:int ->
-    inputs:string array ->
-    faults:Fault.t list ->
-    prepare:(string Rdma_mm.Cluster.t -> unit) ->
-    Report.t;
-}
-
-let algorithms =
-  [
-    {
-      name = "paxos";
-      descr = "classic Paxos (messages only, n >= 2f+1, 4 delays)";
-      needs_memories = false;
-      exec =
-        (fun ~seed ~n ~m:_ ~inputs ~faults ~prepare ->
-          Paxos.run ~seed ~n ~inputs ~faults ~prepare ());
-    };
-    {
-      name = "fast-paxos";
-      descr = "Fast Paxos (messages only, n >= 2f+1, 2 delays common case)";
-      needs_memories = false;
-      exec =
-        (fun ~seed ~n ~m:_ ~inputs ~faults ~prepare ->
-          Fast_paxos.run ~seed ~n ~inputs ~faults ~prepare ());
-    };
-    {
-      name = "disk-paxos";
-      descr = "Disk Paxos (memories only, n >= f+1, m >= 2fM+1, 4 delays)";
-      needs_memories = true;
-      exec =
-        (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
-          Disk_paxos.run ~seed ~n ~m ~inputs ~faults ~prepare ());
-    };
-    {
-      name = "protected-paxos";
-      descr =
-        "Protected Memory Paxos (Algorithm 7: n >= f+1, m >= 2fM+1, 2 delays)";
-      needs_memories = true;
-      exec =
-        (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
-          Protected_paxos.run ~seed ~n ~m ~inputs ~faults ~prepare ());
-    };
-    {
-      name = "aligned-paxos";
-      descr = "Aligned Paxos (Section 5.2: any minority of n+m agents may crash)";
-      needs_memories = true;
-      exec =
-        (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
-          Aligned_paxos.run ~seed ~n ~m ~inputs ~faults ~prepare ());
-    };
-    {
-      name = "robust-backup";
-      descr = "Robust Backup (Theorem 4.4: Byzantine, n >= 2f+1, slow path)";
-      needs_memories = true;
-      exec =
-        (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
-          fst (Robust_backup.run ~seed ~n ~m ~inputs ~faults ~prepare ()));
-    };
-    {
-      name = "fast-robust";
-      descr = "Fast & Robust (Theorem 4.9: Byzantine, n >= 2f+1, 2 delays)";
-      needs_memories = true;
-      exec =
-        (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
-          let r, _, _ = Fast_robust.run ~seed ~n ~m ~inputs ~faults ~prepare () in
-          r);
-    };
-  ]
-
-(* "smr" is engine-parametric (--engine), so it is not a closed [exec]
-   in the list above; [find_algorithm] builds it per engine choice. *)
+(* "smr" is engine-parametric (--engine), so it is not an entry of the
+   algorithm table; [find_algorithm] builds it per engine choice. *)
 let smr_descr =
   "replicated log over a pluggable consensus engine (--engine, see \
    list-engines)"
-
-let engine_names = Rdma_smr.Engines.names
 
 let engine_arg =
   let doc =
@@ -106,23 +30,61 @@ let engine_arg =
     ^ "."
   in
   Arg.(value
-      & opt (enum (List.map (fun n -> (n, n)) engine_names)) "pmp"
+      & opt (enum (List.map (fun n -> (n, n)) Rdma_smr.Engines.names)) "pmp"
       & info [ "engine" ] ~docv:"ENGINE" ~doc)
+
+(* run smr's one client, pid n: submit the inputs in order, retrying
+   each past leader failovers until it is acked (a committed-but-unacked
+   submit is deduplicated by (client, seq) on the next attempt), close
+   with a linearizable read, and decide the join of the inputs once all
+   of them are acked. *)
+let submitter inputs : Rdma_smr.Harness.client =
+ fun (module E) ~cfg ~decide cluster ~pid ->
+  Cluster.spawn cluster ~pid (fun ctx ->
+      let acked = ref 0 in
+      Array.iteri
+        (fun seq cmd ->
+          let rec attempt () =
+            if Engine.now ctx.Cluster.ctx_engine < Rdma_smr.Harness.t_stop then
+              match E.submit ctx ~cfg ~seq ~cmd ~timeout:30.0 with
+              | Some _ -> incr acked
+              | None -> attempt ()
+          in
+          if !acked = seq then attempt ())
+        inputs;
+      ignore (E.linearizable_read ctx ~cfg ~seq:1000 ~timeout:30.0 : int option);
+      if !acked = Array.length inputs then
+        decide (String.concat ";" (Array.to_list inputs)))
 
 let find_algorithm ~engine name =
   if name = "smr" then
     Some
       {
-        name = "smr";
+        Algorithms.name = "smr";
         descr = smr_descr;
         needs_memories = true;
         exec =
-          (fun ~seed ~n ~m ~inputs ~faults ~prepare ->
+          (fun ~seed ~n ~m ~inputs ~faults ~byzantine ~prepare ->
             Rdma_smr.Harness.run
               ~engine:(Rdma_smr.Engines.get engine)
-              ~seed ~n ~m ~inputs ~faults ~prepare ());
+              ~clients:[ submitter inputs ] ~byzantine ~seed ~n ~m ~faults
+              ~prepare ());
       }
-  else List.find_opt (fun a -> a.name = name) algorithms
+  else Algorithms.find name
+
+(* Reject what the simulator cannot run before anything starts, with one
+   line on stderr and exit status 1: no processes, no memories for an
+   algorithm that needs them, a fault aimed outside the cluster of
+   [procs] processes, or a negative asynchrony extra. *)
+let check_run ~name ~needs_memories ~n ~m ?(procs = n) faults =
+  let reject msg =
+    Fmt.epr "%s@." msg;
+    exit 1
+  in
+  if n < 1 then reject (Printf.sprintf "-n must be at least 1, got %d" n);
+  if needs_memories && m < 1 then
+    reject (Printf.sprintf "%s needs at least one memory, got -m %d" name m);
+  Option.iter reject (Fault.problem ~n:procs ~m faults)
 
 (* "pid@time" *)
 let event_conv =
@@ -300,14 +262,6 @@ let run_cmd =
         Fmt.epr "unknown algorithm %s; try the list command@." name;
         exit 1
     | Some algo ->
-        let inputs =
-          if inputs = [] then Array.init n (fun i -> Printf.sprintf "v%d" i)
-          else if List.length inputs = n then Array.of_list inputs
-          else begin
-            Fmt.epr "need exactly %d inputs@." n;
-            exit 1
-          end
-        in
         let faults =
           (match ordering with
           | Some mode -> [ Fault.Set_ordering { mode } ]
@@ -325,6 +279,18 @@ let run_cmd =
           | None -> []
         in
         let m = if algo.needs_memories then m else 0 in
+        (* run smr's client is one more process, pid n *)
+        check_run ~name ~needs_memories:algo.needs_memories ~n ~m
+          ~procs:(if name = "smr" then n + 1 else n)
+          faults;
+        let inputs =
+          if inputs = [] then Array.init n (fun i -> Printf.sprintf "v%d" i)
+          else if List.length inputs = n then Array.of_list inputs
+          else begin
+            Fmt.epr "need exactly %d inputs@." n;
+            exit 1
+          end
+        in
         let captured = ref None in
         let prepare cluster =
           captured := Some cluster;
@@ -332,7 +298,7 @@ let run_cmd =
              only on when an export or the --trace listing was
              requested. *)
           if trace <> None || trace_out <> None then
-            Obs.set_recording (Rdma_mm.Cluster.obs cluster) true
+            Obs.set_recording (Cluster.obs cluster) true
         in
         (* Profile only when a perf export was asked for: the profiler
            is cheap but not free, and an uninstrumented run should cost
@@ -342,8 +308,8 @@ let run_cmd =
         let report =
           if want_prof then
             Prof.with_profiler prof (fun () ->
-                algo.exec ~seed ~n ~m ~inputs ~faults ~prepare)
-          else algo.exec ~seed ~n ~m ~inputs ~faults ~prepare
+                algo.exec ~seed ~n ~m ~inputs ~faults ~byzantine:[] ~prepare)
+          else algo.exec ~seed ~n ~m ~inputs ~faults ~byzantine:[] ~prepare
         in
         Fmt.pr "algorithm : %s@." report.Report.algorithm;
         Fmt.pr "cluster   : n=%d processes, m=%d memories, seed=%d@." n m seed;
@@ -373,7 +339,7 @@ let run_cmd =
         (match !captured with
         | None -> ()
         | Some cluster ->
-            let obs = Rdma_mm.Cluster.obs cluster in
+            let obs = Cluster.obs cluster in
             Option.iter
               (fun file ->
                 Export.write_trace obs ~file;
@@ -406,7 +372,7 @@ let run_cmd =
         match (trace, !captured) with
         | Some limit, Some cluster ->
             let lines =
-              List.filter_map io_line (Obs.events (Rdma_mm.Cluster.obs cluster))
+              List.filter_map io_line (Obs.events (Cluster.obs cluster))
             in
             let total = List.length lines in
             Fmt.pr "@.I/O trace (first %d of %d events):@." (min limit total) total;
@@ -438,7 +404,7 @@ let fuzz_cmd =
          smr-ENGINE-recovery), not fuzz@.";
       exit 1
     end;
-    match find_algorithm ~engine:"pmp" name with
+    match Algorithms.find name with
     | None ->
         Fmt.epr "unknown algorithm %s; try the list command@." name;
         exit 1
@@ -448,8 +414,9 @@ let fuzz_cmd =
            and random per-message latencies. *)
         let violations = ref 0 in
         let no_decision = ref 0 in
-        let inputs = Array.init n (fun i -> Printf.sprintf "v%d" i) in
         let m = if algo.needs_memories then m else 0 in
+        check_run ~name ~needs_memories:algo.needs_memories ~n ~m [];
+        let inputs = Array.init n (fun i -> Printf.sprintf "v%d" i) in
         for seed = 1 to runs do
           let rng = Random.State.make [| seed; 0xF5 |] in
           let faults =
@@ -466,7 +433,8 @@ let fuzz_cmd =
             else []
           in
           let report =
-            algo.exec ~seed ~n ~m ~inputs ~faults ~prepare:(fun _ -> ())
+            algo.exec ~seed ~n ~m ~inputs ~faults ~byzantine:[]
+              ~prepare:(fun _ -> ())
           in
           if
             (not (Report.agreement_ok report))
@@ -507,6 +475,9 @@ let log_cmd =
     let faults =
       List.map (fun (pid, at) -> Fault.Crash_process { pid; at }) crash_procs
     in
+    check_run
+      ~name:(match kind with `Pmp -> "log pmp-multi" | `Bft -> "log bft")
+      ~needs_memories:true ~n ~m faults;
     let reports =
       match kind with
       | `Pmp ->
@@ -562,7 +533,9 @@ let validate_trace_cmd =
 let list_cmd =
   let action () =
     Fmt.pr "available algorithms:@.";
-    List.iter (fun a -> Fmt.pr "  %-16s %s@." a.name a.descr) algorithms;
+    List.iter
+      (fun (a : Algorithms.t) -> Fmt.pr "  %-16s %s@." a.name a.descr)
+      Algorithms.all;
     Fmt.pr "  %-16s %s@." "smr" smr_descr
   in
   let doc = "List the available algorithms." in
@@ -590,16 +563,8 @@ let chaos_scenario_pos =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
 
-let find_scenario ?engine name =
-  (* With --engine E, an engine-generic name like "smr-recovery" resolves
-     to the per-engine registration "smr-E-recovery" first. *)
-  let candidates =
-    match engine with
-    | Some e when String.length name >= 4 && String.sub name 0 4 = "smr-" ->
-        [ "smr-" ^ e ^ "-" ^ String.sub name 4 (String.length name - 4); name ]
-    | _ -> [ name ]
-  in
-  match List.find_map Rdma_chaos.Scenario.find candidates with
+let find_scenario name =
+  match Rdma_chaos.Scenario.find name with
   | Some s -> s
   | None ->
       Fmt.epr "unknown chaos scenario %s; known: %s@." name
@@ -654,7 +619,7 @@ let chaos_explore_cmd =
   in
   let jobs =
     Arg.(value
-        & opt int (Rdma_sim.Pool.default_jobs ())
+        & opt int (Pool.default_jobs ())
         & info [ "j"; "jobs" ] ~docv:"N"
             ~doc:
               "Run schedules across $(docv) domains (results are \
@@ -665,9 +630,9 @@ let chaos_explore_cmd =
         & info [ "metrics-out" ] ~docv:"FILE"
             ~doc:"Write the batch's merged metrics snapshot to $(docv).")
   in
-  let action name engine runs seed adversary byzantine over_budget
-      out expect_violations jobs metrics_out ordering =
-    let scenario = find_scenario ?engine name in
+  let action name runs seed adversary byzantine over_budget out
+      expect_violations jobs metrics_out ordering =
+    let scenario = find_scenario name in
     let name = scenario.Scenario.name in
     let options =
       {
@@ -712,20 +677,11 @@ let chaos_explore_cmd =
     end
     else if failed > 0 then exit 1
   in
-  let engine =
-    let doc =
-      "Resolve an engine-generic scenario name (e.g. $(b,smr-recovery)) \
-       against this SMR engine's registration."
-    in
-    Arg.(value
-        & opt (some (enum (List.map (fun n -> (n, n)) engine_names))) None
-        & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let doc = "Explore seeded random fault schedules against an algorithm." in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const action $ chaos_scenario_pos $ engine $ runs $ seed $ adversary
-      $ byzantine $ over_budget $ out $ expect_violations $ jobs $ metrics_out
+      const action $ chaos_scenario_pos $ runs $ seed $ adversary $ byzantine
+      $ over_budget $ out $ expect_violations $ jobs $ metrics_out
       $ ordering_arg)
 
 let chaos_replay_cmd =

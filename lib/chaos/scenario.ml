@@ -13,13 +13,7 @@ open Rdma_mm
 open Rdma_obs
 open Rdma_consensus
 
-type exec =
-  seed:int ->
-  inputs:string array ->
-  faults:Fault.t list ->
-  byzantine:(int * (string Cluster.ctx -> unit)) list ->
-  prepare:(string Cluster.t -> unit) ->
-  Report.t
+type exec = Algorithms.exec
 
 type t = {
   name : string;
@@ -90,10 +84,7 @@ let all =
       deadline = 1000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          assert (byzantine = []);
-          Paxos.run ~seed ~n:3 ~inputs ~faults ~prepare ());
+      exec = Algorithms.exec "paxos";
     };
     {
       name = "fast-paxos";
@@ -107,10 +98,7 @@ let all =
       deadline = 1000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          assert (byzantine = []);
-          Fast_paxos.run ~seed ~n:3 ~inputs ~faults ~prepare ());
+      exec = Algorithms.exec "fast-paxos";
     };
     {
       name = "disk-paxos";
@@ -130,10 +118,7 @@ let all =
       deadline = 1000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          assert (byzantine = []);
-          Disk_paxos.run ~seed ~n:3 ~m:3 ~inputs ~faults ~prepare ());
+      exec = Algorithms.exec "disk-paxos";
     };
     {
       name = "protected-paxos";
@@ -153,10 +138,7 @@ let all =
       deadline = 1000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          assert (byzantine = []);
-          Protected_paxos.run ~seed ~n:3 ~m:3 ~inputs ~faults ~prepare ());
+      exec = Algorithms.exec "protected-paxos";
     };
     {
       name = "aligned-paxos";
@@ -170,10 +152,7 @@ let all =
       deadline = 1200.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          assert (byzantine = []);
-          Aligned_paxos.run ~seed ~n:3 ~m:2 ~inputs ~faults ~prepare ());
+      exec = Algorithms.exec "aligned-paxos";
     };
     {
       name = "robust-backup";
@@ -188,10 +167,7 @@ let all =
       deadline = 2000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          fst
-            (Robust_backup.run ~seed ~n:3 ~m:3 ~inputs ~faults ~byzantine ~prepare ()));
+      exec = Algorithms.exec "robust-backup";
     };
     {
       name = "fast-robust";
@@ -206,18 +182,13 @@ let all =
       deadline = 2000.0;
       repair = None;
       validity = true;
-      exec =
-        (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
-          let report, _, _ =
-            Fast_robust.run ~seed ~n:3 ~m:3 ~inputs ~faults ~byzantine ~prepare ()
-          in
-          report);
+      exec = Algorithms.exec "fast-robust";
     };
     {
       name = "swmr-recovery";
       descr = "SWMR replication under memory crash + rejoin; read-repair";
-      n = Workloads.swmr_n;
-      m = Workloads.swmr_m;
+      n = 2;
+      m = 3;
       budget =
         {
           base_budget with
@@ -241,8 +212,8 @@ let all =
     {
       name = "pmp-multi-recovery";
       descr = "repeated Protected Paxos: checkpoints, memory rejoin, repair";
-      n = Workloads.pmp_n;
-      m = Workloads.pmp_m;
+      n = 3;
+      m = 3;
       budget =
         {
           base_budget with
@@ -278,8 +249,8 @@ let all =
               "engine-agnostic SMR on %s: crashes, rejoins, partitions, \
                real-time reads"
               E.name;
-          n = Workloads.smr_n;
-          m = Workloads.smr_m;
+          n = 3;
+          m = 3;
           budget =
             {
               base_budget with
@@ -312,8 +283,8 @@ let all =
         descr =
           "BROKEN BY DESIGN: velos leader ignores lease expiry; the \
            oracle must catch the stale reads";
-        n = Workloads.smr_n;
-        m = Workloads.smr_m;
+        n = 3;
+        m = 3;
         budget =
           {
             base_budget with
@@ -336,10 +307,10 @@ let all =
         repair = None;
         validity = false;
         exec =
-          (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
+          (fun ~seed ~n ~m ~inputs ~faults ~byzantine ~prepare ->
             Workloads.smr_recovery
               (module Rdma_smr.Velos)
-              ~lease_violation:true ~seed ~inputs
+              ~lease_violation:true ~seed ~n ~m ~inputs
               ~faults:(Fault.Set_leader { pid = 1; at = 30.0 } :: faults)
               ~byzantine ~prepare);
       };
@@ -445,7 +416,8 @@ let run ?prepare:(extra_prepare = fun (_ : string Cluster.t) -> ()) t
     extra_prepare cluster
   in
   match
-    t.exec ~seed:case.case_seed ~inputs ~faults:case.faults ~byzantine ~prepare
+    t.exec ~seed:case.case_seed ~n:t.n ~m:t.m ~inputs ~faults:case.faults
+      ~byzantine ~prepare
   with
   | report ->
       let violations =

@@ -5,13 +5,9 @@
 open Rdma_mm
 open Rdma_consensus
 
-type exec =
-  seed:int ->
-  inputs:string array ->
-  faults:Fault.t list ->
-  byzantine:(int * (string Cluster.ctx -> unit)) list ->
-  prepare:(string Cluster.t -> unit) ->
-  Report.t
+(** The algorithm table's exec, called with the scenario's own [n] and
+    [m]. *)
+type exec = Algorithms.exec
 
 type t = {
   name : string;

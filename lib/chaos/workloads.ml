@@ -22,81 +22,77 @@ open Rdma_obs
 open Rdma_consensus
 open Rdma_reg
 
+(* The repair predicate of every recovery workload: [Some detail] iff
+   memory [mid] still holds stale registers of [region]. *)
+let stale ~region cluster mid =
+  match Memory.stale_registers (Cluster.memory cluster mid) ~region with
+  | [] -> None
+  | regs -> Some (Printf.sprintf "stale: %s" (String.concat "," regs))
+
 (* ---------------- SWMR replication under memory rejoin ------------- *)
 
 let swmr_region = "swmr"
 
 let swmr_reg = "x"
 
-let swmr_n = 2
-
-let swmr_m = 3
-
 (* Writer sweeps end well past the latest possible recovery under the
    scenario budget (crash < horizon, recovery < 1.5*horizon + 2). *)
 let swmr_serve_until = 60.0
 
-let swmr_stale cluster mid =
-  match
-    Memory.stale_registers (Cluster.memory cluster mid) ~region:swmr_region
-  with
-  | [] -> None
-  | regs -> Some (Printf.sprintf "stale: %s" (String.concat "," regs))
+let swmr_stale = stale ~region:swmr_region
 
-let swmr_recovery ~seed ~inputs ~faults ~byzantine ~prepare =
-  assert (byzantine = []);
-  let n = swmr_n and m = swmr_m in
-  let cluster : string Cluster.t = Cluster.create ~seed ~n ~m () in
-  Cluster.add_region_everywhere cluster ~name:swmr_region
-    ~perm:(Permission.swmr ~writer:0 ~n)
-    ~registers:[ swmr_reg ];
+(* p0, the sole writer, replicates its value and then keeps sweeping
+   [read_repair], so a replica that rejoined empty gets the value written
+   back (and stamped fresh) once it is responding again.  Every other
+   pid reads until a quorum read returns a value, which it decides; the
+   loop is bounded so an (out-of-budget) unreadable run still quiesces
+   and lets the watchdog report the liveness miss. *)
+let swmr_recovery ~seed ~n ~m ~inputs ~faults ~byzantine ~prepare =
   let decisions : Report.decision option array = Array.make n None in
-  let decide (ctx : string Cluster.ctx) value =
-    let pid = ctx.Cluster.pid in
-    decisions.(pid) <-
-      Some { Report.value; at = Engine.now ctx.Cluster.ctx_engine };
-    Obs.event ctx.Cluster.ctx_obs
-      ~actor:(Printf.sprintf "p%d" pid)
-      (Event.Decide { pid; value })
+  let spawn cluster pid =
+    Cluster.spawn cluster ~pid (fun ctx ->
+        let h = Swmr.attach ~client:ctx.Cluster.client ~region:swmr_region in
+        let now () = Engine.now ctx.Cluster.ctx_engine in
+        let decide value =
+          decisions.(pid) <- Some { Report.value; at = now () };
+          Obs.event ctx.Cluster.ctx_obs
+            ~actor:(Printf.sprintf "p%d" pid)
+            (Event.Decide { pid; value })
+        in
+        if pid = 0 then begin
+          ignore (Swmr.write h ~reg:swmr_reg inputs.(0));
+          decide inputs.(0);
+          while now () < swmr_serve_until do
+            ignore (Swmr.read_repair h ~reg:swmr_reg);
+            Engine.sleep 5.0
+          done
+        end
+        else
+          let rec loop () =
+            match Swmr.read h ~reg:swmr_reg with
+            | Some v -> decide v
+            | None ->
+                if now () < swmr_serve_until then begin
+                  Engine.sleep 2.0;
+                  loop ()
+                end
+          in
+          loop ());
+    fun () -> decisions.(pid)
   in
-  (* p0, the sole writer: replicate the value, then keep sweeping
-     [read_repair] so a replica that rejoined empty gets the value
-     written back (and stamped fresh) once it is responding again. *)
-  Cluster.spawn cluster ~pid:0 (fun ctx ->
-      let h = Swmr.attach ~client:ctx.Cluster.client ~region:swmr_region in
-      let v = inputs.(0) in
-      ignore (Swmr.write h ~reg:swmr_reg v);
-      decide ctx v;
-      while Engine.now ctx.Cluster.ctx_engine < swmr_serve_until do
-        ignore (Swmr.read_repair h ~reg:swmr_reg);
-        Engine.sleep 5.0
-      done);
-  (* p1, a reader: decides the first value a quorum read returns.  The
-     loop is bounded so an (out-of-budget) unreadable run still
-     quiesces and lets the watchdog report the liveness miss. *)
-  Cluster.spawn cluster ~pid:1 (fun ctx ->
-      let h = Swmr.attach ~client:ctx.Cluster.client ~region:swmr_region in
-      let rec loop () =
-        match Swmr.read h ~reg:swmr_reg with
-        | Some v -> decide ctx v
-        | None ->
-            if Engine.now ctx.Cluster.ctx_engine < swmr_serve_until then begin
-              Engine.sleep 2.0;
-              loop ()
-            end
-      in
-      loop ());
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  Report.of_cluster ~algorithm:"swmr-recovery" ~n ~m ~decisions cluster
+  let cluster, decided =
+    Instance.run
+      ~setup:(fun cluster ->
+        Cluster.add_region_everywhere cluster ~name:swmr_region
+          ~perm:(Permission.swmr ~writer:0 ~n)
+          ~registers:[ swmr_reg ])
+      ~byzantine ~prepare ~faults ~seed ~n ~m ~spawn ()
+  in
+  Report.of_cluster ~algorithm:"swmr-recovery" ~n ~m
+    ~decisions:(Array.map Option.join decided)
+    cluster
 
 (* --------- repeated Protected Paxos with checkpoints + repair ------ *)
-
-let pmp_n = 3
-
-let pmp_m = 3
 
 let pmp_cfg =
   {
@@ -106,19 +102,12 @@ let pmp_cfg =
     serve_until = 60.0;
   }
 
-let pmp_stale cluster mid =
-  match
-    Memory.stale_registers (Cluster.memory cluster mid)
-      ~region:Protected_paxos_multi.region
-  with
-  | [] -> None
-  | regs -> Some (Printf.sprintf "stale: %s" (String.concat "," regs))
+let pmp_stale = stale ~region:Protected_paxos_multi.region
 
-let pmp_multi_recovery ~seed ~inputs:_ ~faults ~byzantine ~prepare =
+let pmp_multi_recovery ~seed ~n ~m ~inputs:_ ~faults ~byzantine ~prepare =
   assert (byzantine = []);
   let reports =
-    Protected_paxos_multi.run ~cfg:pmp_cfg ~seed ~faults ~prepare ~n:pmp_n
-      ~m:pmp_m
+    Protected_paxos_multi.run ~cfg:pmp_cfg ~seed ~faults ~prepare ~n ~m
       ~input_for:(fun ~pid ~instance -> Printf.sprintf "v%d.%d" pid instance)
       ()
   in
@@ -127,7 +116,7 @@ let pmp_multi_recovery ~seed ~inputs:_ ~faults ~byzantine ~prepare =
      event the program emits — so the oracle checks agreement (and
      liveness) over the whole log. *)
   let decisions =
-    Array.init pmp_n (fun pid ->
+    Array.init n (fun pid ->
         let per =
           Array.map (fun (r : Report.t) -> r.Report.decisions.(pid)) reports
         in
@@ -148,128 +137,66 @@ let pmp_multi_recovery ~seed ~inputs:_ ~faults ~byzantine ~prepare =
 
 (* ---------- engine-agnostic SMR under the full recovery nemesis ----- *)
 
-(* One workload, every consensus engine: 3 replicas serve a replicated
-   log through the shared {!Rdma_smr.Consensus_engine} interface while 2
-   client processes (spawned beyond the nemesis-facing [smr_n], so the
-   fault generator never targets them) submit commands and issue
-   linearizable reads.  Clients enforce the real-time read invariant
-   with a shared watermark: a read must never return less than the
-   highest index any client saw acknowledged (or read) before the read
-   was SENT.  A violation becomes that client's decision, which the
-   agreement oracle then flags against the replicas' joined logs — this
-   is exactly how the deliberately stale-lease velos fixture is caught.
-
-   Replicas decide the joined applied log at a fixed virtual time well
-   after the workload quiesces (both engines' catch-up paths — pmp
-   snapshot anti-entropy, velos memory polling — have healed by then);
-   clients that never witnessed a violation are retired (crashed) before
-   the decision point so the liveness watchdog exempts them. *)
-
-let smr_n = 3
-
-let smr_m = 3
+(* One workload, every consensus engine: the SMR harness's replicas
+   serve a replicated log while 2 client processes (spawned beyond the
+   nemesis-facing replicas, so the fault generator never targets them)
+   submit commands and issue linearizable reads.  Clients enforce the
+   real-time read invariant with a shared watermark: a read must never
+   return less than the highest index any client saw acknowledged (or
+   read) before the read was SENT.  A violation becomes that client's
+   decision, which the agreement oracle then flags against the replicas'
+   joined logs — this is exactly how the deliberately stale-lease velos
+   fixture is caught.  Clients that never witnessed a violation are
+   retired (crashed) before the replicas decide, so the liveness
+   watchdog exempts them. *)
 
 let smr_clients = 2
 
-let smr_t_stop = 120.0 (* clients stop issuing new operations *)
-
 let smr_t_retire = 140.0 (* violation-free clients are retired *)
-
-let smr_t_decide = 260.0 (* replicas decide their joined logs *)
 
 let smr_deadline = 400.0 (* oracle watchdog *)
 
-let smr_cfg ~lease_violation =
-  {
-    Rdma_smr.Consensus_engine.default_config with
-    replicas = smr_n;
-    max_entries = 48;
-    serve_until = 300.0;
-    checkpoint_every = 5;
-    (* pmp: snapshot anti-entropy cadence; velos: the poll interval *)
-    anti_entropy_every = 10.0;
-    (* velos serves leased reads with 0 memory ops; pmp ignores it *)
-    lease_duration = 20.0;
-    lease_violation;
-  }
+let smr_stale (module E : Rdma_smr.Consensus_engine.S) = stale ~region:E.region
 
-let smr_stale (module E : Rdma_smr.Consensus_engine.S) cluster mid =
-  match Memory.stale_registers (Cluster.memory cluster mid) ~region:E.region with
-  | [] -> None
-  | regs -> Some (Printf.sprintf "stale: %s" (String.concat "," regs))
+(* Interleave submits and linearizable reads, checking the shared
+   real-time watermark.  Read seqs live in a disjoint space from submit
+   seqs. *)
+let watermark_client watermark : Rdma_smr.Harness.client =
+ fun (module E) ~cfg ~decide cluster ~pid ->
+  Cluster.spawn cluster ~pid (fun ctx ->
+      let stale = ref None in
+      let seq = ref 0 in
+      while
+        !stale = None
+        && Engine.now ctx.Cluster.ctx_engine < Rdma_smr.Harness.t_stop
+      do
+        let cmd = Printf.sprintf "c%d.%d" pid !seq in
+        (match E.submit ctx ~cfg ~seq:!seq ~cmd ~timeout:30.0 with
+        | Some index -> watermark := max !watermark index
+        | None -> ());
+        let w0 = !watermark in
+        (match E.linearizable_read ctx ~cfg ~seq:(1000 + !seq) ~timeout:30.0 with
+        | Some up_to ->
+            if up_to < w0 then
+              stale :=
+                Some
+                  (Printf.sprintf "stale-read: saw %d after %d was acked" up_to
+                     w0)
+            else watermark := max !watermark up_to
+        | None -> ());
+        incr seq
+      done;
+      Option.iter decide !stale);
+  (* Retire the client before the decision point: crashed pids are
+     exempt from the liveness watchdog, and a retired client that DID
+     decide (a violation) still counts for agreement. *)
+  Engine.schedule (Cluster.engine cluster) smr_t_retire (fun () ->
+      if not (Cluster.is_crashed cluster pid) then
+        Cluster.crash_process cluster pid)
 
-let smr_recovery (module E : Rdma_smr.Consensus_engine.S) ~lease_violation
-    ~seed ~inputs:_ ~faults ~byzantine ~prepare =
-  assert (byzantine = []);
-  let cfg = smr_cfg ~lease_violation in
-  let n = smr_n + smr_clients in
-  let m = smr_m in
-  let cluster : string Cluster.t =
-    Cluster.create ~seed ~legal_change:(E.legal_change cfg) ~n ~m ()
-  in
-  E.setup_regions cluster cfg;
-  let engine = Cluster.engine cluster in
-  let decisions : Report.decision option array = Array.make n None in
-  let decide ~pid value =
-    decisions.(pid) <- Some { Report.value; at = Engine.now engine };
-    Obs.event (Cluster.obs cluster)
-      ~actor:(Printf.sprintf "p%d" pid)
-      (Event.Decide { pid; value })
-  in
-  (* Replicas + their decision watchdogs.  The replica handle survives
-     process restarts (the engine program re-catches-up), so reading the
-     applied log at decide time is always current. *)
-  let replicas =
-    Array.init smr_n (fun pid -> E.spawn_replica cluster ~cfg ~pid ())
-  in
-  Array.iteri
-    (fun pid r ->
-      Engine.schedule engine smr_t_decide (fun () ->
-          if not (Cluster.is_crashed cluster pid) then
-            decide ~pid
-              (String.concat ";" (List.map snd (E.applied_entries r)))))
-    replicas;
-  (* Clients: interleave submits and linearizable reads, checking the
-     shared real-time watermark.  [ops] seeds differ per client; read
-     seqs live in a disjoint space from submit seqs. *)
+let smr_recovery engine ~lease_violation ~seed ~n ~m ~inputs:_ ~faults
+    ~byzantine ~prepare =
   let watermark = ref 0 in
-  for c = 0 to smr_clients - 1 do
-    let pid = smr_n + c in
-    Cluster.spawn cluster ~pid (fun ctx ->
-        let stale = ref None in
-        let seq = ref 0 in
-        while
-          !stale = None
-          && Engine.now ctx.Cluster.ctx_engine < smr_t_stop
-        do
-          let cmd = Printf.sprintf "c%d.%d" pid !seq in
-          (match E.submit ctx ~cfg ~seq:!seq ~cmd ~timeout:30.0 with
-          | Some index -> watermark := max !watermark index
-          | None -> ());
-          let w0 = !watermark in
-          (match E.linearizable_read ctx ~cfg ~seq:(1000 + !seq) ~timeout:30.0 with
-          | Some up_to ->
-              if up_to < w0 then
-                stale :=
-                  Some
-                    (Printf.sprintf "stale-read: saw %d after %d was acked" up_to
-                       w0)
-              else watermark := max !watermark up_to
-          | None -> ());
-          incr seq
-        done;
-        match !stale with Some v -> decide ~pid:ctx.Cluster.pid v | None -> ());
-    (* Retire the client before the decision point: crashed pids are
-       exempt from the liveness watchdog, and a retired client that DID
-       decide (a violation) still counts for agreement. *)
-    Engine.schedule engine smr_t_retire (fun () ->
-        if not (Cluster.is_crashed cluster pid) then
-          Cluster.crash_process cluster pid)
-  done;
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  Report.of_cluster
-    ~algorithm:(Printf.sprintf "smr-%s-recovery" E.name)
-    ~n ~m ~decisions cluster
+  Rdma_smr.Harness.run ~engine ~lease_violation
+    ~clients:(List.init smr_clients (fun _ -> watermark_client watermark))
+    ~byzantine ~seed ~n ~m ~faults ~prepare ()

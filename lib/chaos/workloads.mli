@@ -6,59 +6,32 @@
 open Rdma_mm
 open Rdma_consensus
 
-val swmr_n : int
-
-val swmr_m : int
-
 (** [Some detail] iff memory [mid] still has stale SWMR registers. *)
 val swmr_stale : string Cluster.t -> int -> string option
 
-val swmr_recovery :
-  seed:int ->
-  inputs:string array ->
-  faults:Fault.t list ->
-  byzantine:(int * (string Cluster.ctx -> unit)) list ->
-  prepare:(string Cluster.t -> unit) ->
-  Report.t
-
-val pmp_n : int
-
-val pmp_m : int
+(** p0 writes its input and keeps read-repairing; every other pid
+    decides the first value a quorum read returns. *)
+val swmr_recovery : Algorithms.exec
 
 (** [Some detail] iff memory [mid] still has stale Protected-Paxos
     registers. *)
 val pmp_stale : string Cluster.t -> int -> string option
 
-val pmp_multi_recovery :
-  seed:int ->
-  inputs:string array ->
-  faults:Fault.t list ->
-  byzantine:(int * (string Cluster.ctx -> unit)) list ->
-  prepare:(string Cluster.t -> unit) ->
-  Report.t
-
-val smr_n : int
-
-val smr_m : int
+val pmp_multi_recovery : Algorithms.exec
 
 (** [Some detail] iff memory [mid] still has stale registers in the
     given engine's region. *)
 val smr_stale :
   Rdma_smr.Consensus_engine.engine -> string Cluster.t -> int -> string option
 
-(** Engine-agnostic SMR recovery workload: replicated log under the
-    crash/recovery/partition/weak-ordering nemesis, with client-side
-    real-time read checking (a stale read becomes a decision the
-    agreement oracle flags).  [lease_violation] arms the deliberately
-    broken velos stale-lease fixture. *)
+(** Oracle watchdog deadline of the SMR scenarios. *)
 val smr_deadline : float
 
+(** Engine-agnostic SMR recovery workload: {!Rdma_smr.Harness.run} with
+    [n] replicas under the crash/recovery/partition/weak-ordering
+    nemesis and two clients doing client-side real-time read checking
+    (a stale read becomes a decision the agreement oracle flags).
+    [lease_violation] arms the deliberately broken velos stale-lease
+    fixture. *)
 val smr_recovery :
-  Rdma_smr.Consensus_engine.engine ->
-  lease_violation:bool ->
-  seed:int ->
-  inputs:string array ->
-  faults:Fault.t list ->
-  byzantine:(int * (string Cluster.ctx -> unit)) list ->
-  prepare:(string Cluster.t -> unit) ->
-  Report.t
+  Rdma_smr.Consensus_engine.engine -> lease_violation:bool -> Algorithms.exec

@@ -146,10 +146,6 @@ let phase2_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~value box =
   "F1 same structure as phase 1: permission drain in Permissions mode, \
    awaited same-QP read-back self-fence in Disk mode (EXPERIMENTS.md W2)"]
 
-type handle = { decision : Report.decision Ivar.t }
-
-let decision h = h.decision
-
 let decide_now (ctx : _ Cluster.ctx) decision value =
   if
     Ivar.try_fill decision
@@ -356,7 +352,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
     end
   done
 
-let spawn cluster ?(cfg = default_config) ~pid ~input () =
+let spawn cfg cluster pid input =
   let decision = Ivar.create () in
   Cluster.spawn cluster ~pid (fun ctx ->
       let acceptor_box = Mailbox.create () in
@@ -365,26 +361,15 @@ let spawn cluster ?(cfg = default_config) ~pid ~input () =
           pump ctx ~acceptor_box ~reply_box decision);
       ctx.Cluster.spawn_sub "aligned.acceptor" (fun () -> acceptor ctx ~acceptor_box);
       proposer ctx cfg ~input ~reply_box decision);
-  { decision }
+  fun () -> Ivar.peek decision
 
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ()) ~n ~m ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Aligned_paxos.run: |inputs| <> n";
-  let legal_change =
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
+  let algorithm, legal_change =
     match cfg.mode with
-    | Permissions -> legal_change
-    | Disk -> Permission.static_permissions
+    | Permissions -> ("aligned-paxos", legal_change)
+    | Disk -> ("aligned-paxos-disk", Permission.static_permissions)
   in
-  let cluster = Cluster.create ~seed ~legal_change ~n ~m () in
-  setup_regions cluster ~mode:cfg.mode;
-  let handles = Array.init n (fun pid -> spawn cluster ~cfg ~pid ~input:inputs.(pid) ()) in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions = Array.map (fun h -> Ivar.peek h.decision) handles in
-  let name =
-    match cfg.mode with
-    | Permissions -> "aligned-paxos"
-    | Disk -> "aligned-paxos-disk"
-  in
-  Report.of_cluster ~algorithm:name ~n ~m ~decisions cluster
+  fst
+    (Instance.decide ~algorithm ~legal_change
+       ~setup:(setup_regions ~mode:cfg.mode)
+       ?faults ?prepare ~seed ~n ~m ~inputs ~spawn:(spawn cfg) ())

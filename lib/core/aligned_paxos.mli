@@ -2,7 +2,6 @@
     are equivalent agents; consensus survives any minority of the
     combined n + m agent set. *)
 
-open Rdma_sim
 open Rdma_mm
 
 (** How memory agents are driven (footnote 4):
@@ -19,13 +18,6 @@ type config = {
 }
 
 val default_config : config
-
-type handle
-
-val decision : handle -> Report.decision Ivar.t
-
-val spawn :
-  string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
 
 val run :
   ?cfg:config ->

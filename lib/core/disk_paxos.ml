@@ -95,10 +95,6 @@ let disk_round_chain (ctx : _ Cluster.ctx) ~mem ~block result =
    under every model, so by the time the round returns the write is \
    remotely visible (EXPERIMENTS.md W2)"]
 
-type handle = { decision : Report.decision Ivar.t }
-
-let decision h = h.decision
-
 let decide_now (ctx : _ Cluster.ctx) decision value =
   if
     Ivar.try_fill decision
@@ -241,21 +237,14 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
     end
   done
 
-let spawn cluster ?(cfg = default_config) ~pid ~input () =
+let spawn cfg cluster pid input =
   let decision = Ivar.create () in
   Cluster.spawn cluster ~pid (fun ctx ->
       ctx.Cluster.spawn_sub "disk.poller" (fun () -> poller ctx cfg decision);
       proposer ctx cfg ~input decision);
-  { decision }
+  fun () -> Ivar.peek decision
 
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ()) ~n ~m ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Disk_paxos.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~n ~m () in
-  setup_regions cluster;
-  let handles = Array.init n (fun pid -> spawn cluster ~cfg ~pid ~input:inputs.(pid) ()) in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions = Array.map (fun h -> Ivar.peek h.decision) handles in
-  Report.of_cluster ~algorithm:"disk-paxos" ~n ~m ~decisions cluster
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
+  fst
+    (Instance.decide ~algorithm:"disk-paxos" ~setup:setup_regions ?faults
+       ?prepare ~seed ~n ~m ~inputs ~spawn:(spawn cfg) ())

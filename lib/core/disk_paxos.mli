@@ -2,7 +2,6 @@
     baseline: n ≥ fP + 1, m ≥ 2fM + 1, but 4-deciding (the phase-2
     read-back that dynamic permissions remove; Section 5.1). *)
 
-open Rdma_sim
 open Rdma_mm
 
 type config = {
@@ -13,15 +12,6 @@ type config = {
 }
 
 val default_config : config
-
-val setup_regions : 'm Cluster.t -> unit
-
-type handle
-
-val decision : handle -> Report.decision Ivar.t
-
-val spawn :
-  string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
 
 val run :
   ?cfg:config ->

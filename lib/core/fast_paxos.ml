@@ -96,10 +96,6 @@ let default_config =
   { recovery_timeout = 10.0; round_timeout = 8.0; max_rounds = 64;
     proposer_stagger = 4.0 }
 
-type handle = { decision : Report.decision Ivar.t }
-
-let decision h = h.decision
-
 type state = {
   ctx : string Cluster.ctx;
   cfg : config;
@@ -339,7 +335,7 @@ let recovery st =
     end
   done
 
-let spawn cluster ?(cfg = default_config) ~pid ~input () =
+let spawn cfg cluster pid input =
   let decision = Ivar.create () in
   Cluster.spawn cluster ~pid (fun ctx ->
       let st =
@@ -358,15 +354,9 @@ let spawn cluster ?(cfg = default_config) ~pid ~input () =
       ctx.Cluster.spawn_sub "fp.learner" (fun () -> learner st);
       ctx.Cluster.spawn_sub "fp.recovery" (fun () -> recovery st);
       fast_proposer st);
-  ({ decision } : handle)
+  fun () -> Ivar.peek decision
 
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ()) ~n ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Fast_paxos.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~n ~m:0 () in
-  let handles = Array.init n (fun pid -> spawn cluster ~cfg ~pid ~input:inputs.(pid) ()) in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions = Array.map (fun (h : handle) -> Ivar.peek h.decision) handles in
-  Report.of_cluster ~algorithm:"fast-paxos" ~n ~m:0 ~decisions cluster
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~inputs () =
+  fst
+    (Instance.decide ~algorithm:"fast-paxos" ?faults ?prepare ~seed ~n ~m:0
+       ~inputs ~spawn:(spawn cfg) ())

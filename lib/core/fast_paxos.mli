@@ -2,7 +2,6 @@
     fast quorum = all n acceptors (e = 0), classic recovery under
     failures. *)
 
-open Rdma_sim
 open Rdma_mm
 
 type config = {
@@ -14,13 +13,6 @@ type config = {
 }
 
 val default_config : config
-
-type handle
-
-val decision : handle -> Report.decision Ivar.t
-
-val spawn :
-  string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
 
 val run :
   ?cfg:config ->

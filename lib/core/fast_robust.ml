@@ -155,26 +155,15 @@ let spawn cluster ?(cfg = default_config) ~pid ~input () =
   Cluster.spawn cluster ~pid (fun ctx -> program ctx cfg ~input decision);
   { decision }
 
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
-    ?(prepare = fun _ -> ())
-    ?(byzantine : (int * (string Cluster.ctx -> unit)) list = []) ~n ~m ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Fast_robust.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~legal_change:(legal_change ~n) ~n ~m () in
-  setup_regions cluster ~cfg ();
-  let handles = Array.make n None in
-  for pid = 0 to n - 1 do
-    match List.assoc_opt pid byzantine with
-    | Some behaviour -> Cluster.spawn_byzantine cluster ~pid behaviour
-    | None -> handles.(pid) <- Some (spawn cluster ~cfg ~pid ~input:inputs.(pid) ())
-  done;
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions =
-    Array.map (function Some h -> Ivar.peek h.decision | None -> None) handles
-  in
-  let report =
-    Report.of_cluster ~algorithm:"fast-robust" ~n ~m ~decisions cluster
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare
+    ?(byzantine : Instance.byzantine = []) ~n ~m ~inputs () =
+  let report, cluster =
+    Instance.decide ~algorithm:"fast-robust" ~legal_change:(legal_change ~n)
+      ~setup:(fun cluster -> setup_regions cluster ~cfg ())
+      ~byzantine ?faults ?prepare ~seed ~n ~m ~inputs
+      ~spawn:(fun cluster pid input ->
+        let h = spawn cluster ~cfg ~pid ~input () in
+        fun () -> Ivar.peek h.decision)
+      ()
   in
   (report, List.map fst byzantine, cluster)

@@ -45,35 +45,40 @@ type t =
 
 (* Every fault names its targets before the run starts, so a target
    outside the cluster is a schedule bug, not a benign no-op: a typo'd
-   pid would otherwise silently test nothing. *)
-let validate cluster fault =
-  let n = Cluster.n cluster and m = Cluster.m cluster in
-  let check_pid pid =
-    if pid < 0 || pid >= n then
-      invalid_arg
-        (Printf.sprintf "Fault.apply: pid %d outside cluster of %d processes" pid n)
+   pid would otherwise silently test nothing.  A negative asynchrony
+   extra would schedule deliveries in the past. *)
+let fault_problem ~n ~m fault =
+  let pid p =
+    if p < 0 || p >= n then
+      Some (Printf.sprintf "pid %d outside cluster of %d processes" p n)
+    else None
   in
-  let check_mid mid =
-    if mid < 0 || mid >= m then
-      invalid_arg
-        (Printf.sprintf "Fault.apply: mid %d outside cluster of %d memories" mid m)
+  let mid i =
+    if i < 0 || i >= m then
+      Some (Printf.sprintf "mid %d outside cluster of %d memories" i m)
+    else None
   in
+  let first a b = match a with Some _ -> a | None -> b in
   match fault with
-  | Crash_process { pid; _ } | Set_leader { pid; _ } -> check_pid pid
-  | Crash_memory { mid; _ } | Recover_memory { mid; _ } -> check_mid mid
-  | Crash_machine { pid; mid; _ } | Restart_machine { pid; mid; _ } ->
-      check_pid pid;
-      check_mid mid
+  | Crash_process { pid = p; _ } | Set_leader { pid = p; _ } -> pid p
+  | Crash_memory { mid = i; _ } | Recover_memory { mid = i; _ } -> mid i
+  | Crash_machine { pid = p; mid = i; _ } | Restart_machine { pid = p; mid = i; _ }
+    ->
+      first (pid p) (mid i)
   | Partition { pairs; _ } ->
-      List.iter
-        (fun (src, dst) ->
-          check_pid src;
-          check_pid dst)
-        pairs
-  | Async_until _ | Random_latency _ | Heal _ | Set_ordering _ -> ()
+      List.find_map (fun (src, dst) -> first (pid src) (pid dst)) pairs
+  | Async_until { extra; _ } ->
+      if extra < 0. then
+        Some (Printf.sprintf "async-until extra %.1f is negative" extra)
+      else None
+  | Random_latency _ | Heal _ | Set_ordering _ -> None
+
+let problem ~n ~m faults = List.find_map (fault_problem ~n ~m) faults
 
 let apply cluster faults =
-  List.iter (validate cluster) faults;
+  Option.iter
+    (fun msg -> invalid_arg ("Fault.apply: " ^ msg))
+    (problem ~n:(Cluster.n cluster) ~m:(Cluster.m cluster) faults);
   let engine = Cluster.engine cluster in
   let at_time at f = Engine.schedule engine (max 0. (at -. Engine.now engine)) f in
   List.iter

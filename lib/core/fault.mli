@@ -31,9 +31,14 @@ type t =
           schedule-install time; per-op lag/reorder decisions come from
           the run's seed, so replay and shrinking reproduce them *)
 
-(** Schedule the faults on the cluster.  Raises [Invalid_argument] if a
-    fault targets a pid or mid outside the cluster — a typo'd target
-    would otherwise silently test nothing. *)
+(** The first fault that targets a pid or mid outside a cluster of [n]
+    processes and [m] memories, or gives [Async_until] a negative
+    [extra], described in one line; [None] when the schedule is valid. *)
+val problem : n:int -> m:int -> t list -> string option
+
+(** Schedule the faults on the cluster.  Raises [Invalid_argument] with
+    {!problem}'s description if there is one — a typo'd target would
+    otherwise silently test nothing. *)
 val apply : 'm Cluster.t -> t list -> unit
 
 val pp : Format.formatter -> t -> unit

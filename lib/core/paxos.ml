@@ -272,21 +272,17 @@ end
 module Over_network = Make (Transport.Net)
 
 (* Run a complete message-passing Paxos instance on a fresh cluster. *)
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ()) ~n ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Paxos.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~n ~m:0 () in
-  let handles =
-    Array.init n (fun pid ->
-        let ctx = Cluster.ctx cluster pid in
-        let transport = Transport.Net.make ~ep:ctx.Cluster.ep ~n in
-        Over_network.spawn
-          ~engine:(Cluster.engine cluster)
-          ~omega:(Cluster.omega cluster)
-          ~cfg ~spawn_fiber:ctx.Cluster.spawn_sub ~transport ~input:inputs.(pid) ())
-  in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions = Array.map (fun h -> Ivar.peek (Over_network.decision h)) handles in
-  Report.of_cluster ~algorithm:"paxos" ~n ~m:0 ~decisions cluster
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~inputs () =
+  fst
+    (Instance.decide ~algorithm:"paxos" ?faults ?prepare ~seed ~n ~m:0 ~inputs
+       ~spawn:(fun cluster pid input ->
+         let ctx = Cluster.ctx cluster pid in
+         let transport = Transport.Net.make ~ep:ctx.Cluster.ep ~n in
+         let h =
+           Over_network.spawn
+             ~engine:(Cluster.engine cluster)
+             ~omega:(Cluster.omega cluster)
+             ~cfg ~spawn_fiber:ctx.Cluster.spawn_sub ~transport ~input ()
+         in
+         fun () -> Ivar.peek (Over_network.decision h))
+       ())

@@ -114,32 +114,18 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorit
           Trusted.stop trusted));
   { decision }
 
-let run ?(cfg = default_config) ?(classify = no_priorities) ?(seed = 1) ?(faults = [])
-    ?(prepare = fun _ -> ())
-    ?(byzantine : (int * (string Cluster.ctx -> unit)) list = []) ~n ~m
+let run ?(cfg = default_config) ?(classify = no_priorities) ?(seed = 1) ?faults
+    ?prepare ?(byzantine : Instance.byzantine = []) ~n ~m
     ~(inputs : (string * string) array) () =
-  if Array.length inputs <> n then invalid_arg "Preferential_paxos.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~n ~m () in
-  Robust_backup.setup_regions cluster ~cfg:cfg.backup ();
-  let handles = Array.make n None in
-  for pid = 0 to n - 1 do
-    match List.assoc_opt pid byzantine with
-    | Some behaviour -> Cluster.spawn_byzantine cluster ~pid behaviour
-    | None ->
+  let report, _ =
+    Instance.decide ~algorithm:"preferential-paxos"
+      ~setup:(fun cluster -> Robust_backup.setup_regions cluster ~cfg:cfg.backup ())
+      ~byzantine ?faults ?prepare ~seed ~n ~m ~inputs
+      ~spawn:(fun cluster pid (value, evidence) ->
+        let handle = ref None in
         Cluster.spawn cluster ~pid (fun ctx ->
-            let value, evidence = inputs.(pid) in
-            handles.(pid) <- Some (attach ctx ~cfg ~classify ~value ~evidence ()))
-  done;
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions =
-    Array.map
-      (function Some h -> Ivar.peek h.decision | None -> None)
-      handles
-  in
-  let report =
-    Report.of_cluster ~algorithm:"preferential-paxos" ~n ~m ~decisions cluster
+            handle := Some (attach ctx ~cfg ~classify ~value ~evidence ()));
+        fun () -> Option.bind !handle (fun h -> Ivar.peek h.decision))
+      ()
   in
   (report, List.map fst byzantine)

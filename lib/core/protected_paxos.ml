@@ -220,16 +220,11 @@ let spawn cluster ?(cfg = default_config) ~pid ~input () =
       proposer ctx cfg ~input decision);
   { decision }
 
-(* Run a complete instance: build the cluster, apply the fault schedule,
-   execute to quiescence, and report. *)
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ()) ~n ~m ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Protected_paxos.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~legal_change ~n ~m () in
-  setup_regions cluster;
-  let handles = Array.init n (fun pid -> spawn cluster ~cfg ~pid ~input:inputs.(pid) ()) in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let decisions = Array.map (fun h -> Ivar.peek h.decision) handles in
-  Report.of_cluster ~algorithm:"protected-memory-paxos" ~n ~m ~decisions cluster
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
+  fst
+    (Instance.decide ~algorithm:"protected-memory-paxos" ~legal_change
+       ~setup:setup_regions ?faults ?prepare ~seed ~n ~m ~inputs
+       ~spawn:(fun cluster pid input ->
+         let h = spawn cluster ~cfg ~pid ~input () in
+         fun () -> Ivar.peek h.decision)
+       ())

@@ -495,20 +495,22 @@ let spawn cluster ?(cfg = default_config) ~pid ~input_for () =
 
 (* Run [cfg.slots] sequential decisions; [input_for ~pid ~instance]
    supplies proposals.  Returns one report per instance. *)
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> ())
-    ~n ~m ~input_for () =
-  let cluster : string Cluster.t = Cluster.create ~seed ~legal_change ~n ~m () in
-  setup_regions cluster cfg;
-  let handles =
-    Array.init n (fun pid ->
-        spawn cluster ~cfg ~pid ~input_for:(fun ~instance -> input_for ~pid ~instance) ())
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~input_for () =
+  let cluster, decisions =
+    Instance.run ~legal_change ~setup:(fun cluster -> setup_regions cluster cfg)
+      ?faults ?prepare ~seed ~n ~m
+      ~spawn:(fun cluster pid ->
+        let h =
+          spawn cluster ~cfg ~pid
+            ~input_for:(fun ~instance -> input_for ~pid ~instance)
+            ()
+        in
+        fun () -> Array.map Ivar.peek h.decisions)
+      ()
   in
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
   Array.init cfg.slots (fun instance ->
-      let decisions = Array.map (fun h -> Ivar.peek h.decisions.(instance)) handles in
       Report.of_cluster
         ~algorithm:(Printf.sprintf "protected-paxos-multi[%d]" instance)
-        ~n ~m ~decisions cluster)
+        ~n ~m
+        ~decisions:(Array.map (fun ds -> (Option.get ds).(instance)) decisions)
+        cluster)

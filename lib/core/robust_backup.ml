@@ -302,34 +302,17 @@ let setup_regions cluster ?(cfg = default_config) () =
 
 (* Run honest processes with the given inputs; [byzantine] replaces the
    programs of chosen processes with adversarial behaviours. *)
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
-    ?(prepare = fun _ -> ())
-    ?(byzantine : (int * (string Cluster.ctx -> unit)) list = []) ~n ~m ~inputs () =
-  if Array.length inputs <> n then invalid_arg "Robust_backup.run: |inputs| <> n";
-  let cluster = Cluster.create ~seed ~n ~m () in
-  setup_regions cluster ~cfg ();
-  let decisions = Array.make n None in
-  let handles = Array.make n None in
-  for pid = 0 to n - 1 do
-    match List.assoc_opt pid byzantine with
-    | Some behaviour -> Cluster.spawn_byzantine cluster ~pid behaviour
-    | None ->
+let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare
+    ?(byzantine : Instance.byzantine = []) ~n ~m ~inputs () =
+  let report, _ =
+    Instance.decide ~algorithm:"robust-backup"
+      ~setup:(fun cluster -> setup_regions cluster ~cfg ())
+      ~byzantine ?faults ?prepare ~seed ~n ~m ~inputs
+      ~spawn:(fun cluster pid input ->
+        let handle = ref None in
         Cluster.spawn cluster ~pid (fun ctx ->
-            let h = attach ctx ~cfg ~input:inputs.(pid) () in
-            handles.(pid) <- Some h)
-  done;
-  prepare cluster;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  Array.iteri
-    (fun pid h ->
-      match h with
-      | Some h -> decisions.(pid) <- Ivar.peek h.decision
-      | None -> decisions.(pid) <- None)
-    handles;
-  let ignore_pids = List.map fst byzantine in
-  let report =
-    Report.of_cluster ~algorithm:"robust-backup" ~n ~m ~decisions cluster
+            handle := Some (attach ctx ~cfg ~input ()));
+        fun () -> Option.bind !handle (fun h -> Ivar.peek h.decision))
+      ()
   in
-  (report, ignore_pids)
+  (report, List.map fst byzantine)

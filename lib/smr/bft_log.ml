@@ -70,37 +70,26 @@ let applied h =
   in
   collect 0 []
 
-let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
-    ?(byzantine : (int * (string Cluster.ctx -> unit)) list = []) ~n ~m ~input_for () =
-  let cluster : string Cluster.t =
-    Cluster.create ~seed ~legal_change:(legal_change ~n) ~n ~m ()
+let run ?(cfg = default_config) ?(seed = 1) ?faults
+    ?(byzantine : Instance.byzantine = []) ~n ~m ~input_for () =
+  let cluster, decisions =
+    Instance.run ~legal_change:(legal_change ~n)
+      ~setup:(fun cluster -> setup_regions cluster cfg)
+      ~byzantine ?faults ~seed ~n ~m
+      ~spawn:(fun cluster pid ->
+        let h =
+          spawn cluster ~cfg ~pid ~input_for:(fun ~slot -> input_for ~pid ~slot) ()
+        in
+        fun () -> Array.map Ivar.peek h.decisions)
+      ()
   in
-  setup_regions cluster cfg;
-  let handles = Array.make n None in
-  for pid = 0 to n - 1 do
-    match List.assoc_opt pid byzantine with
-    | Some behaviour -> Cluster.spawn_byzantine cluster ~pid behaviour
-    | None ->
-        handles.(pid) <-
-          Some
-            (spawn cluster ~cfg ~pid
-               ~input_for:(fun ~slot -> input_for ~pid ~slot)
-               ())
-  done;
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
   let reports =
     Array.init cfg.slots (fun slot ->
-        let decisions =
-          Array.map
-            (function
-              | Some h -> Ivar.peek h.decisions.(slot)
-              | None -> None)
-            handles
-        in
         Report.of_cluster
           ~algorithm:(Printf.sprintf "bft-log[%d]" slot)
-          ~n ~m ~decisions cluster)
+          ~n ~m
+          ~decisions:
+            (Array.map (function Some ds -> ds.(slot) | None -> None) decisions)
+          cluster)
   in
   (reports, List.map fst byzantine)

@@ -41,6 +41,25 @@ if git grep -nw -e 'Stats' -e 'Cluster\.stats' -- lib bin bench test \
   exit 1
 fi
 
+echo "== one way to start a run =="
+# Every run in lib/ goes through the one lifecycle in
+# lib/core/instance.ml: nothing else applies a fault schedule or
+# re-raises fiber errors.  The CLI and the chaos registry reach the
+# single-instance algorithms only through the algorithm table
+# (lib/core/algorithms.ml), never through an algorithm's own run.
+if git grep -n -e 'Fault\.apply' -e 'Cluster\.check_errors' -- lib \
+  ':!lib/core/fault.ml' ':!lib/core/fault.mli' ':!lib/core/instance.ml' \
+  ':!lib/core/instance.mli'; then
+  echo "a run lifecycle step outside lib/core/instance.ml" >&2
+  exit 1
+fi
+if git grep -nE \
+  '\b(Paxos|Fast_paxos|Disk_paxos|Protected_paxos|Aligned_paxos|Robust_backup|Fast_robust)\.run\b' \
+  -- bin lib/chaos; then
+  echo "bin/ or lib/chaos/ calls an algorithm's run instead of the table" >&2
+  exit 1
+fi
+
 echo "== telemetry smoke test =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

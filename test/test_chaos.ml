@@ -97,12 +97,47 @@ let test_apply_validates_targets () =
   Alcotest.check_raises "machine restart checks both halves"
     (Invalid_argument "Fault.apply: pid 9 outside cluster of 3 processes")
     (fun () ->
-      Fault.apply cluster [ Restart_machine { pid = 9; mid = 0; at = 1.0 } ])
+      Fault.apply cluster [ Restart_machine { pid = 9; mid = 0; at = 1.0 } ]);
+  Alcotest.check_raises "negative asynchrony extra"
+    (Invalid_argument "Fault.apply: async-until extra -3.0 is negative")
+    (fun () ->
+      Fault.apply cluster [ Async_until { gst = 10.0; extra = -3.0 } ])
 
 let get_scenario name =
   match Scenario.find name with
   | Some s -> s
   | None -> Alcotest.failf "scenario %s not registered" name
+
+(* The scenario registry takes its algorithm execs from the table: every
+   table entry has a scenario of the same name whose exec is the table's
+   own, and a fixed seed-1 case reports the same through the scenario as
+   through the table (given the oracle the scenario installs). *)
+let test_scenarios_use_the_table () =
+  List.iter
+    (fun (a : Algorithms.t) ->
+      let s = get_scenario a.name in
+      if not (s.Scenario.exec == a.exec) then
+        Alcotest.failf "scenario %s does not run the table's exec" a.name;
+      let case = Scenario.generate s ~seed:1 () in
+      let direct =
+        a.exec ~seed:case.case_seed ~n:s.n ~m:s.m ~inputs:(Scenario.inputs s)
+          ~faults:case.faults ~byzantine:[]
+          ~prepare:(fun cluster ->
+            ignore (Oracle.install ~deadline:s.deadline cluster))
+      in
+      match (Scenario.run s case).Scenario.report with
+      | Some report when report = direct -> ()
+      | Some _ -> Alcotest.failf "%s: scenario and table reports differ" a.name
+      | None -> Alcotest.failf "%s: scenario run aborted" a.name)
+    Algorithms.all;
+  Alcotest.check_raises "crash-model entries take no Byzantine processes"
+    (Invalid_argument "paxos: a crash-model algorithm takes no Byzantine processes")
+    (fun () ->
+      ignore
+        (Algorithms.exec "paxos" ~seed:1 ~n:3 ~m:0
+           ~inputs:[| "a"; "b"; "c" |] ~faults:[]
+           ~byzantine:[ (0, fun _ -> ()) ]
+           ~prepare:(fun _ -> ())))
 
 let test_nemesis_deterministic () =
   let s = get_scenario "robust-backup" in
@@ -496,6 +531,8 @@ let suite =
       test_codec_rejects_garbage;
     Alcotest.test_case "Fault.apply validates targets" `Quick
       test_apply_validates_targets;
+    Alcotest.test_case "scenarios run the algorithm table" `Quick
+      test_scenarios_use_the_table;
     Alcotest.test_case "nemesis deterministic per seed" `Quick
       test_nemesis_deterministic;
     Alcotest.test_case "nemesis respects fault budgets" `Quick

@@ -158,8 +158,42 @@ let test_bft_log_reordering () =
         (Report.decided_count report >= 2))
     reports
 
+(* {2 The run lifecycle} *)
+
+(* A pid given a Byzantine behaviour runs it instead of the honest
+   program, is listed by the cluster as Byzantine, and reads back None. *)
+let test_lifecycle_byzantine_substitution () =
+  let open Rdma_mm in
+  let ran = ref [] in
+  let cluster, results =
+    Instance.run ~seed:1 ~n:3 ~m:0
+      ~byzantine:[ (1, fun ctx -> ran := ("byz", ctx.Cluster.pid) :: !ran) ]
+      ~spawn:(fun cluster pid ->
+        Cluster.spawn cluster ~pid (fun _ -> ran := ("honest", pid) :: !ran);
+        fun () -> pid)
+      ()
+  in
+  Alcotest.(check (list (pair string int)))
+    "each pid ran its own program"
+    [ ("honest", 0); ("byz", 1); ("honest", 2) ]
+    (List.rev !ran);
+  Alcotest.(check (list int)) "byzantine pids" [ 1 ] (Cluster.byzantine_pids cluster);
+  Alcotest.(check (array (option int)))
+    "Byzantine pids read None" [| Some 0; None; Some 2 |] results
+
+let test_lifecycle_rejects_wrong_inputs () =
+  Alcotest.check_raises "paxos" (Invalid_argument "paxos: 2 inputs for 3 processes")
+    (fun () -> ignore (Paxos.run ~n:3 ~inputs:[| "a"; "b" |] ()));
+  Alcotest.check_raises "fast-robust"
+    (Invalid_argument "fast-robust: 4 inputs for 3 processes") (fun () ->
+      ignore (Fast_robust.run ~n:3 ~m:3 ~inputs:[| "a"; "b"; "c"; "d" |] ()))
+
 let suite =
   [
+    Alcotest.test_case "lifecycle: Byzantine pid substitution" `Quick
+      test_lifecycle_byzantine_substitution;
+    Alcotest.test_case "lifecycle: |inputs| must be n" `Quick
+      test_lifecycle_rejects_wrong_inputs;
     Alcotest.test_case "cancel-then-fill is inert" `Quick test_cancel_then_fill;
     Alcotest.test_case "raw fibers are independent" `Quick test_nested_spawn_cancellation;
     Alcotest.test_case "cluster crash kills sub-fibers" `Quick
