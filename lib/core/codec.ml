@@ -6,39 +6,56 @@
    encoding). *)
 
 (* The empty field escapes to "%e" so that the empty *list* can own the
-   empty encoding: join [] = "" and join [""] = "%e" stay distinct. *)
+   empty encoding: join [] = "" and join [""] = "%e" stay distinct.
+   Both directions copy the runs between special characters whole, and
+   a field with nothing to rewrite is returned as it is. *)
 let escape s =
   if s = "" then "%e"
+  else if not (String.exists (fun c -> c = '|' || c = '%') s) then s
   else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '|' -> Buffer.add_string buf "%7c"
-        | '%' -> Buffer.add_string buf "%25"
-        | c -> Buffer.add_char buf c)
+    let len = String.length s in
+    let buf = Buffer.create (len + 8) in
+    let run_start = ref 0 in
+    String.iteri
+      (fun i c ->
+        if c = '|' || c = '%' then begin
+          Buffer.add_substring buf s !run_start (i - !run_start);
+          Buffer.add_string buf (if c = '|' then "%7c" else "%25");
+          run_start := i + 1
+        end)
       s;
+    Buffer.add_substring buf s !run_start (len - !run_start);
     Buffer.contents buf
   end
 
+(* Lenient by design: a '%' that does not start "%7c" or "%25" stays a
+   literal '%', and "%e" is special only as a whole field. *)
 let unescape s =
   if s = "%e" then ""
+  else if not (String.contains s '%') then s
   else begin
-    let buf = Buffer.create (String.length s) in
-    let i = ref 0 in
     let len = String.length s in
-    while !i < len do
-      (if s.[!i] = '%' && !i + 2 < len then begin
-         match String.sub s (!i + 1) 2 with
-         | "7c" -> Buffer.add_char buf '|'; i := !i + 3
-         | "25" -> Buffer.add_char buf '%'; i := !i + 3
-         | _ -> Buffer.add_char buf s.[!i]; incr i
-       end
-       else begin
-         Buffer.add_char buf s.[!i];
-         incr i
-       end)
-    done;
+    let buf = Buffer.create len in
+    let rec go run_start i =
+      match String.index_from_opt s i '%' with
+      | None -> Buffer.add_substring buf s run_start (len - run_start)
+      | Some j ->
+          let decoded =
+            if j + 2 >= len then None
+            else
+              match (s.[j + 1], s.[j + 2]) with
+              | '7', 'c' -> Some '|'
+              | '2', '5' -> Some '%'
+              | _ -> None
+          in
+          (match decoded with
+          | Some c ->
+              Buffer.add_substring buf s run_start (j - run_start);
+              Buffer.add_char buf c;
+              go (j + 3) (j + 3)
+          | None -> go run_start (j + 1))
+    in
+    go 0 0;
     Buffer.contents buf
   end
 

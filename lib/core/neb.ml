@@ -5,9 +5,11 @@
    signed (k, m) into slots[p, k, p].  To deliver q's k-th message, p:
    (1) reads slots[q, k, q]; retries later if ⊥, unsigned, or mis-keyed;
    (2) copies the value into its own slots[p, k, q];
-   (3) reads slots[i, k, q] of every process i, and delivers only if each
-       is either ⊥ or the same value — a different validly-signed copy
-       proves q equivocated, and q's message is never delivered.
+   (3) reads slots[i, k, q] of every process i, and delivers only if none
+       holds a validly-signed copy of a different k-th message — such a
+       copy proves q equivocated, and q's message is never delivered.
+       A copy is compared by its decoded message, not its bytes, so a
+       Byzantine i that re-encodes q's signed slot cannot frame q.
 
    Slots are replicated over the m ≥ 2fM + 1 crash-prone memories with
    the Section 4.1 SWMR construction (module Swmr), which also defeats
@@ -163,13 +165,15 @@ let try_deliver t src =
                       match decode_slot other with
                       | Some (other_k, other_msg, other_sig)
                         when other_k = k
+                             && (not (String.equal other_msg msg))
                              && Keychain.valid t.chain ~author:src
                                   (slot_payload ~ns:t.cfg.ns ~k:other_k other_msg)
                                   other_sig ->
-                          (* a validly-signed different copy: src signed two
-                             different k-th messages — equivocation *)
+                          (* a validly-signed copy of a different message:
+                             src signed two different k-th messages —
+                             equivocation *)
                           conflict := true
-                      | _ -> () (* unsigned noise in i's slot: ignore *))
+                      | _ -> () (* unsigned noise, or the same message re-encoded *))
               done;
               if !conflict then begin
                 t.convicted.(src) <- true;

@@ -3,12 +3,13 @@
 
    Every T-sent message travels by non-equivocating broadcast together
    with the sender's *full history*, and receivers check that the history
-   (a) is signed where it cites other processes, (b) extends the history
-   the sender previously presented, and (c) together with the new message
-   conforms to the protocol being run (a pluggable validator — the
-   state-machine replay of Clement et al.).  A process that passes these
-   checks forever can deviate from the protocol only by stopping — its
-   Byzantine failure has been translated into a crash failure.
+   (a) extends the history the sender previously presented, (b) is
+   signed where its new part cites other processes, and (c) together
+   with the new message conforms to the protocol being run (a pluggable
+   validator — the state-machine replay of Clement et al.).  A process
+   that passes these checks forever can deviate from the protocol only
+   by stopping — its Byzantine failure has been translated into a crash
+   failure.
 
    Representation: history entries are flat records.  A Sent entry needs
    no signature of its own (the entire (k, (m, H)) broadcast is signed by
@@ -90,7 +91,8 @@ let cited_signature_ok chain = function
 
 (* H must extend H_prev ++ [Sent (k_prev, m_prev)], and the added suffix
    may contain only Received entries (between two sends, a correct
-   process only receives). *)
+   process only receives).  Returns that suffix: the only part of H
+   whose citations are new. *)
 let extends ~prev ~prev_sent ~current =
   let rec strip_prefix prefix rest =
     match (prefix, rest) with
@@ -104,9 +106,10 @@ let extends ~prev ~prev_sent ~current =
     | Some (k, msg) -> prev @ [ Sent { k; msg } ]
   in
   match strip_prefix expected_prefix current with
-  | None -> false
-  | Some suffix ->
-      List.for_all (function Received _ -> true | Sent _ -> false) suffix
+  | Some suffix
+    when List.for_all (function Received _ -> true | Sent _ -> false) suffix ->
+      Some suffix
+  | Some _ | None -> None
 
 (* Called by the NEB deliver hook: k-th message of [src] with payload
    (m, bare signature, history). *)
@@ -118,12 +121,21 @@ let handle_delivery t ~k ~payload ~src =
         match (Keychain.decode sig_enc, decode_history hist_enc) with
         | None, _ | _, None -> t.convicted.(src) <- true
         | Some bare_sig, Some history ->
+            (* Prefix first: every citation in the accepted prefix was
+               verified when it was accepted, and Sent entries cite
+               nothing, so only the new suffix's citations need a
+               verify.  The verdict is the one a full re-verification
+               would reach. *)
             let checks =
-              Keychain.valid t.chain ~author:src (bare_payload ~k msg) bare_sig
-              && List.for_all (cited_signature_ok t.chain) history
-              && extends ~prev:t.peer_hist.(src) ~prev_sent:t.peer_last_sent.(src)
-                   ~current:history
-              && t.validator ~src ~history ~msg = `Accept
+              match
+                extends ~prev:t.peer_hist.(src) ~prev_sent:t.peer_last_sent.(src)
+                  ~current:history
+              with
+              | None -> false
+              | Some suffix ->
+                  Keychain.valid t.chain ~author:src (bare_payload ~k msg) bare_sig
+                  && List.for_all (cited_signature_ok t.chain) suffix
+                  && t.validator ~src ~history ~msg = `Accept
             in
             if not checks then t.convicted.(src) <- true
             else begin

@@ -4,10 +4,13 @@
    holding its own secret; the per-process secrets live only inside this
    module, so a Byzantine *program* in the simulation can sign only as
    itself.  Verification goes through the shared [t], which exposes no
-   secrets.  Tags are HMAC-SHA256 over (signer id, payload). *)
+   secrets.  Tags are HMAC-SHA256 over "<signer id>|<payload>". *)
 
 type t = {
-  secrets : string array;
+  (* per process: its secret's HMAC midstates, built on the first sign
+     or verify that needs them, so a run that never signs hashes no
+     more than the secrets themselves *)
+  keys : Hmac.key Lazy.t array;
   mutable on_sign : int -> unit; (* receives the signer's pid *)
   mutable on_verify : ok:bool -> unit; (* receives the verdict *)
 }
@@ -17,23 +20,30 @@ type signer = { pid : int; chain : t }
 type signature = { author : int; tag : string }
 
 let create ?(seed = 42) ~n () =
-  let secrets =
-    Array.init n (fun i -> Sha256.digest_string (Printf.sprintf "secret-%d-%d" seed i))
+  let keys =
+    Array.init n (fun i ->
+        let secret = Sha256.digest_string (Printf.sprintf "secret-%d-%d" seed i) in
+        lazy (Hmac.key secret))
   in
-  { secrets; on_sign = (fun _ -> ()); on_verify = (fun ~ok:_ -> ()) }
+  { keys; on_sign = (fun _ -> ()); on_verify = (fun ~ok:_ -> ()) }
 
 let set_hooks t ~on_sign ~on_verify =
   t.on_sign <- on_sign;
   t.on_verify <- on_verify
 
 let signer t pid =
-  if pid < 0 || pid >= Array.length t.secrets then
+  if pid < 0 || pid >= Array.length t.keys then
     invalid_arg "Keychain.signer: no such process";
   { pid; chain = t }
 
 let signer_id s = s.pid
 
-let payload_key author payload = Printf.sprintf "%d|%s" author payload
+(* The MAC'd message "<author>|<payload>", in parts: the hash absorbs
+   them in turn, so the payload is never copied. *)
+let tagged author payload = [ Int.to_string author; "|"; payload ]
+
+let tag t author payload =
+  Hmac.mac_parts (Lazy.force t.keys.(author)) (tagged author payload)
 
 (* [sign]/[valid] are synchronous (no engine suspension inside), so a
    profiler scope here is a legal work-attribution frame: the SHA-256
@@ -43,25 +53,20 @@ let sign signer payload =
   Rdma_obs.Prof.scope "crypto.sign" (fun () ->
       Rdma_obs.Prof.bump "crypto.signs" 1;
       chain.on_sign signer.pid;
-      { author = signer.pid;
-        tag =
-          Hmac.mac ~key:chain.secrets.(signer.pid)
-            (payload_key signer.pid payload) })
+      { author = signer.pid; tag = tag chain signer.pid payload })
 
 (* A deliberately bogus signature claiming authorship by [author]; used by
    Byzantine behaviours in tests.  Verification rejects it (with
    overwhelming probability in the real world; with certainty here unless
    the forger guessed the HMAC). *)
 let forge ~author payload =
-  { author; tag = Hmac.mac ~key:"forged" (payload_key author payload) }
+  { author; tag = Hmac.mac_parts (Hmac.key "forged") (tagged author payload) }
 
 let valid t ~author payload signature =
   Rdma_obs.Prof.scope "crypto.verify" (fun () ->
       Rdma_obs.Prof.bump "crypto.verifies" 1;
       let ok =
-        signature.author = author
-        && Hmac.equal signature.tag
-             (Hmac.mac ~key:t.secrets.(author) (payload_key author payload))
+        signature.author = author && Hmac.equal signature.tag (tag t author payload)
       in
       t.on_verify ~ok;
       ok)

@@ -42,6 +42,19 @@ let init () =
     w = Array.make 64 0l;
   }
 
+(* An independent state that has absorbed what [ctx] has: HMAC resumes
+   a per-key midstate this way instead of re-hashing the padded key.
+   The message schedule is working storage of each compression, so the
+   copy gets its own. *)
+let copy ctx =
+  {
+    h = Array.copy ctx.h;
+    block = Bytes.copy ctx.block;
+    block_len = ctx.block_len;
+    total_len = ctx.total_len;
+    w = Array.make 64 0l;
+  }
+
 let ( +% ) = Int32.add
 
 let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))

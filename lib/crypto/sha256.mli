@@ -5,6 +5,10 @@ type ctx
 
 val init : unit -> ctx
 
+(** An independent copy of the hash state (a "midstate"): feeding or
+    finalizing either one leaves the other untouched. *)
+val copy : ctx -> ctx
+
 (** Absorb a string into the hash state. *)
 val feed_string : ctx -> string -> unit
 

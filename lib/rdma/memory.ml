@@ -42,7 +42,7 @@ type read_result = Read of string option | Read_nak
 
 type region = {
   region_name : string;
-  registers : (string, unit) Hashtbl.t;
+  registers : string list;
   mutable perm : Permission.t;
   (* the permission the region was created with; the kernel restores it
      on a [`Genesis] rejoin, as a NIC driver re-registers configured
@@ -50,6 +50,10 @@ type region = {
   genesis : Permission.t;
   mutable granted_epoch : int;
 }
+
+(* A register: the region it belongs to (exactly one — our algorithms'
+   convention, Section 3), the epoch of its last write, and its value. *)
+type cell = { owner : region; mutable stamp : int; mutable value : string option }
 
 (* Per-queue-pair ordering state, one QP per issuing process (Section 7
    pairs every process with every memory).  [floor] is the earliest
@@ -70,11 +74,7 @@ type t = {
   mutable crashed : bool;
   mutable epoch : int;
   regions : (string, region) Hashtbl.t;
-  (* register -> (epoch of last write, value) *)
-  store : (string, int * string option) Hashtbl.t;
-  (* register -> owning region; enforces "a register belongs to exactly
-     one region" (our algorithms' convention, Section 3) *)
-  owner : (string, string) Hashtbl.t;
+  cells : (string, cell) Hashtbl.t; (* register name -> cell *)
   (* weak-ordering model state.  Per-op lag/reorder decisions come from
      [ord_rng], a dedicated stream keyed on (seed, mid) so they replay
      identically under -j N and never perturb the engine's rng (which
@@ -101,8 +101,7 @@ let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
     crashed = false;
     epoch = 0;
     regions = Hashtbl.create 64;
-    store = Hashtbl.create 256;
-    owner = Hashtbl.create 256;
+    cells = Hashtbl.create 256;
     ordering;
     ord_rng = Random.State.make [| 0x6f7264; seed; mid |];
     qps = Hashtbl.create 8;
@@ -134,7 +133,7 @@ let add_region t ~name ~perm ~registers =
   let region =
     {
       region_name = name;
-      registers = Hashtbl.create (max 1 (List.length registers));
+      registers;
       perm;
       genesis = perm;
       granted_epoch = t.epoch;
@@ -142,38 +141,34 @@ let add_region t ~name ~perm ~registers =
   in
   List.iter
     (fun r ->
-      if Hashtbl.mem t.owner r then
-        invalid_arg
-          (Printf.sprintf "Memory.add_region: register %s already in region %s" r
-             (Hashtbl.find t.owner r));
-      Hashtbl.add t.owner r name;
-      Hashtbl.add region.registers r ();
-      Hashtbl.add t.store r (t.epoch, None))
+      match Hashtbl.find_opt t.cells r with
+      | Some c ->
+          invalid_arg
+            (Printf.sprintf "Memory.add_region: register %s already in region %s" r
+               c.owner.region_name)
+      | None -> Hashtbl.add t.cells r { owner = region; stamp = t.epoch; value = None })
     registers;
   Hashtbl.add t.regions name region
 
 (* Direct (zero-delay) inspection — for tests and trace printing only;
    simulated processes must go through the timed operations below. *)
 let peek_register t reg =
-  match Hashtbl.find_opt t.store reg with
-  | Some (_, v) -> v
+  match Hashtbl.find_opt t.cells reg with
+  | Some c -> c.value
   | None -> None
 
 (* A register is fresh when its last write happened in the current
    epoch; stale registers are lost state awaiting repair. *)
 let register_fresh t reg =
-  match Hashtbl.find_opt t.store reg with
-  | Some (stamp, _) -> stamp = t.epoch
+  match Hashtbl.find_opt t.cells reg with
+  | Some c -> c.stamp = t.epoch
   | None -> false
 
 let stale_registers t ~region =
   match Hashtbl.find_opt t.regions region with
   | None -> []
   | Some r ->
-      Hashtbl.fold
-        (fun reg () acc -> if register_fresh t reg then acc else reg :: acc)
-        r.registers []
-      |> List.sort compare
+      List.filter (fun reg -> not (register_fresh t reg)) r.registers |> List.sort compare
 
 let region_perm t name =
   match Hashtbl.find_opt t.regions name with
@@ -214,23 +209,18 @@ let restart ?(rejoin = `Genesis) t =
   if not t.crashed then invalid_arg "Memory.restart: memory is not crashed";
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
-  (* Materialize the register list (sorted: simlint D2) before blanking:
-     Hashtbl.replace during Hashtbl.iter on the same table is
-     unspecified behaviour. *)
-  Hashtbl.fold (fun reg (stamp, _) acc -> (reg, stamp) :: acc) t.store []
-  |> List.sort compare
-  |> List.iter (fun (reg, stamp) -> Hashtbl.replace t.store reg (stamp, None));
-  (match rejoin with
-  | `Genesis ->
-      (* In-place field updates commute across regions, so the
-         hash-bucket visit order is unobservable. *)
-      (Hashtbl.iter
+  (* In-place field updates commute across cells and across regions, so
+     the hash-bucket visit order is unobservable. *)
+  (Hashtbl.iter (fun _ c -> c.value <- None) t.cells;
+   match rejoin with
+   | `Genesis ->
+       Hashtbl.iter
          (fun _ r ->
            r.perm <- r.genesis;
            r.granted_epoch <- t.epoch)
-         t.regions)
-      [@simlint.allow "D2"]
-  | `Quarantine -> ());
+         t.regions
+   | `Quarantine -> ())
+  [@simlint.allow "D2"];
   (* In-flight pre-crash placements are dead (the epoch guard drops
      them), so the fresh epoch owes them no ordering: QP floors and the
      control-plane drain horizon reset with the reboot. *)
@@ -360,39 +350,49 @@ let lookup_region t name =
   | Some region -> Some region
   | None -> None
 
+(* [reg]'s cell, if [reg] belongs to the region named [region]. *)
+let cell_in t ~region reg =
+  match Hashtbl.find_opt t.cells reg with
+  | Some c when String.equal c.owner.region_name region -> Some c
+  | Some _ | None -> None
+
 (* A region accepts operations only under a current-epoch grant. *)
 let serving r ~epoch = r.granted_epoch = epoch
+
+let store t c value =
+  c.stamp <- t.epoch;
+  c.value <- value
 
 let write_async t ~from ~region ~reg value =
   incr t.ops;
   operation t ~span_name:"mem.write" ~from ~cls:`Write (fun () ->
+      let cell = cell_in t ~region reg in
       let ok =
-        match lookup_region t region with
+        match cell with
         | None -> false
-        | Some r ->
-            serving r ~epoch:t.epoch
-            && Hashtbl.mem r.registers reg
-            && Permission.can_write r.perm from
+        | Some c -> serving c.owner ~epoch:t.epoch && Permission.can_write c.owner.perm from
       in
       emit t (Event.Mem_write { pid = from; mid = t.mid; region; reg; value; ok });
-      if ok then
-        (Ack, Some (fun () -> Hashtbl.replace t.store reg (t.epoch, Some value)))
-      else (Nak, None))
+      match cell with
+      | Some c when ok -> (Ack, Some (fun () -> store t c (Some value)))
+      | Some _ | None -> (Nak, None))
 
 let read_async t ~from ~region ~reg =
   incr t.ops;
   operation t ~span_name:"mem.read" ~from ~cls:`Read (fun () ->
+      let cell = cell_in t ~region reg in
       let ok =
-        match lookup_region t region with
+        match cell with
         | None -> false
-        | Some r ->
-            serving r ~epoch:t.epoch
-            && Hashtbl.mem r.registers reg
-            && Permission.can_read r.perm from
-            && register_fresh t reg
+        | Some c ->
+            serving c.owner ~epoch:t.epoch
+            && Permission.can_read c.owner.perm from
+            && c.stamp = t.epoch
       in
       emit t (Event.Mem_read { pid = from; mid = t.mid; region; reg; ok });
-      ((if ok then Read (peek_register t reg) else Read_nak), None))
+      match cell with
+      | Some c when ok -> (Read c.value, None)
+      | Some _ | None -> (Read_nak, None))
 
 (* Batched read of several registers of one region in a single operation —
    an RDMA read of a contiguous slot array (Section 7).  Results are in
@@ -404,6 +404,7 @@ type read_many_result = Read_many of string option array | Read_many_nak
 let read_many_async t ~from ~region ~regs =
   incr t.ops;
   operation t ~span_name:"mem.read_many" ~from ~cls:`Read (fun () ->
+      let cells = List.map (cell_in t ~region) regs in
       let ok =
         match lookup_region t region with
         | None -> false
@@ -411,16 +412,16 @@ let read_many_async t ~from ~region ~regs =
             serving r ~epoch:t.epoch
             && Permission.can_read r.perm from
             && List.for_all
-                 (fun reg ->
-                   Hashtbl.mem r.registers reg && register_fresh t reg)
-                 regs
+                 (function Some c -> c.stamp = t.epoch | None -> false)
+                 cells
       in
       emit t
         (Event.Mem_read_many
            { pid = from; mid = t.mid; region; count = List.length regs; ok });
       ( (if ok then
            Read_many
-             (Array.of_list (List.map (fun reg -> peek_register t reg) regs))
+             (Array.of_list
+                (List.map (function Some c -> c.value | None -> None) cells))
          else Read_many_nak),
         None ))
 
@@ -433,13 +434,14 @@ let read_many_async t ~from ~region ~regs =
 let write_many_async t ~from ~region ~values =
   incr t.ops;
   operation t ~span_name:"mem.write_many" ~from ~cls:`Write (fun () ->
+      let cells = List.map (fun (reg, v) -> (cell_in t ~region reg, v)) values in
       let ok =
         match lookup_region t region with
         | None -> false
         | Some r ->
             serving r ~epoch:t.epoch
             && Permission.can_write r.perm from
-            && List.for_all (fun (reg, _) -> Hashtbl.mem r.registers reg) values
+            && List.for_all (fun (c, _) -> Option.is_some c) cells
       in
       emit t
         (Event.Mem_write_many
@@ -449,8 +451,8 @@ let write_many_async t ~from ~region ~values =
           Some
             (fun () ->
               List.iter
-                (fun (reg, v) -> Hashtbl.replace t.store reg (t.epoch, v))
-                values) )
+                (function Some c, v -> store t c v | None, _ -> ())
+                cells) )
       else (Nak, None))
 
 (* changePermission (Section 3): the memory evaluates legalChange on

@@ -181,6 +181,13 @@ dune exec tools/perfdiff/perfdiff.exe -- --ignore-timing \
 }
 echo "perf baselines match; injected drift detected"
 
+echo "== benchmark pairs =="
+# scripts/bench_pairs.sh is bench/e2e/README.md's comparison protocol
+# (alternating parent/change pairs, medians, quartiles, wins).  One
+# short pair of HEAD against the working tree keeps it runnable; a
+# failed output check on either side fails the stage.
+scripts/bench_pairs.sh HEAD byz-agreement --pairs 1 --seconds 1
+
 echo "== weak ordering =="
 # The memory-ordering chaos axis: forced weak-mode explore batches must
 # hold every invariant, stay byte-identical across -j 1 / -j 4 (per-op

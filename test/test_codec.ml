@@ -30,6 +30,76 @@ let qcheck_canonical =
     QCheck2.Gen.(pair (list (string_size (0 -- 10))) (list (string_size (0 -- 10))))
     (fun (a, b) -> a = b || Codec.join a <> Codec.join b)
 
+(* The per-byte escape/unescape the codec shipped with, kept as the
+   reference: the run-copying versions must produce the same bytes on
+   every input, including the lenient decoding of non-canonical ones. *)
+let reference_escape s =
+  if s = "" then "%e"
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '|' -> Buffer.add_string buf "%7c"
+        | '%' -> Buffer.add_string buf "%25"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+let reference_unescape s =
+  if s = "%e" then ""
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let i = ref 0 in
+    let len = String.length s in
+    while !i < len do
+      (if s.[!i] = '%' && !i + 2 < len then begin
+         match String.sub s (!i + 1) 2 with
+         | "7c" -> Buffer.add_char buf '|'; i := !i + 3
+         | "25" -> Buffer.add_char buf '%'; i := !i + 3
+         | _ -> Buffer.add_char buf s.[!i]; incr i
+       end
+       else begin
+         Buffer.add_char buf s.[!i];
+         incr i
+       end)
+    done;
+    Buffer.contents buf
+  end
+
+let test_lenient_decoding () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "unescape %S" input) expected
+        (Codec.unescape input);
+      Alcotest.(check string) (Printf.sprintf "reference on %S" input) expected
+        (reference_unescape input))
+    [
+      ("%zz", "%zz");
+      ("ab%", "ab%");
+      ("%7", "%7");
+      ("x%2", "x%2");
+      ("%7c%25%e", "|%%e");
+      ("%e", "");
+      ("%e%e", "%e%e");
+      ("a%%7cb", "a%|b");
+      ("%257c", "%7c");
+      ("plain", "plain");
+    ]
+
+(* Strings over an alphabet crowded with the bytes that matter to the
+   codec, so escapes, near-escapes and "%e" show up often. *)
+let codec_string =
+  QCheck2.Gen.(
+    string_size ~gen:(oneof [ oneofl [ '%'; '|'; '7'; 'c'; '2'; '5'; 'e' ]; char ]) (0 -- 24))
+
+let qcheck_matches_reference =
+  QCheck2.Test.make ~name:"codec escape/unescape = per-byte reference" ~count:2000
+    codec_string (fun s ->
+      String.equal (Codec.escape s) (reference_escape s)
+      && String.equal (Codec.unescape s) (reference_unescape s))
+
 (* Paxos message codec *)
 
 let test_paxos_msgs_roundtrip () =
@@ -64,6 +134,9 @@ let suite =
     Alcotest.test_case "fixed arity helpers" `Quick test_fixed_arity;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_canonical;
+    Alcotest.test_case "lenient decoding of non-canonical input" `Quick
+      test_lenient_decoding;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
     Alcotest.test_case "paxos messages roundtrip" `Quick test_paxos_msgs_roundtrip;
     Alcotest.test_case "paxos decode rejects garbage" `Quick test_paxos_decode_garbage;
   ]

@@ -71,6 +71,28 @@ let test_hmac_rfc4231_6 () =
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Hmac.mac_hex ~key "Test Using Larger Than Block-Size Key - Hash Key First")
 
+(* The keyed form: one [Hmac.key] per secret, reused across messages
+   and fed in parts, gives the same bytes as the one-shot [Hmac.mac] on
+   the RFC 4231 cases (case 6 hashes its 131-byte key first). *)
+let test_hmac_keyed_matches_one_shot () =
+  List.iter
+    (fun (name, secret, message) ->
+      let key = Hmac.key secret in
+      let one_shot = Hmac.mac ~key:secret message in
+      let half = String.length message / 2 in
+      Alcotest.(check string) (name ^ ": one part") one_shot (Hmac.mac_parts key [ message ]);
+      let rest = String.sub message half (String.length message - half) in
+      Alcotest.(check string) (name ^ ": split, key reused") one_shot
+        (Hmac.mac_parts key [ String.sub message 0 half; ""; rest ]))
+    [
+      ("rfc4231 #1", String.make 20 '\x0b', "Hi There");
+      ("rfc4231 #2", "Jefe", "what do ya want for nothing?");
+      ("rfc4231 #3", String.make 20 '\xaa', String.make 50 '\xdd');
+      ( "rfc4231 #6",
+        String.make 131 '\xaa',
+        "Test Using Larger Than Block-Size Key - Hash Key First" );
+    ]
+
 let test_sign_verify () =
   let chain = Keychain.create ~n:4 () in
   let s1 = Keychain.signer chain 1 in
@@ -114,6 +136,17 @@ let test_decode_garbage () =
   Alcotest.(check bool) "bad hex rejected" true
     (Keychain.decode ("1:" ^ String.make 64 'z') = None)
 
+(* A tag recorded before the keychain kept per-secret midstates: the
+   bytes a signature carries must not move. *)
+let test_tag_pinned () =
+  let chain = Keychain.create ~n:4 () in
+  Alcotest.(check string) "tag of p1 on hello"
+    "31b7b3689a201a3f6f1ae22220375fbcb23f26184ec0d2e49193146461945d4e"
+    (Keychain.tag_hex (Keychain.sign (Keychain.signer chain 1) "hello"));
+  Alcotest.(check string) "forged tag"
+    "2b6832c67df26ded0f690bd10d2379c60b8a3b669b309b326737443b87ac31ba"
+    (Keychain.tag_hex (Keychain.forge ~author:2 "payload"))
+
 let test_hooks_count () =
   let chain = Keychain.create ~n:2 () in
   let signs = ref 0 and verifies = ref 0 in
@@ -146,6 +179,36 @@ let qcheck_hmac_key_separation =
     QCheck2.Gen.(tup3 (string_size (1 -- 40)) (string_size (1 -- 40)) (string_size (0 -- 60)))
     (fun (k1, k2, msg) -> k1 = k2 || not (Hmac.equal (Hmac.mac ~key:k1 msg) (Hmac.mac ~key:k2 msg)))
 
+(* RFC 2104 spelled out over one-shot digests: the reference the
+   midstate-resuming MAC must match byte for byte. *)
+let reference_hmac ~key message =
+  let key = if String.length key > 64 then Sha256.digest_string key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Sha256.digest_string (pad 0x5c ^ Sha256.digest_string (pad 0x36 ^ message))
+
+(* [cuts] positions (taken modulo the length) split [s] into parts. *)
+let split_at_cuts s cuts =
+  let len = String.length s in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+  let rec go from = function
+    | [] -> [ String.sub s from (len - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let qcheck_hmac_midstate_identity =
+  QCheck2.Test.make ~name:"hmac: keyed parts MAC = RFC 2104 reference" ~count:300
+    QCheck2.Gen.(
+      tup3 (string_size (0 -- 200)) (string_size (0 -- 300)) (list_size (0 -- 5) (0 -- 400)))
+    (fun (key, message, cuts) ->
+      let expected = reference_hmac ~key message in
+      let k = Hmac.key key in
+      String.equal expected (Hmac.mac ~key message)
+      && String.equal expected (Hmac.mac_parts k (split_at_cuts message cuts))
+      (* the midstates are not consumed by a MAC *)
+      && String.equal expected (Hmac.mac_parts k [ message ]))
+
 let qcheck_signature_roundtrip =
   QCheck2.Test.make ~name:"keychain: encode/decode preserves validity" ~count:100
     QCheck2.Gen.(pair (0 -- 3) (string_size (0 -- 60)))
@@ -161,6 +224,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_digest_shape;
     QCheck_alcotest.to_alcotest qcheck_distinct_inputs_distinct_digests;
     QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
+    QCheck_alcotest.to_alcotest qcheck_hmac_midstate_identity;
     QCheck_alcotest.to_alcotest qcheck_signature_roundtrip;
     Alcotest.test_case "sha256: empty string" `Quick test_sha256_empty;
     Alcotest.test_case "sha256: abc" `Quick test_sha256_abc;
@@ -173,6 +237,8 @@ let suite =
     Alcotest.test_case "hmac: RFC 4231 case 2" `Quick test_hmac_rfc4231_2;
     Alcotest.test_case "hmac: RFC 4231 case 3" `Quick test_hmac_rfc4231_3;
     Alcotest.test_case "hmac: RFC 4231 case 6 (long key)" `Quick test_hmac_rfc4231_6;
+    Alcotest.test_case "hmac: keyed MAC = one-shot on RFC 4231" `Quick
+      test_hmac_keyed_matches_one_shot;
     Alcotest.test_case "keychain: sign/verify" `Quick test_sign_verify;
     Alcotest.test_case "keychain: forgery rejected" `Quick test_forgery_rejected;
     Alcotest.test_case "keychain: cross-process rejected" `Quick
@@ -180,4 +246,5 @@ let suite =
     Alcotest.test_case "keychain: wire codec round trip" `Quick test_signature_codec;
     Alcotest.test_case "keychain: garbage decode rejected" `Quick test_decode_garbage;
     Alcotest.test_case "keychain: hooks count operations" `Quick test_hooks_count;
+    Alcotest.test_case "keychain: tags pinned" `Quick test_tag_pinned;
   ]

@@ -67,11 +67,30 @@ let test_read_permission_enforced () =
 let test_unknown_region_and_register () =
   let engine, mem = make_memory () in
   Memory.add_region mem ~name:"r" ~perm:(Permission.all_readwrite ~n:2) ~registers:[ "x" ];
+  Memory.add_region mem ~name:"s" ~perm:(Permission.all_readwrite ~n:2) ~registers:[ "z" ];
   in_fiber engine (fun () ->
       let w = Ivar.await (Memory.write_async mem ~from:0 ~region:"nope" ~reg:"x" "v") in
       Alcotest.check op_result "unknown region naks" Memory.Nak w;
       let w2 = Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"y" "v") in
-      Alcotest.check op_result "register outside region naks" Memory.Nak w2)
+      Alcotest.check op_result "register outside region naks" Memory.Nak w2;
+      (* "z" exists, but in region "s": addressed to "r" it is outside
+         the region for every operation *)
+      let w3 = Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"z" "v") in
+      Alcotest.check op_result "another region's register: write naks" Memory.Nak w3;
+      let r = Ivar.await (Memory.read_async mem ~from:0 ~region:"r" ~reg:"z") in
+      Alcotest.check read_result "another region's register: read naks" Memory.Read_nak r;
+      let rm = Ivar.await (Memory.read_many_async mem ~from:0 ~region:"r" ~regs:[ "x"; "z" ]) in
+      Alcotest.(check bool) "another region's register: read_many naks" true
+        (rm = Memory.Read_many_nak);
+      let wm =
+        Ivar.await
+          (Memory.write_many_async mem ~from:0 ~region:"r"
+             ~values:[ ("x", Some "v"); ("z", Some "v") ])
+      in
+      Alcotest.check op_result "another region's register: write_many naks" Memory.Nak wm;
+      Alcotest.(check (option string)) "nothing was written" None (Memory.peek_register mem "z");
+      Alcotest.(check (option string)) "not even the batch's own register" None
+        (Memory.peek_register mem "x"))
 
 let test_static_permissions_refuse_change () =
   let engine, mem = make_memory () in

@@ -217,6 +217,38 @@ let test_wrong_key_not_delivered () =
   Alcotest.(check (list (pair int string))) "mis-keyed slot not delivered" []
     (delivered_by log ~src:0)
 
+let test_reencoded_copy_cannot_frame () =
+  (* Property 1 against a Byzantine copier: p2 copies p0's signed k=1
+     slot into its own copy slot re-encoded (k spelled "01"; message and
+     signature unchanged).  The copy differs bytewise but carries the
+     same signed message, so it proves no equivocation: correct p1 still
+     delivers p0's message. *)
+  let n = 3 and m = 3 in
+  let cluster = build ~n ~m () in
+  let logs = Array.init n (fun _ -> ref []) in
+  Cluster.spawn cluster ~pid:0 (honest ~msgs:[ "hello" ] ~log:logs.(0) ());
+  Cluster.spawn cluster ~pid:1 (honest ~msgs:[] ~log:logs.(1) ());
+  Cluster.spawn_byzantine cluster ~pid:2 (fun ctx ->
+      let attach p = Rdma_reg.Swmr.attach ~client:ctx.Cluster.client ~region:(Neb.region_of p) in
+      let rec slot_of_p0 () =
+        match Rdma_reg.Swmr.read (attach 0) ~reg:(Neb.slot_reg ~owner:0 ~k:1 ~src:0) with
+        | Some raw -> raw
+        | None ->
+            Engine.sleep 1.0;
+            slot_of_p0 ()
+      in
+      match Codec.split3 (slot_of_p0 ()) with
+      | Some ("1", msg, sig_enc) ->
+          ignore
+            (Rdma_reg.Swmr.write (attach 2)
+               ~reg:(Neb.slot_reg ~owner:2 ~k:1 ~src:0)
+               (Codec.join3 "01" msg sig_enc))
+      | _ -> Alcotest.fail "p0's slot is not a k=1 slot");
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list (pair int string))) "p1 delivers p0's message" [ (1, "hello") ]
+    (delivered_by logs.(1) ~src:0)
+
 let test_delivery_order_is_sequential () =
   (* Messages from one sender are delivered in sequence-number order,
      with no gaps, even when broadcast in a burst. *)
@@ -278,4 +310,6 @@ let suite =
     Alcotest.test_case "mis-keyed slots are not delivered" `Quick
       test_wrong_key_not_delivered;
     Alcotest.test_case "per-sender FIFO delivery" `Quick test_delivery_order_is_sequential;
+    Alcotest.test_case "property 1: a re-encoded copy cannot frame" `Quick
+      test_reencoded_copy_cannot_frame;
   ]

@@ -164,6 +164,119 @@ let test_fabricated_citation_convicts () =
   Cluster.check_errors cluster;
   Alcotest.(check (list (pair int string))) "forged citation rejected" [] !received
 
+(* A Byzantine sender p0 that drives NEB by hand, so each test chooses
+   the history presented with each message; correct p1 is the only
+   receiver (p2 runs nothing).  [cite ~src ~k msg] is the Received entry
+   a correct process would record for [src]'s k-th message: it carries
+   [src]'s real bare signature.  [validator] sees the cluster, so it can
+   read the run's counters.  Returns p1's deliveries (src, msg), oldest
+   first, and whether p1 convicted p0. *)
+let run_byzantine_sender ?(validator = fun _ -> Trusted.accept_all) histories =
+  let cluster = build ~n:3 ~m:3 () in
+  let received = ref [] and convicted = ref false in
+  Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
+      let neb = Neb.create ctx ~cfg:neb_cfg ~deliver:(fun ~k:_ ~msg:_ ~src:_ -> ()) () in
+      let bare pid ~k msg =
+        Rdma_crypto.Keychain.encode
+          (Rdma_crypto.Keychain.sign
+             (Rdma_crypto.Keychain.signer ctx.Cluster.chain pid)
+             (Trusted.bare_payload ~k msg))
+      in
+      let cite ~src ~k msg = Trusted.Received { src; k; msg; sig_enc = bare src ~k msg } in
+      List.iteri
+        (fun i (msg, history) ->
+          let k = i + 1 in
+          Neb.broadcast neb
+            (Codec.join3 msg (bare 0 ~k msg) (Trusted.encode_history (history ~cite)));
+          Engine.sleep 20.0)
+        histories);
+  Cluster.spawn cluster ~pid:1 (fun ctx ->
+      let t =
+        Trusted.create ctx ~cfg ~validator:(validator cluster)
+          ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
+          ()
+      in
+      Engine.sleep 200.0;
+      convicted := Trusted.is_convicted t 0);
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  (List.rev !received, !convicted)
+
+let test_new_suffix_citation_forged () =
+  (* Message 1 is honest.  Message 2 extends its history correctly, but
+     its new suffix cites a signature p2 never made: verifying only the
+     suffix must still catch it. *)
+  let forged ~k msg =
+    Trusted.Received
+      {
+        src = 2;
+        k;
+        msg;
+        sig_enc =
+          Rdma_crypto.Keychain.encode
+            (Rdma_crypto.Keychain.forge ~author:2 (Trusted.bare_payload ~k msg));
+      }
+  in
+  let received, convicted =
+    run_byzantine_sender
+      [
+        ("one", fun ~cite -> [ cite ~src:2 ~k:1 "a" ]);
+        ( "two",
+          fun ~cite ->
+            [ cite ~src:2 ~k:1 "a"; Trusted.Sent { k = 1; msg = "one" }; forged ~k:2 "b" ]
+        );
+      ]
+  in
+  Alcotest.(check (list (pair int string))) "only message 1 delivered" [ (0, "one") ] received;
+  Alcotest.(check bool) "sender convicted" true convicted
+
+let test_rewritten_prefix_convicts () =
+  (* Message 2 rewrites a Received entry accepted with message 1 into a
+     different, validly signed citation: the prefix is not the accepted
+     one, and extends convicts. *)
+  let received, convicted =
+    run_byzantine_sender
+      [
+        ("one", fun ~cite -> [ cite ~src:2 ~k:1 "a" ]);
+        ("two", fun ~cite -> [ cite ~src:2 ~k:1 "b"; Trusted.Sent { k = 1; msg = "one" } ]);
+      ]
+  in
+  Alcotest.(check (list (pair int string))) "only message 1 delivered" [ (0, "one") ] received;
+  Alcotest.(check bool) "sender convicted" true convicted
+
+let test_verifies_only_new_citations () =
+  (* Between the two validator calls come NEB's check of message 2's
+     slot signature, then Trusted's bare signature and one verify per
+     citation in the new suffix (two here).  The prefix's citation was
+     verified with message 1 and is not verified again. *)
+  let seen = ref [] in
+  let validator cluster ~src:_ ~history:_ ~msg:_ =
+    seen := Rdma_obs.Obs.counter (Cluster.obs cluster) "crypto.verifies" :: !seen;
+    `Accept
+  in
+  let received, convicted =
+    run_byzantine_sender ~validator
+      [
+        ("one", fun ~cite -> [ cite ~src:2 ~k:1 "a" ]);
+        ( "two",
+          fun ~cite ->
+            [
+              cite ~src:2 ~k:1 "a";
+              Trusted.Sent { k = 1; msg = "one" };
+              cite ~src:2 ~k:2 "b";
+              cite ~src:2 ~k:3 "c";
+            ] );
+      ]
+  in
+  Alcotest.(check (list (pair int string))) "both delivered"
+    [ (0, "one"); (0, "two") ] received;
+  Alcotest.(check bool) "sender not convicted" false convicted;
+  match !seen with
+  | [ second; first ] ->
+      Alcotest.(check int) "NEB slot + bare signature + 2 new citations" (1 + 1 + 2)
+        (second - first)
+  | _ -> Alcotest.fail "expected one validator call per delivery"
+
 let test_entry_codec_roundtrip () =
   let entries =
     [
@@ -187,5 +300,11 @@ let suite =
       test_prefix_violation_convicts;
     Alcotest.test_case "fabricated citation convicts" `Quick
       test_fabricated_citation_convicts;
+    Alcotest.test_case "forged citation in a new suffix convicts" `Quick
+      test_new_suffix_citation_forged;
+    Alcotest.test_case "rewritten accepted prefix convicts" `Quick
+      test_rewritten_prefix_convicts;
+    Alcotest.test_case "only new citations are verified" `Quick
+      test_verifies_only_new_citations;
     Alcotest.test_case "history codec roundtrip" `Quick test_entry_codec_roundtrip;
   ]
