@@ -224,7 +224,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_digest_shape;
     QCheck_alcotest.to_alcotest qcheck_distinct_inputs_distinct_digests;
     QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
-    QCheck_alcotest.to_alcotest qcheck_hmac_midstate_identity;
     QCheck_alcotest.to_alcotest qcheck_signature_roundtrip;
     Alcotest.test_case "sha256: empty string" `Quick test_sha256_empty;
     Alcotest.test_case "sha256: abc" `Quick test_sha256_abc;
@@ -246,5 +245,7 @@ let suite =
     Alcotest.test_case "keychain: wire codec round trip" `Quick test_signature_codec;
     Alcotest.test_case "keychain: garbage decode rejected" `Quick test_decode_garbage;
     Alcotest.test_case "keychain: hooks count operations" `Quick test_hooks_count;
+    (* Alcotest numbers cases by position: append, don't insert. *)
+    QCheck_alcotest.to_alcotest qcheck_hmac_midstate_identity;
     Alcotest.test_case "keychain: tags pinned" `Quick test_tag_pinned;
   ]
