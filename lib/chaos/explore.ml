@@ -10,10 +10,11 @@
    {!Rdma_sim.Task} — the task builds its case from its own seed, runs
    it on a fresh cluster, and returns the outcome plus the cluster's
    collector.  There are no shared accumulators; the batch verdict and
-   the metrics aggregate are a sequential, submission-ordered fold over
-   the pool's (already submission-ordered) results.  Shrinking runs per
-   failure in seed order, with each delta-debugging step's candidate
-   batch evaluated on the pool. *)
+   the metrics aggregate are the pool's submission-ordered fold, which
+   merges each case's collector and drops it as the result arrives, so
+   a batch holds O(jobs) cases, not O(runs).  Shrinking runs per failure
+   in seed order once the fold is done, with each delta-debugging
+   step's candidate batch evaluated on the pool. *)
 
 open Rdma_sim
 open Rdma_obs
@@ -131,34 +132,36 @@ let case_task scenario (options : options) i =
       (outcome, !obs))
 
 let explore ?(options = default_options) scenario =
-  let results =
-    Pool.run_exn ~jobs:options.jobs
-      (List.init options.runs (case_task scenario options))
-  in
-  (* Submission-ordered fold: verdicts, shrinks, and the metrics merge
-     all walk the results in seed order, so the batch is identical at
-     any [jobs].  Shrink probes do not contribute to [metrics]. *)
+  (* Submission-ordered fold: verdicts and the metrics merge walk the
+     results in seed order, so the batch is identical at any [jobs].
+     A failing outcome is kept for shrinking; the collector is merged
+     and dropped. *)
   let metrics = Obs.create () in
-  let passed, failures =
-    List.fold_left
-      (fun (passed, failures) (outcome, obs) ->
+  let passed, failed =
+    Pool.fold ~jobs:options.jobs
+      (Seq.init options.runs (case_task scenario options))
+      ~init:(0, [])
+      ~f:(fun (passed, failed) result ->
+        let outcome, obs =
+          match result with Ok r -> r | Error e -> raise e.Pool.exn
+        in
         Option.iter (fun o -> Obs.merge ~into:metrics o) obs;
-        if Scenario.passed outcome then (passed + 1, failures)
-        else
-          let repro, shrink_probes =
-            shrink ~max_runs:options.shrink_runs ~jobs:options.jobs scenario
-              outcome
-          in
-          (passed, { outcome; repro; shrink_probes } :: failures))
-      (0, []) results
+        if Scenario.passed outcome then (passed + 1, failed)
+        else (passed, outcome :: failed))
   in
-  {
-    scenario = scenario.Scenario.name;
-    options;
-    passed;
-    failures = List.rev failures;
-    metrics;
-  }
+  (* Shrink in seed order.  Shrink probes do not contribute to
+     [metrics]. *)
+  let failures =
+    List.map
+      (fun outcome ->
+        let repro, shrink_probes =
+          shrink ~max_runs:options.shrink_runs ~jobs:options.jobs scenario
+            outcome
+        in
+        { outcome; repro; shrink_probes })
+      (List.rev failed)
+  in
+  { scenario = scenario.Scenario.name; options; passed; failures; metrics }
 
 (* Replay a repro artifact: rebuild the exact case and run it.  Returns
    the outcome; the caller renders the (deterministic) verdict. *)

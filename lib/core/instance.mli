@@ -11,8 +11,11 @@ type byzantine = (int * (string Cluster.ctx -> unit)) list
     starts the honest program and returns how to read its result after
     the run; a pid in [byzantine] runs its behaviour instead), call
     [prepare], apply [faults], run to quiescence, re-raise fiber errors,
-    and read back each honest pid's result ([None] for Byzantine
-    pids). *)
+    read back each honest pid's result ([None] for Byzantine pids), and
+    dispose the engine ({!Rdma_sim.Engine.dispose}), also when the run
+    raised.  The cluster is returned for reading only: its collector,
+    report and trace are as the run left them, and its engine must not
+    run again. *)
 val run :
   ?legal_change:Rdma_mem.Permission.legal_change ->
   ?setup:(string Cluster.t -> unit) ->

@@ -32,6 +32,7 @@ type entry = Ev of { at : float; actor : string; ev : Event.t } | Sp of span
 type t = {
   mutable clock : unit -> float;
   mutable recording : bool;
+  mutable muted : bool; (* [finish] is a no-op: the run is being torn down *)
   mutable entries : entry list; (* reverse chronological insertion order *)
   mutable entry_count : int;
   mutable next_span_id : int;
@@ -46,6 +47,7 @@ let create ?(recording = false) () =
   {
     clock = (fun () -> 0.);
     recording;
+    muted = false;
     entries = [];
     entry_count = 0;
     next_span_id = 0;
@@ -63,6 +65,8 @@ let now t = t.clock ()
 let recording t = t.recording
 
 let set_recording t flag = t.recording <- flag
+
+let mute t = t.muted <- true
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
@@ -157,6 +161,7 @@ let span t ~actor ?(cat = "span") name =
 let finish t sp =
   match sp.span_stop with
   | Some _ -> () (* already finished; keep first-close semantics *)
+  | None when t.muted -> () (* a disposed run's span stays open *)
   | None ->
       let stop = t.clock () in
       sp.span_stop <- Some stop;

@@ -26,6 +26,13 @@ val recording : t -> bool
 (** Toggle retention of the raw event/span stream. *)
 val set_recording : t -> bool -> unit
 
+(** From now on {!finish} leaves open spans open and records no
+    sample.  The engine mutes its collector when it disposes a finished
+    run ([Engine.dispose]), so the spans its suspended fibers close
+    while unwinding move no histogram.  Nothing else is muted:
+    counters, gauges, events and new spans still record. *)
+val mute : t -> unit
+
 (** Register a typed tap called on every event regardless of recording
     (e.g. the chaos oracle watches decisions and memory restarts). *)
 val subscribe : t -> (at:float -> actor:string -> Event.t -> unit) -> unit

@@ -8,7 +8,13 @@
 
    Crash injection works by cancelling a fiber: any later attempt to
    resume it discontinues the fiber with [Cancelled] instead, so the
-   fiber "stops taking steps forever" exactly as the model prescribes. *)
+   fiber "stops taking steps forever" exactly as the model prescribes.
+
+   A run that ends leaves fibers suspended forever (a process waiting on
+   a crashed memory, a server loop past quiescence).  OCaml never frees
+   a continuation that is dropped without being resumed, so the engine
+   keeps every parked continuation and [dispose] discontinues them once
+   the run's results have been read. *)
 
 exception Cancelled
 
@@ -23,7 +29,7 @@ type t = {
   rng : Random.State.t;
   mutable next_fid : int;
   mutable errors : (string * exn) list;
-  mutable fiber_count : int;
+  live : (int, fiber) Hashtbl.t; (* fid -> fiber, from first step to exit *)
   obs : Rdma_obs.Obs.t;
   (* Profiler scope-stack depth owned by the engine's caller: frames
      above it belong to the currently executing fiber and travel with
@@ -41,7 +47,11 @@ and fiber = {
      callbacks instead of leaking waiters (id, action) *)
   mutable cancel_hooks : (int * (unit -> unit)) list;
   mutable next_hook : int;
+  mutable parked : parked;
 }
+
+(* A suspended fiber's continuation, held until its resume event runs. *)
+and parked = Running | Parked : ('a, unit) Effect.Deep.continuation -> parked
 
 type _ Effect.t +=
   | Suspend : (t -> fiber -> ('a -> unit) -> unit) -> 'a Effect.t
@@ -51,13 +61,13 @@ let create ?(max_steps = 20_000_000) ?(seed = 1) () =
     {
       now = 0.;
       seq = 0;
-      heap = Heap.create ();
+      heap = Heap.create ~filler:ignore ();
       steps = 0;
       max_steps;
       rng = Random.State.make [| seed |];
       next_fid = 0;
       errors = [];
-      fiber_count = 0;
+      live = Hashtbl.create 16;
       obs = Rdma_obs.Obs.create ();
       prof_base = 0;
     }
@@ -125,13 +135,15 @@ let schedule t delay callback =
    continuation runs (also on the discontinue path, so the unwinding
    [Fun.protect]s close their frames), and left paused forever if the
    resume never fires — a cancelled fiber loses only the wall-time of
-   its still-open frames, never deterministic counts. *)
+   its still-open frames, never deterministic counts.  [dispose]
+   discontinues a never-resumed fiber without re-attaching them. *)
 let resume_of t fiber ~saved k =
   let used = ref false in
   fun v ->
     if !used then invalid_arg "Engine: fiber resumed twice";
     used := true;
     schedule t 0. (fun () ->
+        fiber.parked <- Running;
         Rdma_obs.Prof.attach saved;
         if fiber.cancelled then
           try Effect.Deep.discontinue k Cancelled with Cancelled -> ()
@@ -152,6 +164,7 @@ let handler t fiber =
                ones above the dispatch-time base) so the counters and
                wall timers of other fibers never land in its scopes. *)
             let saved = Rdma_obs.Prof.detach_to t.prof_base in
+            fiber.parked <- Parked k;
             f t fiber (resume_of t fiber ~saved k))
     | _ -> None
   in
@@ -159,7 +172,6 @@ let handler t fiber =
 
 let spawn t name f =
   t.next_fid <- t.next_fid + 1;
-  t.fiber_count <- t.fiber_count + 1;
   let fiber =
     {
       fid = t.next_fid;
@@ -168,6 +180,7 @@ let spawn t name f =
       owner = t;
       cancel_hooks = [];
       next_hook = 0;
+      parked = Running;
     }
   in
   schedule t 0. (fun () ->
@@ -176,11 +189,10 @@ let spawn t name f =
            between cluster construction and [run] still see it. *)
         Rdma_obs.Obs.event t.obs ~actor:name
           (Rdma_obs.Event.Fiber_spawn { fid = fiber.fid; name });
+        Hashtbl.replace t.live fiber.fid fiber;
         Effect.Deep.match_with
           (fun () ->
-            Fun.protect
-              ~finally:(fun () -> t.fiber_count <- t.fiber_count - 1)
-              f)
+            Fun.protect ~finally:(fun () -> Hashtbl.remove t.live fiber.fid) f)
           () (handler t fiber)
       end);
   fiber
@@ -209,6 +221,24 @@ let run t =
   done;
   Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth"
     (float_of_int (Heap.max_size t.heap))
+
+(* End the run: drop the queued events and discontinue every parked
+   fiber, in fid order, so their stacks are freed.  Everything a caller
+   reads afterwards stays as the run left it: the collector is muted,
+   so the [with_span]s that unwind record no sample; the fibers' profiler
+   frames stay detached, so the unwinding scopes find nothing to close;
+   and cancel hooks do not run, because the whole cluster is garbage. *)
+let dispose t =
+  Heap.clear t.heap;
+  Rdma_obs.Obs.mute t.obs;
+  Hashtbl.fold (fun _ fiber acc -> fiber :: acc) t.live []
+  |> List.sort (fun a b -> Int.compare a.fid b.fid)
+  |> List.iter (fun fiber ->
+         match fiber.parked with
+         | Running -> ()
+         | Parked k -> (
+             fiber.parked <- Running;
+             try Effect.Deep.discontinue k Cancelled with Cancelled -> ()))
 
 let suspend f = Effect.perform (Suspend f)
 

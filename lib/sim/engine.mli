@@ -72,6 +72,14 @@ val fiber_name : fiber -> string
     step budget is exhausted. *)
 val run : t -> unit
 
+(** End a run whose results have been read: drop the queued events and
+    discontinue, with {!Cancelled}, every fiber still suspended, so
+    their stacks are freed.  The collector is muted first
+    ({!Rdma_obs.Obs.mute}), the fibers' profiler frames stay detached
+    and cancel hooks do not run, so no counter, sample, entry, step or
+    time moves.  Nothing may run the engine afterwards. *)
+val dispose : t -> unit
+
 (** {2 Fiber-context operations}
 
     These may only be called from inside a fiber spawned by {!spawn}. *)

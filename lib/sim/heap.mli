@@ -7,7 +7,11 @@ type 'a entry = { time : float; seq : int; payload : 'a }
 
 type 'a t
 
-val create : unit -> 'a t
+(** [create ~filler ()] is an empty heap.  [filler] is the payload
+    written into every slot the heap does not hold an entry in, so an
+    entry that was popped or cleared is not kept alive by its old
+    slot. *)
+val create : filler:'a -> unit -> 'a t
 
 val is_empty : 'a t -> bool
 
@@ -25,3 +29,6 @@ val pop : 'a t -> 'a entry option
 
 (** [peek h] returns the least entry without removing it. *)
 val peek : 'a t -> 'a entry option
+
+(** [clear h] drops every entry; {!max_size} is kept. *)
+val clear : 'a t -> unit

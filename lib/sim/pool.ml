@@ -1,20 +1,28 @@
-(* Fixed-size domain pool with a seed-ordered deterministic merge.
+(* Fixed-size domain pool with a seed-ordered deterministic fold.
 
-   [run ~jobs tasks] executes every task and returns the results in
-   SUBMISSION order, regardless of completion order, so [-j 1] and
-   [-j N] are byte-identical for any consumer that folds over the
-   result list.  The work queue is the task array itself plus an atomic
-   cursor: workers pop indices in submission order (the queue), write
-   into their slot of a results array, and the final [Domain.join]
-   publishes every slot to the submitting domain before it reads them.
+   [fold ~jobs tasks ~init ~f] executes every task and folds the
+   results with [f] in SUBMISSION order, regardless of completion
+   order, so [-j 1] and [-j N] are byte-identical for any consumer.
+   [run] and [run_exn] are folds into a list.
+
+   Memory is O(jobs), not O(tasks): the calling domain pulls [tasks]
+   lazily and hands a task to the workers only while its index is below
+   [folded + 2 * workers], where [folded] counts the results [f] has
+   finished with.  A result therefore waits in a window of [2 * workers]
+   slots until its turn, and a batch of any length holds at most that
+   many tasks and results at once.  Workers claim tasks in submission
+   order, pulling each from [tasks] under the pool's lock; the calling
+   domain waits for the result at the head of the window and folds it.
+   One mutex guards the window and one condition variable signals every
+   change.
 
    Determinism argument:
    - each task is a pure function of its own seed and captured config
-     (see Task); nothing a worker observes — its domain id, the cursor
-     value, timing — flows into a task's inputs;
-   - results land in the slot of their submission index, so the merged
-     list is [f t0; f t1; ...] no matter which domain computed what;
-   - exceptions are captured per task into the result slot rather than
+     (see Task); nothing a worker observes — its domain id, the claim
+     order, timing — flows into a task's inputs;
+   - results are folded in submission-index order, so the fold is
+     [f (f init r0) r1 ...] no matter which domain computed what;
+   - exceptions are captured per task into its result rather than
      tearing down the pool, so a failing task cannot reorder or starve
      the others.
 
@@ -49,45 +57,112 @@ let run_task task =
   | exception exn ->
       Error { task_label = Task.label task; task_seed = Task.seed task; exn }
 
-let run ?jobs tasks =
+(* The first [k] tasks as a list, and the rest of the sequence. *)
+let take k tasks =
+  let rec go k acc tasks =
+    if k = 0 then (List.rev acc, tasks)
+    else
+      match tasks () with
+      | Seq.Nil -> (List.rev acc, Seq.empty)
+      | Seq.Cons (task, rest) -> go (k - 1) (task :: acc) rest
+  in
+  go k [] tasks
+
+let fold_parallel ~workers tasks ~init ~f =
+  let window = 2 * workers in
+  let lock = Mutex.create () and changed = Condition.create () in
+  (* Result i waits in slot [i mod window] until it is folded. *)
+  let results = Array.make window None in
+  let tasks = ref tasks and claimed = ref 0 and folded = ref 0 in
+  let exhausted = ref false and stopped = ref false in
+  let locked g =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) g
+  in
+  (* Under the lock: the next task and its index, once the window has
+     room for it. *)
+  let rec claim () =
+    if !stopped || !exhausted then None
+    else if !claimed >= !folded + window then begin
+      Condition.wait changed lock;
+      claim ()
+    end
+    else
+      match !tasks () with
+      | Seq.Nil ->
+          exhausted := true;
+          Condition.broadcast changed;
+          None
+      | Seq.Cons (task, rest) ->
+          tasks := rest;
+          let i = !claimed in
+          incr claimed;
+          Some (i, task)
+  in
+  let rec work () =
+    match locked claim with
+    | None -> ()
+    | Some (i, task) ->
+        let r = run_task task in
+        locked (fun () ->
+            results.(i mod window) <- Some r;
+            Condition.broadcast changed);
+        work ()
+  in
+  let domains = Array.init workers (fun _ -> Domain.spawn work) in
+  (* Under the lock: the next result in submission order, or [None]
+     once every task has been folded. *)
+  let rec next () =
+    match results.(!folded mod window) with
+    | Some r ->
+        results.(!folded mod window) <- None;
+        Some r
+    | None when !exhausted && !folded = !claimed -> None
+    | None ->
+        Condition.wait changed lock;
+        next ()
+  in
+  let rec drain acc =
+    match locked next with
+    | None -> acc
+    | Some r ->
+        let acc = f acc r in
+        locked (fun () ->
+            incr folded;
+            Condition.broadcast changed);
+        drain acc
+  in
+  match drain init with
+  | acc ->
+      Array.iter Domain.join domains;
+      acc
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      locked (fun () ->
+          stopped := true;
+          Condition.broadcast changed);
+      Array.iter Domain.join domains;
+      Printexc.raise_with_backtrace e bt
+
+let fold ?jobs tasks ~init ~f =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let tasks = Array.of_list tasks in
-  let n = Array.length tasks in
-  let workers = min (min jobs n) max_workers in
-  if n = 0 then []
-  else if workers <= 1 then
-    (* Sequential fast path: same merge order by construction. *)
-    Array.to_list (Array.map run_task tasks)
-  else begin
-    let results = Array.make n None in
-    let cursor = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i < n then begin
-          results.(i) <- Some (run_task tasks.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-    Array.iter Domain.join domains;
-    Array.to_list
-      (Array.map
-         (function
-           | Some r -> r
-           | None ->
-               (* unreachable: every index below the cursor was claimed
-                  by exactly one worker and joined above *)
-               assert false)
-         results)
-  end
+  (* A short sequence gets no more workers than it has tasks. *)
+  let head, rest = take (min jobs max_workers) tasks in
+  let tasks = Seq.append (List.to_seq head) rest in
+  match head with
+  | [] | [ _ ] ->
+      (* Sequential fast path: same fold order by construction. *)
+      Seq.fold_left (fun acc task -> f acc (run_task task)) init tasks
+  | _ -> fold_parallel ~workers:(List.length head) tasks ~init ~f
+
+let run ?jobs tasks =
+  List.rev (fold ?jobs (List.to_seq tasks) ~init:[] ~f:(fun acc r -> r :: acc))
 
 (* All-or-nothing variant: re-raise the first (submission-order) task
    failure.  Harness drivers use this when a task exception means a
    bug in the harness itself, not a property of the simulated run. *)
 let run_exn ?jobs tasks =
-  List.map
-    (function Ok r -> r | Error e -> raise e.exn)
-    (run ?jobs tasks)
+  List.rev
+    (fold ?jobs (List.to_seq tasks) ~init:[] ~f:(fun acc -> function
+       | Ok r -> r :: acc
+       | Error e -> raise e.exn))

@@ -1,10 +1,12 @@
-(** Fixed-size domain pool over {!Task} lists with a seed-ordered
-    deterministic merge: results come back in submission order
+(** Fixed-size domain pool over {!Task}s with a seed-ordered
+    deterministic fold: results are folded in submission order
     regardless of completion order, so [-j 1] and [-j N] runs are
-    byte-identical for any consumer that folds over the result list.
+    byte-identical.  Tasks are pulled lazily and at most [2 * workers]
+    of them are pending or unfolded at once, so a batch runs in memory
+    proportional to its worker count, not its length.
 
-    Exceptions raised by a task are captured into that task's result
-    slot; the other tasks are unaffected. *)
+    Exceptions raised by a task are captured into that task's result;
+    the other tasks are unaffected. *)
 
 type error = { task_label : string; task_seed : int; exn : exn }
 
@@ -14,6 +16,25 @@ val pp_error : Format.formatter -> error -> unit
     coordinates, the rest work. *)
 val default_jobs : unit -> int
 
+(** [fold ~jobs tasks ~init ~f] executes every task of [tasks] on
+    [min jobs (length tasks)] worker domains ([jobs <= 1] runs inline on
+    the calling domain) and folds the results with [f] in submission
+    order, as they arrive.  [jobs] defaults to {!default_jobs}.
+
+    [tasks] is pulled under the pool's lock, by whichever domain claims
+    the next task, and only as far as the window needs: when [f]
+    receives result [i], at most [i + 1 + 2 * workers] tasks have been
+    pulled.  Pulling must not raise.  A worker starts task [i] only
+    while [i < folded + 2 * workers], where [folded] counts the results
+    [f] has returned from.  If [f] raises, the workers finish the tasks
+    they hold and are joined, then the exception is re-raised. *)
+val fold :
+  ?jobs:int ->
+  'r Task.t Seq.t ->
+  init:'acc ->
+  f:('acc -> ('r, error) result -> 'acc) ->
+  'acc
+
 (** [run ~jobs tasks] executes the tasks on [min jobs (length tasks)]
     worker domains ([jobs <= 1] runs inline on the calling domain) and
     returns per-task results in submission order.  [jobs] defaults to
@@ -21,5 +42,5 @@ val default_jobs : unit -> int
 val run : ?jobs:int -> 'r Task.t list -> ('r, error) result list
 
 (** Like {!run} but re-raises the first (in submission order) captured
-    task exception. *)
+    task exception; tasks after it may not run. *)
 val run_exn : ?jobs:int -> 'r Task.t list -> 'r list

@@ -284,4 +284,33 @@ cmp "$tmp/pmp1.out" "$tmp/pmp2.out"
 cat "$tmp/pmp1.out"
 echo "recovery chaos deterministic: same seed, same bytes"
 
+echo "== constant-memory chaos =="
+# A chaos batch runs in bounded memory: every run disposes its engine
+# (discontinuing the fibers it left suspended) and the pool folds the
+# cases as they arrive, holding O(jobs) of them.  A batch ten times
+# longer must peak within 10% of the short one.  Peak RSS is read per
+# child process from python3's getrusage(RUSAGE_CHILDREN), on the built
+# binary itself (a `dune exec` wrapper would be the larger process).
+exe=_build/default/bin/rdma_agreement.exe
+peak_kb() {
+  python3 -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' "$@"
+}
+# flat SMALL LARGE ARGS...: `chaos explore ARGS` at SMALL and LARGE runs
+flat() {
+  small=$1 large=$2
+  shift 2
+  small_kb="$(peak_kb "$exe" chaos explore "$@" --runs "$small")"
+  large_kb="$(peak_kb "$exe" chaos explore "$@" --runs "$large")"
+  echo "$*: $small runs ${small_kb} KB, $large runs ${large_kb} KB"
+  [ $((large_kb * 10)) -le $((small_kb * 11)) ] || {
+    echo "chaos memory grows with the batch: $*" >&2
+    exit 1
+  }
+}
+flat 200 2000 smr-velos-recovery --seed 1 -j 1
+flat 200 2000 smr-velos-recovery --seed 1 -j 2
+flat 50 500 fast-robust --seed 1 --adversary --byzantine -j 1
+
 echo "== ok =="

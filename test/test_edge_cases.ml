@@ -188,6 +188,39 @@ let test_lifecycle_rejects_wrong_inputs () =
     (Invalid_argument "fast-robust: 4 inputs for 3 processes") (fun () ->
       ignore (Fast_robust.run ~n:3 ~m:3 ~inputs:[| "a"; "b"; "c"; "d" |] ()))
 
+(* A run's end discontinues the fibers it left suspended: pid 0 parks
+   forever on an ivar nobody fills, inside a span and a [Fun.protect];
+   its [finally] has run by the time [Instance.run] returns, also when
+   another pid's error makes [Instance.run] raise. *)
+let test_lifecycle_disposes_parked () =
+  let open Rdma_mm in
+  let run ~failing =
+    let unwound = ref false in
+    let spawn cluster pid =
+      Cluster.spawn cluster ~pid (fun ctx ->
+          if pid = 0 then
+            Rdma_obs.Obs.with_span ctx.Cluster.ctx_obs ~actor:"p0" "parked"
+              (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> unwound := true)
+                  (fun () -> ignore (Ivar.await (Ivar.create () : int Ivar.t))))
+          else if failing then failwith "boom");
+      fun () -> ()
+    in
+    let outcome =
+      match Instance.run ~seed:1 ~n:2 ~m:0 ~spawn () with
+      | _ -> "returned"
+      | exception Failure msg -> msg
+    in
+    (outcome, !unwound)
+  in
+  Alcotest.(check (pair string bool))
+    "clean run" ("returned", true) (run ~failing:false);
+  Alcotest.(check (pair string bool))
+    "fiber error re-raised"
+    ("fiber p1 raised: Failure(\"boom\")", true)
+    (run ~failing:true)
+
 let suite =
   [
     Alcotest.test_case "lifecycle: Byzantine pid substitution" `Quick
@@ -209,4 +242,6 @@ let suite =
     Alcotest.test_case "multi-instance PMP under reordering" `Quick
       test_pmp_multi_reordering;
     Alcotest.test_case "BFT log under reordering" `Slow test_bft_log_reordering;
+    Alcotest.test_case "lifecycle: a run's end unwinds parked pids" `Quick
+      test_lifecycle_disposes_parked;
   ]

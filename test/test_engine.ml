@@ -259,6 +259,61 @@ let test_par_await_k_timeout_cancel_unhooks () =
   | [] -> ()
   | (n, e) :: _ -> Alcotest.failf "fiber %s raised %s" n (Printexc.to_string e)
 
+(* {2 Disposal} *)
+
+(* Everything a caller can read from a finished run, as plain values:
+   spans are copied out, since disposal must not close them. *)
+let readable eng prof =
+  let open Rdma_obs in
+  let obs = Engine.obs eng in
+  ( ( Obs.counters obs,
+      Obs.gauges obs,
+      Obs.summaries obs,
+      Obs.events obs,
+      List.map
+        (fun sp -> (Obs.span_name sp, Obs.span_start sp, Obs.span_stop sp))
+        (Obs.spans obs) ),
+    ( Prof.totals prof,
+      List.map (fun (path, calls, _, _) -> (path, calls)) (Prof.timings prof),
+      Engine.steps eng,
+      Engine.now eng ) )
+
+(* [dispose] unwinds a fiber parked forever inside a span and a profiler
+   scope, and moves nothing readable: counters, gauges, histogram
+   summaries (the open span adds no sample), recorded entries, profiler
+   totals and call counts, steps and time. *)
+let test_dispose_moves_nothing () =
+  let open Rdma_obs in
+  let eng = Engine.create () in
+  let obs = Engine.obs eng in
+  Obs.set_recording obs true;
+  let prof = Prof.create ~clock:(fun () -> 0.0) () in
+  let unwound = ref false in
+  Prof.with_profiler prof (fun () ->
+      ignore
+        (Engine.spawn eng "parked" (fun () ->
+             Obs.with_span obs ~actor:"parked" ~cat:"phase" "wait" (fun () ->
+                 Prof.scope "parked.inner" (fun () ->
+                     Fun.protect
+                       ~finally:(fun () -> unwound := true)
+                       (fun () ->
+                         ignore (Ivar.await (Ivar.create () : int Ivar.t)))))));
+      ignore
+        (Engine.spawn eng "worker" (fun () ->
+             Obs.with_span obs ~actor:"worker" ~cat:"phase" "wait" (fun () ->
+                 Engine.sleep 2.0;
+                 Obs.count obs "work" 1;
+                 Prof.bump "work" 1)));
+      Engine.run eng;
+      let before = readable eng prof in
+      Alcotest.(check bool) "parked before dispose" false !unwound;
+      Engine.dispose eng;
+      Alcotest.(check bool) "parked fiber unwound" true !unwound;
+      Alcotest.(check bool) "nothing readable moved" true (before = readable eng prof);
+      Alcotest.(check (list (pair string int)))
+        "one wait sample, the finished one" [ ("wait", 1) ]
+        (List.map (fun (name, s) -> (name, s.Hist.count)) (Obs.summaries obs)))
+
 let suite =
   [
     Alcotest.test_case "events fire at virtual times" `Quick test_virtual_time;
@@ -283,4 +338,6 @@ let suite =
       test_par_await_k_cancel_unhooks;
     Alcotest.test_case "crashed issuer unhooks timed quorum waiters" `Quick
       test_par_await_k_timeout_cancel_unhooks;
+    Alcotest.test_case "dispose moves nothing readable" `Quick
+      test_dispose_moves_nothing;
   ]
