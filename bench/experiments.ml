@@ -265,6 +265,7 @@ let exp_d4 env =
         if pid = 0 then Neb.broadcast neb "payload")
   done;
   Cluster.run cluster;
+  Cluster.check_errors cluster;
   pr env "@.Non-equivocating broadcast delivery times (broadcast at t=0):@.";
   Array.iteri (fun pid t -> pr env "  p%d delivered at %.1f delays@." pid t) delivered_at;
   pr env "Paper (footnote 2): non-equivocating broadcast costs at least 6 delays,@.";
@@ -275,31 +276,92 @@ let exp_d4 env =
 (* becomes the default leader in the next" (Section 5.1)                *)
 (* ------------------------------------------------------------------ *)
 
+(* The pmp engine is repeated Protected Memory Paxos as a log: instance
+   i is log index i+1, which a replica decides when it applies it.
+   Three replicas serve one client per instance, and every client
+   submits its command at t=0.  Returns the moment the leader holds the
+   commands (the first client request p0 receives) and, per instance,
+   each replica's [(command, apply time)]. *)
+let d5_run ?(faults = []) ~slots () =
+  let open Rdma_mm in
+  let open Rdma_smr in
+  let replicas = 3 in
+  let cfg =
+    { Consensus_engine.default_config with
+      replicas; max_entries = slots; serve_until = 200.0 }
+  in
+  let origin = ref nan in
+  let decided = Array.init slots (fun _ -> Array.make replicas None) in
+  let spawn cluster pid =
+    (if pid < replicas then
+       let r = Smr_log.spawn_replica cluster ~cfg ~pid () in
+       Smr_log.on_commit r (fun ~index ~cmd ->
+           if index <= slots && decided.(index - 1).(pid) = None then
+             decided.(index - 1).(pid) <-
+               Some (cmd, Rdma_sim.Engine.now (Cluster.engine cluster)))
+     else
+       Cluster.spawn cluster ~pid (fun ctx ->
+           ignore
+             (Smr_log.submit ctx ~cfg ~seq:0
+                ~cmd:(Printf.sprintf "cmd%d" (pid - replicas))
+                ~timeout:150.0)));
+    fun () -> ()
+  in
+  let first_request cluster =
+    Obs.subscribe (Cluster.obs cluster) (fun ~at ~actor:_ ev ->
+        match (ev : Event.t) with
+        | Event.Net_deliver { src; dst = 0 }
+          when src >= replicas && Float.is_nan !origin ->
+            origin := at
+        | _ -> ())
+  in
+  ignore
+    (Instance.run ~legal_change:(Smr_log.legal_change cfg)
+       ~setup:(fun cluster -> Smr_log.setup_regions cluster cfg)
+       ~prepare:first_request ~faults ~seed:1 ~n:(replicas + slots) ~m:3
+       ~spawn ());
+  (!origin, decided)
+
 let exp_d5 env =
   section env "d5" "Repeated Protected Memory Paxos: two delays per decision";
-  let n = 3 and m = 3 and slots = 6 in
-  let cfg = { Protected_paxos_multi.default_config with slots } in
-  let input_for ~pid ~instance = Printf.sprintf "cmd%d.%d" pid instance in
-  let reports = Protected_paxos_multi.run ~cfg ~n ~m ~input_for () in
+  let slots = 6 in
+  let origin, decided = d5_run ~slots () in
   pr env "%-10s %-16s %-14s@." "instance" "first (delays)" "delta";
   let prev = ref 0.0 in
   Array.iteri
-    (fun i report ->
-      match Report.first_decision_time report with
-      | Some t ->
+    (fun i per_replica ->
+      match List.filter_map (Option.map snd) (Array.to_list per_replica) with
+      | [] -> pr env "%-10d %-16s@." i "-"
+      | times ->
+          let t = List.fold_left Float.min infinity times -. origin in
           pr env "%-10d %-16.1f %-14.1f@." i t (t -. !prev);
-          prev := t
-      | None -> pr env "%-10d %-16s@." i "-")
-    reports;
+          prev := t)
+    decided;
   pr env "@.Steady state: every instance costs exactly one replicated write@.";
   pr env "(2 delays) because the leader retains the write permission.@.";
+  pr env "Times count from t=%.1f, when the leader holds the clients' commands.@."
+    origin;
   (* and across a leader crash *)
-  let faults = [ Fault.Crash_process { pid = 0; at = 4.5 } ] in
-  let reports = Protected_paxos_multi.run ~cfg ~n ~m ~input_for ~faults () in
-  let ok = Array.for_all Report.agreement_ok reports in
-  pr env "With a leader crash at t=4.5: per-instance agreement across the@.";
+  let crash_at = 4.5 in
+  let faults = [ Fault.Crash_process { pid = 0; at = origin +. crash_at } ] in
+  let _, crashed = d5_run ~faults ~slots () in
+  let values per_replica =
+    List.sort_uniq compare (List.filter_map (Option.map fst) (Array.to_list per_replica))
+  in
+  let agreement = Array.for_all (fun d -> List.length (values d) <= 1) crashed in
+  let preserved =
+    Array.for_all2
+      (fun before after ->
+        Array.for_all
+          (function
+            | Some (_, at) when at -. origin < crash_at -> values after = values before
+            | _ -> true)
+          before)
+      decided crashed
+  in
+  pr env "With a leader crash at t=%.1f: per-instance agreement across the@." crash_at;
   pr env "takeover = %s; instances decided before the crash keep their values.@."
-    (check ok)
+    (check (agreement && preserved))
 
 (* ------------------------------------------------------------------ *)
 (* D6: a BFT log from Fast & Robust per slot                            *)
@@ -377,6 +439,7 @@ let exp_d7 env =
       loop 0);
   Cluster.crash_process_at cluster ~at:crash_at 0;
   Cluster.run cluster;
+  Cluster.check_errors cluster;
   let commits = List.rev !commits in
   pr env "client-observed commit times (leader crash at t=%.0f):@." crash_at;
   let prev = ref 0.0 in
@@ -794,6 +857,7 @@ let exp_r1 env =
           Fault.Recover_memory { mid = 1; at = 40.0 };
         ];
       Cluster.run cluster;
+      Cluster.check_errors cluster;
       let stale =
         Rdma_mem.Memory.stale_registers (Cluster.memory cluster 1)
           ~region:Smr_log.region
@@ -899,6 +963,7 @@ let v1_run (engine : Rdma_smr.Consensus_engine.engine) ~mode ~crash =
   in
   Fault.apply cluster faults;
   Cluster.run cluster;
+  Cluster.check_errors cluster;
   let logs =
     Array.to_list (Array.map E.applied_entries replicas)
     |> List.filteri (fun pid _ -> not (crash && pid = 0))
@@ -1046,15 +1111,6 @@ let bechamel_benches env =
           fun () -> ignore (Fast_robust.run ~n:3 ~m:3 ~inputs:(inputs 3) ()) );
         ( "robust-backup/n3m3",
           fun () -> ignore (Robust_backup.run ~n:3 ~m:3 ~inputs:(inputs 3) ()) );
-        ( "pmp-multi/6slots",
-          fun () ->
-            ignore
-              (Protected_paxos_multi.run
-                 ~cfg:{ Protected_paxos_multi.default_config with slots = 6 }
-                 ~n:3 ~m:3
-                 ~input_for:(fun ~pid ~instance ->
-                   Printf.sprintf "c%d.%d" pid instance)
-                 ()) );
       ]
   in
   let instances = Instance.[ monotonic_clock ] in

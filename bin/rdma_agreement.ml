@@ -456,8 +456,8 @@ let fuzz_cmd =
 
 let log_cmd =
   let kind =
-    let doc = "Log flavour: pmp-multi (crash model) or bft (Byzantine model)." in
-    Arg.(required & pos 0 (some (enum [ ("pmp-multi", `Pmp); ("bft", `Bft) ])) None
+    let doc = "Log flavour: bft (Fast & Robust per slot, Byzantine model)." in
+    Arg.(required & pos 0 (some (enum [ ("bft", ()) ])) None
         & info [] ~docv:"KIND" ~doc)
   in
   let slots =
@@ -471,26 +471,17 @@ let log_cmd =
     Arg.(value & opt_all event_conv []
         & info [ "crash-process" ] ~docv:"PID@TIME" ~doc:"Crash process PID at TIME.")
   in
-  let action kind slots n m seed crash_procs =
+  let action () slots n m seed crash_procs =
     let faults =
       List.map (fun (pid, at) -> Fault.Crash_process { pid; at }) crash_procs
     in
-    check_run
-      ~name:(match kind with `Pmp -> "log pmp-multi" | `Bft -> "log bft")
-      ~needs_memories:true ~n ~m faults;
-    let reports =
-      match kind with
-      | `Pmp ->
-          let cfg = { Protected_paxos_multi.default_config with slots } in
-          Protected_paxos_multi.run ~cfg ~seed ~n ~m ~faults
-            ~input_for:(fun ~pid ~instance -> Printf.sprintf "cmd%d.%d" pid instance)
-            ()
-      | `Bft ->
-          let cfg = { Rdma_smr.Bft_log.default_config with slots } in
-          fst
-            (Rdma_smr.Bft_log.run ~cfg ~seed ~n ~m ~faults
-               ~input_for:(fun ~pid ~slot -> Printf.sprintf "cmd%d.%d" pid slot)
-               ())
+    check_run ~name:"log bft" ~needs_memories:true ~n ~m faults;
+    let reports, _ =
+      Rdma_smr.Bft_log.run
+        ~cfg:{ Rdma_smr.Bft_log.default_config with slots }
+        ~seed ~n ~m ~faults
+        ~input_for:(fun ~pid ~slot -> Printf.sprintf "cmd%d.%d" pid slot)
+        ()
     in
     Fmt.pr "%-8s %-22s %-16s %-12s %-8s@." "slot" "decided value" "first (delays)"
       "agreement" "decided";

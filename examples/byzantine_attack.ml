@@ -31,6 +31,7 @@ let act1 () =
         views.(pid) <- msg)
   done;
   Cluster.run cluster;
+  Cluster.check_errors cluster;
   Fmt.pr "  p1 heard %S, p2 heard %S -> split: %b@." views.(1) views.(2)
     (views.(1) <> views.(2))
 
@@ -52,6 +53,7 @@ let act2 () =
         Neb.spawn_poller ctx neb)
   done;
   Cluster.run cluster;
+  Cluster.check_errors cluster;
   Fmt.pr "  p1 delivered %S, p2 delivered %S -> split: %b@." delivered.(1) delivered.(2)
     (delivered.(1) <> delivered.(2))
 

@@ -209,31 +209,6 @@ let all =
       validity = true;
       exec = Workloads.swmr_recovery;
     };
-    {
-      name = "pmp-multi-recovery";
-      descr = "repeated Protected Paxos: checkpoints, memory rejoin, repair";
-      n = 3;
-      m = 3;
-      budget =
-        {
-          base_budget with
-          max_process_crashes = 1;
-          (* one memory outage at a time: with a second concurrent
-             outage no write quorum exists and in-flight waits cannot be
-             re-driven, so the run would (correctly) miss its deadline *)
-          max_memory_crashes = 1;
-          max_machine_crashes = 1;
-          max_recoveries = 2;
-        };
-      phases = [];
-      attack_pool = [];
-      max_byz = 0;
-      deadline = 1000.0;
-      repair = Some Workloads.pmp_stale;
-      (* decisions are the joined instance sequence, not a literal input *)
-      validity = false;
-      exec = Workloads.pmp_multi_recovery;
-    };
   ]
   (* One recovery scenario per registered consensus engine
      (smr-pmp-recovery, smr-velos-recovery, ...): the SAME workload,
@@ -255,8 +230,10 @@ let all =
             {
               base_budget with
               max_process_crashes = 1;
-              (* one memory outage at a time, as in pmp-multi-recovery:
-                 a second concurrent outage removes the write quorum *)
+              (* one memory outage at a time: with a second concurrent
+                 outage no write quorum exists and in-flight waits
+                 cannot be re-driven, so the run would (correctly) miss
+                 its deadline *)
               max_memory_crashes = 1;
               max_machine_crashes = 1;
               max_recoveries = 2;

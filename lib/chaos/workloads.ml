@@ -9,11 +9,11 @@
      predicate then demands that every rejoined memory holds a fresh
      copy ([Memory.stale_registers] empty).
 
-   - [pmp_multi_recovery]: repeated Protected Memory Paxos with
-     checkpointing and a repair custodian; the per-process decision is
-     the joined instance sequence, so the oracle checks agreement over
-     the whole log (validity is vacuous — the joined value is not
-     literally any input). *)
+   - [smr_recovery]: a consensus engine's replicated log, with
+     checkpointing and state-transfer repair, under the full recovery
+     nemesis; replicas decide their joined logs, so the oracle checks
+     agreement over the whole log (validity is vacuous — the joined
+     value is not literally any input). *)
 
 open Rdma_sim
 open Rdma_mem
@@ -91,49 +91,6 @@ let swmr_recovery ~seed ~n ~m ~inputs ~faults ~byzantine ~prepare =
   Report.of_cluster ~algorithm:"swmr-recovery" ~n ~m
     ~decisions:(Array.map Option.join decided)
     cluster
-
-(* --------- repeated Protected Paxos with checkpoints + repair ------ *)
-
-let pmp_cfg =
-  {
-    Protected_paxos_multi.default_config with
-    slots = 3;
-    checkpoint_every = 2;
-    serve_until = 60.0;
-  }
-
-let pmp_stale = stale ~region:Protected_paxos_multi.region
-
-let pmp_multi_recovery ~seed ~n ~m ~inputs:_ ~faults ~byzantine ~prepare =
-  assert (byzantine = []);
-  let reports =
-    Protected_paxos_multi.run ~cfg:pmp_cfg ~seed ~faults ~prepare ~n ~m
-      ~input_for:(fun ~pid ~instance -> Printf.sprintf "v%d.%d" pid instance)
-      ()
-  in
-  (* Collapse the per-instance reports into one: a process "decides" the
-     joined sequence iff it decided every instance, mirroring the Decide
-     event the program emits — so the oracle checks agreement (and
-     liveness) over the whole log. *)
-  let decisions =
-    Array.init n (fun pid ->
-        let per =
-          Array.map (fun (r : Report.t) -> r.Report.decisions.(pid)) reports
-        in
-        if Array.for_all Option.is_some per then
-          let ds = Array.to_list per |> List.map Option.get in
-          Some
-            {
-              Report.value = Codec.join (List.map (fun d -> d.Report.value) ds);
-              at = List.fold_left (fun acc d -> Float.max acc d.Report.at) 0.0 ds;
-            }
-        else None)
-  in
-  {
-    (reports.(Array.length reports - 1)) with
-    Report.algorithm = "pmp-multi-recovery";
-    decisions;
-  }
 
 (* ---------- engine-agnostic SMR under the full recovery nemesis ----- *)
 

@@ -1,6 +1,6 @@
 (** Recovery chaos workloads: scenario executors exercising the
-    crash → recover → repair cycle (SWMR read-repair; repeated Protected
-    Paxos with checkpoints and state-transfer), plus their repair
+    crash → recover → repair cycle (SWMR read-repair; an SMR engine's
+    log with checkpoints and state-transfer), plus their repair
     predicates for the oracle. *)
 
 open Rdma_mm
@@ -12,12 +12,6 @@ val swmr_stale : string Cluster.t -> int -> string option
 (** p0 writes its input and keeps read-repairing; every other pid
     decides the first value a quorum read returns. *)
 val swmr_recovery : Algorithms.exec
-
-(** [Some detail] iff memory [mid] still has stale Protected-Paxos
-    registers. *)
-val pmp_stale : string Cluster.t -> int -> string option
-
-val pmp_multi_recovery : Algorithms.exec
 
 (** [Some detail] iff memory [mid] still has stale registers in the
     given engine's region. *)

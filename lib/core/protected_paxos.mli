@@ -11,10 +11,6 @@ val region : string
 
 val slot_reg : int -> string
 
-val encode_slot : min_prop:int -> acc_prop:int -> value:string -> string
-
-val decode_slot : string -> (int * int * string) option
-
 (** legalChange: a process may only take the exclusive-writer shape for
     itself (Algorithm 7 line 13). *)
 val legal_change : Permission.legal_change

@@ -276,9 +276,9 @@ dune exec bin/rdma_agreement.exe -- chaos explore swmr-recovery \
 cmp "$tmp/swmr1.out" "$tmp/swmr2.out"
 cat "$tmp/swmr1.out"
 
-dune exec bin/rdma_agreement.exe -- chaos explore pmp-multi-recovery \
+dune exec bin/rdma_agreement.exe -- chaos explore smr-pmp-recovery \
   --runs 25 --seed 1 > "$tmp/pmp1.out"
-dune exec bin/rdma_agreement.exe -- chaos explore pmp-multi-recovery \
+dune exec bin/rdma_agreement.exe -- chaos explore smr-pmp-recovery \
   --runs 25 --seed 1 > "$tmp/pmp2.out"
 cmp "$tmp/pmp1.out" "$tmp/pmp2.out"
 cat "$tmp/pmp1.out"

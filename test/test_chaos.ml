@@ -518,9 +518,9 @@ let recovery_batch ?(runs = 150) name =
 
 let test_recovery_swmr () = recovery_batch "swmr-recovery"
 
-(* only ~55% of pmp-multi schedules draw a crash the nemesis can pair
+(* only ~55% of smr-pmp schedules draw a crash the nemesis can pair
    with a recovery, so a larger batch reaches the 100-schedule floor *)
-let test_recovery_pmp_multi () = recovery_batch ~runs:220 "pmp-multi-recovery"
+let test_recovery_smr_pmp () = recovery_batch ~runs:220 "smr-pmp-recovery"
 
 let suite =
   [
@@ -559,6 +559,6 @@ let suite =
       test_containment_fast_robust;
     Alcotest.test_case "swmr-recovery repair invariant (150 runs)" `Slow
       test_recovery_swmr;
-    Alcotest.test_case "pmp-multi-recovery repair invariant (220 runs)" `Slow
-      test_recovery_pmp_multi;
+    Alcotest.test_case "smr-pmp-recovery repair invariant (220 runs)" `Slow
+      test_recovery_smr_pmp;
   ]

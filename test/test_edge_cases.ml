@@ -128,19 +128,7 @@ let test_aligned_value_survives_leader_crash () =
       | None -> ())
     [ 4.1; 4.5; 5.0 ]
 
-(* {2 Multi-instance and BFT log under reordering} *)
-
-let test_pmp_multi_reordering () =
-  let input_for ~pid ~instance = Printf.sprintf "v%d.%d" pid instance in
-  let cfg = { Protected_paxos_multi.default_config with slots = 3 } in
-  let faults = [ Fault.Random_latency { min = 0.5; max = 3.0 } ] in
-  let reports = Protected_paxos_multi.run ~cfg ~n:3 ~m:3 ~input_for ~faults () in
-  Array.iteri
-    (fun i report ->
-      Alcotest.(check bool)
-        (Printf.sprintf "agreement at instance %d under reordering" i)
-        true (Report.agreement_ok report))
-    reports
+(* {2 BFT log under reordering} *)
 
 let test_bft_log_reordering () =
   let input_for ~pid ~slot = Printf.sprintf "c%d.%d" pid slot in
@@ -239,8 +227,6 @@ let suite =
     Alcotest.test_case "paxos at n=9" `Quick test_paxos_large_cluster;
     Alcotest.test_case "aligned: decided value survives leader crash" `Quick
       test_aligned_value_survives_leader_crash;
-    Alcotest.test_case "multi-instance PMP under reordering" `Quick
-      test_pmp_multi_reordering;
     Alcotest.test_case "BFT log under reordering" `Slow test_bft_log_reordering;
     Alcotest.test_case "lifecycle: a run's end unwinds parked pids" `Quick
       test_lifecycle_disposes_parked;

@@ -9,6 +9,7 @@ open Rdma_sim
 open Rdma_mm
 open Rdma_obs
 open Rdma_smr
+module Fault = Rdma_consensus.Fault
 
 let base_cfg =
   {
@@ -35,7 +36,8 @@ let spawn_replicas engine ?(cfg = base_cfg) cluster =
 
 (* --- the shared suite, parametric in the engine --------------------- *)
 
-let test_replication_and_kv ((module E : Consensus_engine.S) as engine) () =
+let replication_and_kv ((module E : Consensus_engine.S) as engine) faults =
+  let input = Fmt.str " [%a]" Fmt.(list ~sep:(any ", ") Fault.pp) faults in
   let cluster = build (module E) ~clients:1 ~m:3 () in
   let replicas = spawn_replicas engine cluster in
   let results = ref [] in
@@ -49,22 +51,39 @@ let test_replication_and_kv ((module E : Consensus_engine.S) as engine) () =
           let index = E.submit ctx ~cfg:base_cfg ~seq ~cmd ~timeout:200.0 in
           results := (cmd, index) :: !results)
         commands);
+  Fault.apply cluster faults;
   Cluster.run cluster;
   Cluster.check_errors cluster;
   Alcotest.(check (list (option int)))
-    "commands committed in order"
+    ("commands committed in order" ^ input)
     [ Some 1; Some 2; Some 3; Some 4 ]
     (List.rev_map snd !results);
   let logs = Array.map Consensus_engine.applied replicas in
   Alcotest.(check bool)
-    "replicas agree" true
+    ("replicas agree" ^ input) true
     (logs.(0) = logs.(1) && logs.(1) = logs.(2));
-  Alcotest.(check bool) "leader's term established" true
+  Alcotest.(check bool) ("leader's term established" ^ input) true
     (Consensus_engine.current_term replicas.(0) > 0);
   let kv = Kv.of_replica replicas.(1) in
-  Alcotest.(check (option string)) "a deleted" None (Kv.get kv "a");
-  Alcotest.(check (option string)) "b present" (Some "2") (Kv.get kv "b");
-  Alcotest.(check (option string)) "c present" (Some "3") (Kv.get kv "c")
+  Alcotest.(check (option string)) ("a deleted" ^ input) None (Kv.get kv "a");
+  Alcotest.(check (option string)) ("b present" ^ input) (Some "2") (Kv.get kv "b");
+  Alcotest.(check (option string)) ("c present" ^ input) (Some "3") (Kv.get kv "c")
+
+(* Fault-free, under leadership flapping across all three replicas, and
+   under per-message latency in [0.5, 3.0), where messages overtake
+   each other. *)
+let test_replication_and_kv engine () =
+  List.iter (replication_and_kv engine)
+    Fault.
+      [
+        [];
+        [
+          Set_leader { pid = 1; at = 1.0 };
+          Set_leader { pid = 2; at = 6.0 };
+          Set_leader { pid = 0; at = 14.0 };
+        ];
+        [ Random_latency { min = 0.5; max = 3.0 } ];
+      ]
 
 let test_commit_stream ((module E : Consensus_engine.S) as engine) () =
   let cluster = build (module E) ~clients:1 ~m:3 () in
@@ -126,9 +145,10 @@ let test_failover_preserves_log ((module E : Consensus_engine.S) as engine) ()
   Alcotest.(check (option string)) "late write present" (Some "5")
     (Kv.get kv "k5")
 
-let test_memory_crash_tolerated ((module E : Consensus_engine.S) as engine) ()
+(* [crashes] lists [(mid, at)]: a minority of the [m] memories. *)
+let memory_crash_tolerated ((module E : Consensus_engine.S) as engine) (m, crashes)
     =
-  let cluster = build (module E) ~clients:1 ~m:3 () in
+  let cluster = build (module E) ~clients:1 ~m () in
   let replicas = spawn_replicas engine cluster in
   let results = ref [] in
   Cluster.spawn cluster ~pid:3 (fun ctx ->
@@ -136,13 +156,18 @@ let test_memory_crash_tolerated ((module E : Consensus_engine.S) as engine) ()
         (fun seq cmd ->
           results := E.submit ctx ~cfg:base_cfg ~seq ~cmd ~timeout:200.0 :: !results)
         [ "c0"; "c1"; "c2" ]);
-  Cluster.crash_memory_at cluster ~at:0.0 1;
+  List.iter (fun (mid, at) -> Cluster.crash_memory_at cluster ~at mid) crashes;
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Alcotest.(check bool) "all committed with 2/3 memories" true
+  let live = Printf.sprintf " with %d/%d memories" (m - List.length crashes) m in
+  Alcotest.(check bool) ("all committed" ^ live) true
     (List.for_all (fun i -> i <> None) !results);
-  Alcotest.(check int) "replica applied them" 3
+  Alcotest.(check int) ("replica applied them" ^ live) 3
     (Consensus_engine.applied_count replicas.(2))
+
+let test_memory_crash_tolerated engine () =
+  List.iter (memory_crash_tolerated engine)
+    [ (3, [ (1, 0.0) ]); (5, [ (0, 0.0); (3, 1.0) ]) ]
 
 let test_linearizable_read ((module E : Consensus_engine.S) as engine) () =
   let cluster = build (module E) ~clients:1 ~m:3 () in
@@ -181,12 +206,13 @@ let test_lock_service ((module E : Consensus_engine.S) as engine) () =
   Alcotest.(check (option string)) "queued waiter promoted" (Some "p4")
     (Option.map fst (Lock_service.holder locks "l"))
 
-(* Memory 1 crashes mid-workload and rejoins EMPTY: the leader's
-   rejoin server must transfer it the whole region (checkpoint, header
-   registers, log) so no register stays stale, while every command still
-   commits and the replicas' logs agree. *)
-let test_rejoin_repair ~checkpoint_every
-    ((module E : Consensus_engine.S) as engine) () =
+(* Memory 1 crashes at [crash_at] and rejoins EMPTY at [rejoin_at]: the
+   leader's rejoin server must transfer it the whole region (checkpoint,
+   header registers, log) so no register stays stale, while every
+   command still commits and the replicas' logs agree. *)
+let rejoin_repair ~checkpoint_every ((module E : Consensus_engine.S) as engine)
+    (crash_at, rejoin_at) =
+  let outage = Printf.sprintf " (outage %.0f-%.0f)" crash_at rejoin_at in
   let cfg = { base_cfg with Consensus_engine.checkpoint_every } in
   let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
   let replicas = spawn_replicas engine ~cfg cluster in
@@ -199,22 +225,29 @@ let test_rejoin_repair ~checkpoint_every
         | Some _ -> incr committed
         | None -> ()
       done);
-  Rdma_consensus.Fault.apply cluster
+  Fault.apply cluster
     [
-      Rdma_consensus.Fault.Crash_memory { mid = 1; at = 20.0 };
-      Rdma_consensus.Fault.Recover_memory { mid = 1; at = 40.0 };
+      Fault.Crash_memory { mid = 1; at = crash_at };
+      Fault.Recover_memory { mid = 1; at = rejoin_at };
     ];
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Alcotest.(check int) "all commands committed across the outage" 10 !committed;
+  Alcotest.(check int) ("all commands committed across the outage" ^ outage) 10
+    !committed;
   let logs = Array.map Consensus_engine.applied replicas in
-  Alcotest.(check bool) "replicas agree" true
+  Alcotest.(check bool) ("replicas agree" ^ outage) true
     (logs.(0) = logs.(1) && logs.(1) = logs.(2));
-  Alcotest.(check int) "log fully applied" 10 (List.length logs.(0));
-  Alcotest.(check bool) "leader transferred state to the rejoiner" true
+  Alcotest.(check int) ("log fully applied" ^ outage) 10 (List.length logs.(0));
+  Alcotest.(check bool) ("leader transferred state to the rejoiner" ^ outage) true
     (Obs.counter (Cluster.obs cluster) (E.region ^ ".repairs") >= 1);
-  Alcotest.(check (list string)) "rejoined memory fully re-replicated" []
+  Alcotest.(check (list string)) ("rejoined memory fully re-replicated" ^ outage)
+    []
     (Rdma_mem.Memory.stale_registers (Cluster.memory cluster 1) ~region:E.region)
+
+(* Mid-workload, and after the workload has finished: the idle leader
+   must still serve the rejoin. *)
+let test_rejoin_repair ~checkpoint_every engine () =
+  List.iter (rejoin_repair ~checkpoint_every engine) [ (20.0, 40.0); (3.0, 60.0) ]
 
 (* --- registry ------------------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (* Recovery & repair: bounded-time quorum operations, the waiter-leak
-   fix in the quorum combinators, SMR checkpoint/state-transfer across
-   memory and machine restarts, and pmp-multi checkpoint catch-up. *)
+   fix in the quorum combinators, and SMR checkpoint/state-transfer
+   across memory and machine restarts. *)
 
 open Rdma_sim
 open Rdma_mem
@@ -175,42 +175,6 @@ let test_smr_machine_restart_catches_up () =
   Alcotest.(check (list string)) "its memory was re-replicated too" []
     (Memory.stale_registers (Cluster.memory cluster 2) ~region:Smr_log.region)
 
-(* -------------- pmp-multi checkpoint catch-up ---------------------- *)
-
-let test_pmp_multi_repairs_restarted_memory () =
-  let cfg =
-    { Protected_paxos_multi.default_config with
-      slots = 3; checkpoint_every = 2; serve_until = 60.0 }
-  in
-  let captured = ref None in
-  let reports =
-    Protected_paxos_multi.run ~cfg ~n:3 ~m:3
-      ~input_for:(fun ~pid ~instance -> Printf.sprintf "v%d.%d" pid instance)
-      ~faults:
-        [
-          Fault.Crash_memory { mid = 1; at = 3.0 };
-          Fault.Recover_memory { mid = 1; at = 10.0 };
-        ]
-      ~prepare:(fun cluster -> captured := Some cluster)
-      ()
-  in
-  Array.iteri
-    (fun i report ->
-      Alcotest.(check bool)
-        (Printf.sprintf "instance %d agreement" i)
-        true
-        (Report.agreement_ok report);
-      Alcotest.(check int)
-        (Printf.sprintf "instance %d decided by all" i)
-        3 (Report.decided_count report))
-    reports;
-  match !captured with
-  | None -> Alcotest.fail "prepare not called"
-  | Some cluster ->
-      Alcotest.(check (list string)) "custodian re-replicated the rejoiner" []
-        (Memory.stale_registers (Cluster.memory cluster 1)
-           ~region:Protected_paxos_multi.region)
-
 (* -------------- machine restart re-runs the program ---------------- *)
 
 let test_restart_machine_reruns_program () =
@@ -249,8 +213,6 @@ let suite =
       test_smr_repairs_restarted_memory;
     Alcotest.test_case "smr machine restart catches up via snapshot" `Quick
       test_smr_machine_restart_catches_up;
-    Alcotest.test_case "pmp-multi repairs a restarted memory" `Quick
-      test_pmp_multi_repairs_restarted_memory;
     Alcotest.test_case "restart_machine re-runs the program" `Quick
       test_restart_machine_reruns_program;
   ]

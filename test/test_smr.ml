@@ -178,7 +178,29 @@ let test_append_is_two_delays () =
       | None -> ());
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Alcotest.(check (float 0.0)) "client round trip = 1 + 2 + 1 delays" 4.0 !acked_at
+  Alcotest.(check (float 0.0)) "client round trip = 1 + 2 + 1 delays" 4.0 !acked_at;
+  (* Pipelined (Section 5.1: "the leader terminates one instance and
+     becomes the default leader in the next"): six clients submit at
+     t=0, the leader holds all six requests at 1, and each append costs
+     one more replicated write. *)
+  let cluster = build ~clients:6 ~m:3 () in
+  let replicas = spawn_replicas cluster in
+  let applied_at = ref [] in
+  Smr_log.on_commit replicas.(0) (fun ~index ~cmd:_ ->
+      applied_at := (index, Engine.now (Cluster.engine cluster)) :: !applied_at);
+  for client = 0 to 5 do
+    Cluster.spawn cluster ~pid:(3 + client) (fun ctx ->
+        ignore
+          (Smr_log.submit ctx ~cfg ~seq:0
+             ~cmd:(Kv.encode_command (Kv.Set (Printf.sprintf "k%d" client, "v")))
+             ~timeout:100.0))
+  done;
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "leader applies one entry every 2 delays"
+    (List.init 6 (fun i -> (i + 1, 3.0 +. (2.0 *. float_of_int i))))
+    (List.rev !applied_at)
 
 let test_linearizable_reads () =
   (* Reads reflect every command acked before them; a deposed leader's
