@@ -64,6 +64,16 @@ let join fields = String.concat "|" (List.map escape fields)
 let split s =
   if s = "" then [] else List.map unescape (String.split_on_char '|' s)
 
+(* [split]'s first field without touching the rest, so a decoder can
+   dispatch on a tag (or read a leading index) in O(length of the
+   field) instead of O(length of the message). *)
+let head s =
+  if s = "" then None
+  else
+    match String.index_opt s '|' with
+    | None -> Some (unescape s)
+    | Some i -> Some (unescape (String.sub s 0 i))
+
 (* Fixed-arity helpers used by the protocol codecs; decoding failures
    return [None] — a Byzantine process may write arbitrary bytes. *)
 

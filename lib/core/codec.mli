@@ -9,6 +9,10 @@ val join : string list -> string
 
 val split : string -> string list
 
+(** The first field of [split s], unescaped, without splitting the rest;
+    [None] for [""].  [head s = List.nth_opt (split s) 0]. *)
+val head : string -> string option
+
 val join2 : string -> string -> string
 
 val join3 : string -> string -> string -> string

@@ -23,6 +23,7 @@ type 'm t = {
   obs : Obs.t;
   sent : int ref; (* the collector's [net.msgs.sent] counter *)
   n : int;
+  actors : string array; (* "p<pid>": each process's telemetry actor *)
   boxes : 'm envelope Mailbox.t array;
   mutable base_latency : src:int -> dst:int -> float;
   mutable gst : float;
@@ -41,6 +42,7 @@ let create ?(latency = 1.0) ~engine ~n () =
     obs;
     sent = Obs.cell obs "net.msgs.sent";
     n;
+    actors = Array.init n (Printf.sprintf "p%d");
     boxes = Array.init n (fun _ -> Mailbox.create ());
     base_latency = (fun ~src:_ ~dst:_ -> latency);
     gst = 0.;
@@ -91,9 +93,7 @@ let severed t = t.partitioned
 let schedule_delivery t ~src ~dst ~delay env =
   Obs.observe t.obs ~cat:"net" "net.latency" delay;
   Engine.schedule t.engine delay (fun () ->
-      Obs.event t.obs
-        ~actor:(Printf.sprintf "p%d" dst)
-        (Event.Net_deliver { src; dst });
+      Obs.event t.obs ~actor:t.actors.(dst) (Event.Net_deliver { src; dst });
       Mailbox.send t.boxes.(dst) env)
 
 let heal t =
@@ -112,7 +112,7 @@ let heal t =
 let deliver t ~src ~dst payload =
   incr t.sent;
   Prof.bump "net.msgs.sent" 1;
-  Obs.event t.obs ~actor:(Printf.sprintf "p%d" src) (Event.Net_send { src; dst });
+  Obs.event t.obs ~actor:t.actors.(src) (Event.Net_send { src; dst });
   let env = { from = src; payload } in
   if List.mem (src, dst) t.partitioned then t.buffered <- (src, dst, env) :: t.buffered
   else begin

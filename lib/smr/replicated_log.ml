@@ -28,7 +28,7 @@ open Rdma_consensus
 
 type config = Consensus_engine.config
 
-let entry_reg i = Printf.sprintf "e.%d" i
+let entry_reg i = "e." ^ string_of_int i
 
 (* The checkpoint register: a quorum-acked snapshot of the committed
    prefix — [up_to] plus the stored entry strings 1..up_to.  Entries
@@ -59,6 +59,11 @@ let decode_ckpt s =
   | up :: entries ->
       Option.map (fun up_to -> (up_to, entries)) (Codec.int_of_field up)
   | [] -> None
+
+(* A checkpoint holds every committed entry up to its index: a reader
+   that only needs to know whether it is ahead peeks the index, and
+   splits the whole checkpoint only when it is. *)
+let ckpt_index s = Option.bind (Codec.head s) Codec.int_of_field
 
 (* Commands are stored with their (client, seq) origin so that a new
    leader can rebuild the duplicate-suppression table from the log and a
@@ -94,24 +99,30 @@ let encode_msg = function
       Codec.join
         [ "rdr"; Codec.int_field client; Codec.int_field seq; Codec.int_field up_to ]
 
+(* Dispatch on the tag before splitting: every replica and client also
+   receives its engine's own messages (pmp's Commit broadcast carries a
+   whole command), and dropping one must cost no more than its tag. *)
 let decode_msg s =
-  match Codec.split s with
-  | [ "req"; c; q; cmd ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q) with
-      | Some client, Some seq -> Some (Request { client; seq; cmd })
-      | _ -> None)
-  | [ "ack"; c; q; i ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
-      | Some client, Some seq, Some index -> Some (Ack { client; seq; index })
-      | _ -> None)
-  | [ "rdq"; c; q ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q) with
-      | Some client, Some seq -> Some (Read_request { client; seq })
-      | _ -> None)
-  | [ "rdr"; c; q; u ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
-      | Some client, Some seq, Some up_to ->
-          Some (Read_reply { client; seq; up_to })
+  match Codec.head s with
+  | Some ("req" | "ack" | "rdq" | "rdr") -> (
+      match Codec.split s with
+      | [ "req"; c; q; cmd ] -> (
+          match (Codec.int_of_field c, Codec.int_of_field q) with
+          | Some client, Some seq -> Some (Request { client; seq; cmd })
+          | _ -> None)
+      | [ "ack"; c; q; i ] -> (
+          match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
+          | Some client, Some seq, Some index -> Some (Ack { client; seq; index })
+          | _ -> None)
+      | [ "rdq"; c; q ] -> (
+          match (Codec.int_of_field c, Codec.int_of_field q) with
+          | Some client, Some seq -> Some (Read_request { client; seq })
+          | _ -> None)
+      | [ "rdr"; c; q; u ] -> (
+          match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
+          | Some client, Some seq, Some up_to ->
+              Some (Read_reply { client; seq; up_to })
+          | _ -> None)
       | _ -> None)
   | _ -> None
 

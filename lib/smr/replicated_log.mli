@@ -31,7 +31,27 @@ val encode_entry : term:int -> cmd:string -> string
 
 val decode_entry : string -> (int * string) option
 
+val encode_ckpt : up_to:int -> entries:string list -> string
+
 val decode_ckpt : string -> (int * string list) option
+
+(** The index of a checkpoint without splitting its entries:
+    [ckpt_index s = Option.map fst (decode_ckpt s)]. *)
+val ckpt_index : string -> int option
+
+(** {2 Client protocol} *)
+
+type msg =
+  | Request of { client : int; seq : int; cmd : string }
+  | Ack of { client : int; seq : int; index : int }
+  | Read_request of { client : int; seq : int }
+  | Read_reply of { client : int; seq : int; up_to : int }
+
+val encode_msg : msg -> string
+
+(** [None] for a malformed message and, read from the tag alone, for any
+    other protocol's message. *)
+val decode_msg : string -> msg option
 
 (** {2 Replicas} *)
 

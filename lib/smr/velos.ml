@@ -150,16 +150,22 @@ let poll_once (ctx : _ Cluster.ctx) (r : ext R.replica) =
     | None -> ()
     | Some (values, w, _) ->
         (* Checkpoint first: it may cover truncated entries below the
-           window. *)
-        (match Option.bind values.(0) R.decode_ckpt with
-        | Some (up_to, entries) when up_to > r.applied_up_to ->
+           window.  It holds the whole committed prefix, so it is split
+           only when its index is past what this replica applied. *)
+        let ahead s =
+          match R.ckpt_index s with
+          | Some up_to when up_to > r.applied_up_to -> R.decode_ckpt s
+          | _ -> None
+        in
+        (match Option.bind values.(0) ahead with
+        | Some (up_to, entries) ->
             List.iteri
               (fun i stored ->
                 let index = i + 1 in
                 if index > r.applied_up_to && index <= up_to then
                   R.apply_stored r ~index stored)
               entries
-        | _ -> ());
+        | None -> ());
         (* Then the window from the same reply, up to its watermark. *)
         for j = 2 to Array.length values - 1 do
           let index = base + j - 1 in

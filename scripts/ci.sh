@@ -185,8 +185,11 @@ echo "== benchmark pairs =="
 # scripts/bench_pairs.sh is bench/e2e/README.md's comparison protocol
 # (alternating parent/change pairs, medians, quartiles, wins).  One
 # short pair of HEAD against the working tree keeps it runnable; a
-# failed output check on either side fails the stage.
+# failed output check on either side fails the stage.  byz-agreement
+# never reaches the SMR path, so kv-write pairs too: its checks are
+# prefix-consistent logs, acked writes at their index and no stale read.
 scripts/bench_pairs.sh HEAD byz-agreement --pairs 1 --seconds 1
+scripts/bench_pairs.sh HEAD kv-write --pairs 1 --seconds 1
 
 echo "== weak ordering =="
 # The memory-ordering chaos axis: forced weak-mode explore batches must

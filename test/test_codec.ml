@@ -127,6 +127,25 @@ let test_paxos_decode_garbage () =
   Alcotest.(check bool) "bad int decodes to None" true
     (Paxos.decode (Codec.join [ "prepare"; "xyz" ]) = None)
 
+(* [head] peeks the tag a decoder dispatches on: it must read the same
+   first field [split] would, on canonical and non-canonical input
+   alike, including "", "%e" and a leading '|'. *)
+let qcheck_head =
+  let special = QCheck2.Gen.oneofl [ '|'; '%'; '7'; 'c'; '2'; '5'; 'e' ] in
+  let mostly_special =
+    QCheck2.Gen.(string_size ~gen:(frequency [ (4, special); (1, char) ]) (0 -- 24))
+  in
+  QCheck2.Test.make ~name:"codec head = first field of split" ~count:2000
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, oneofl [ ""; "%e"; "|"; "|%e"; "%e|x" ]);
+          (1, map (fun s -> "|" ^ s) mostly_special);
+          (6, mostly_special);
+        ])
+    (fun s ->
+      Codec.head s = match Codec.split s with h :: _ -> Some h | [] -> None)
+
 let suite =
   [
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;
@@ -139,4 +158,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_reference;
     Alcotest.test_case "paxos messages roundtrip" `Quick test_paxos_msgs_roundtrip;
     Alcotest.test_case "paxos decode rejects garbage" `Quick test_paxos_decode_garbage;
+    QCheck_alcotest.to_alcotest qcheck_head;
   ]

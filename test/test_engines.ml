@@ -398,6 +398,134 @@ let test_stale_lease_fixture_caught () =
   Alcotest.(check int) "every schedule catches the stale lease" 2
     (List.length batch.Rdma_chaos.Explore.failures)
 
+(* A follower whose first poll comes after ten commits and five
+   checkpoints finds its whole poll window truncated: only the
+   checkpoint branch of the poll can bring it level with the leader. *)
+let test_velos_truncated_poll_window () =
+  let module E = Velos in
+  let cfg =
+    { base_cfg with Consensus_engine.checkpoint_every = 2; anti_entropy_every = 200.0 }
+  in
+  let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
+  let replicas = spawn_replicas velos ~cfg cluster in
+  let indices = ref [] and last_ack = ref infinity in
+  Cluster.spawn cluster ~pid:3 (fun ctx ->
+      for seq = 0 to 9 do
+        let cmd = Printf.sprintf "cmd%d" seq in
+        indices := E.submit ctx ~cfg ~seq ~cmd ~timeout:150.0 :: !indices
+      done;
+      last_ack := Engine.now ctx.Cluster.ctx_engine);
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list (option int))) "ten commits"
+    (List.init 10 (fun i -> Some (i + 1)))
+    (List.rev !indices);
+  Alcotest.(check bool) "all acked long before the first poll" true (!last_ack < 100.0);
+  Alcotest.(check int) "five checkpoints, each truncating the log below it" 5
+    (Obs.counter (Cluster.obs cluster) "velos.checkpoints");
+  let leader = Consensus_engine.applied replicas.(0) in
+  Alcotest.(check int) "the leader applied all ten" 10 (List.length leader);
+  Array.iteri
+    (fun pid r ->
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "p%d's applied log = the leader's" pid)
+        leader (Consensus_engine.applied r))
+    replicas
+
+(* --- client protocol and checkpoint decoding ------------------------- *)
+
+module R = Replicated_log
+
+(* The split-first decoder the client protocol shipped with, kept as the
+   reference for the tag-dispatching one. *)
+let reference_decode_msg s =
+  let open Rdma_consensus in
+  match Codec.split s with
+  | [ "req"; c; q; cmd ] -> (
+      match (Codec.int_of_field c, Codec.int_of_field q) with
+      | Some client, Some seq -> Some (R.Request { client; seq; cmd })
+      | _ -> None)
+  | [ "ack"; c; q; i ] -> (
+      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
+      | Some client, Some seq, Some index -> Some (R.Ack { client; seq; index })
+      | _ -> None)
+  | [ "rdq"; c; q ] -> (
+      match (Codec.int_of_field c, Codec.int_of_field q) with
+      | Some client, Some seq -> Some (R.Read_request { client; seq })
+      | _ -> None)
+  | [ "rdr"; c; q; u ] -> (
+      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
+      | Some client, Some seq, Some up_to -> Some (R.Read_reply { client; seq; up_to })
+      | _ -> None)
+  | _ -> None
+
+(* Fields crowded with the codec's special bytes, so separators, escapes
+   and "%e" show up in commands and stored entries. *)
+let wire_field =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(frequency [ (3, oneofl [ '|'; '%'; '7'; 'c'; '2'; '5'; 'e' ]); (1, char) ])
+      (0 -- 12))
+
+let int_field = QCheck2.Gen.(map string_of_int (int_range (-3) 40))
+
+(* Raw strings, and '|'-joined ones led by a known or foreign tag with
+   well- or ill-formed fields: the shapes both decoders branch on. *)
+let wire_string =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 1,
+          string_size ~gen:(oneof [ oneofl [ '|'; '%'; 'r'; 'e'; 'q' ]; char ]) (0 -- 30)
+        );
+        ( 3,
+          map
+            (fun (tag, fields) -> String.concat "|" (tag :: fields))
+            (pair
+               (oneofl
+                  ([ "req"; "ack"; "rdq"; "rdr"; "com"; "snp"; "cup" ]
+                  @ [ ""; "%e"; "re"; "req%7c" ]))
+               (list_size (0 -- 5) (oneof [ int_field; wire_field ]))) );
+      ])
+
+let msg_gen =
+  QCheck2.Gen.(
+    let i = int_range 0 1000 in
+    oneof
+      [
+        map3 (fun client seq cmd -> R.Request { client; seq; cmd }) i i wire_field;
+        map3 (fun client seq index -> R.Ack { client; seq; index }) i i i;
+        map2 (fun client seq -> R.Read_request { client; seq }) i i;
+        map3 (fun client seq up_to -> R.Read_reply { client; seq; up_to }) i i i;
+      ])
+
+(* On an encoding, the decoder must also give back the message. *)
+let qcheck_decode_msg =
+  QCheck2.Test.make ~name:"client protocol: tag dispatch = split-first decoder"
+    ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun s -> (s, None)) wire_string;
+          map (fun m -> (R.encode_msg m, Some m)) msg_gen;
+        ])
+    (fun (s, encoded) ->
+      let decoded = R.decode_msg s in
+      decoded = reference_decode_msg s
+      && match encoded with Some m -> decoded = Some m | None -> true)
+
+let qcheck_ckpt_index =
+  QCheck2.Test.make ~name:"checkpoint: ckpt_index = decode_ckpt's index" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [
+          wire_string;
+          map2
+            (fun up_to entries -> R.encode_ckpt ~up_to ~entries)
+            (int_range (-3) 40) (list_size (0 -- 8) wire_field);
+        ])
+    (fun s -> R.ckpt_index s = Option.map fst (R.decode_ckpt s))
+
 (* --- suite ---------------------------------------------------------- *)
 
 let per_engine =
@@ -445,3 +573,9 @@ let suite =
         test_stale_lease_fixture_caught;
     ]
   @ per_engine_repair
+  @ [
+      Alcotest.test_case "velos: followers adopt a truncated checkpoint" `Quick
+        test_velos_truncated_poll_window;
+      QCheck_alcotest.to_alcotest qcheck_decode_msg;
+      QCheck_alcotest.to_alcotest qcheck_ckpt_index;
+    ]
