@@ -18,7 +18,7 @@ open Rdma_smr
 
 let parse_transfer cmd =
   match Codec.split cmd with
-  | [ "xfer"; src; dst; amount ] -> (
+  | Some [ "xfer"; src; dst; amount ] -> (
       match int_of_string_opt amount with
       | Some a -> Some (src, dst, a)
       | None -> None)

@@ -80,8 +80,8 @@ let encode_proof ~value ~sigs =
 
 let decode_proof s =
   match Codec.split s with
-  | [] -> None
-  | value :: rest ->
+  | None | Some [] -> None
+  | Some (value :: rest) ->
       let sigs =
         List.filter_map
           (fun field ->

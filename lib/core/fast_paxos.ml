@@ -61,26 +61,26 @@ let encode = function
 
 let decode s =
   match Codec.split s with
-  | [ "fp"; v ] -> Some (Propose { value = v })
-  | [ "fa"; a; v ] ->
+  | Some [ "fp"; v ] -> Some (Propose { value = v })
+  | Some [ "fa"; a; v ] ->
       Option.map (fun acceptor -> FastAccepted { acceptor; value = v })
         (Codec.int_of_field a)
-  | [ "p1"; b ] -> Option.map (fun ballot -> Prepare { ballot }) (Codec.int_of_field b)
-  | [ "pr"; b; ab; av; hf ] -> (
+  | Some [ "p1"; b ] -> Option.map (fun ballot -> Prepare { ballot }) (Codec.int_of_field b)
+  | Some [ "pr"; b; ab; av; hf ] -> (
       match (Codec.int_of_field b, Codec.int_of_field ab, hf) with
       | Some ballot, Some accepted_ballot, ("0" | "1") ->
           Some
             (Promise
                { ballot; accepted_ballot; accepted_value = av; has_fast = hf = "1" })
       | _ -> None)
-  | [ "rj"; b; h ] -> (
+  | Some [ "rj"; b; h ] -> (
       match (Codec.int_of_field b, Codec.int_of_field h) with
       | Some ballot, Some higher -> Some (Reject { ballot; higher })
       | _ -> None)
-  | [ "p2"; b; v ] ->
+  | Some [ "p2"; b; v ] ->
       Option.map (fun ballot -> Accept { ballot; value = v }) (Codec.int_of_field b)
-  | [ "ak"; b ] -> Option.map (fun ballot -> Accepted { ballot }) (Codec.int_of_field b)
-  | [ "dc"; v ] -> Some (Decide { value = v })
+  | Some [ "ak"; b ] -> Option.map (fun ballot -> Accepted { ballot }) (Codec.int_of_field b)
+  | Some [ "dc"; v ] -> Some (Decide { value = v })
   | _ -> None
 
 type config = {

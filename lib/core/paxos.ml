@@ -39,22 +39,22 @@ let encode = function
 
 let decode s =
   match Codec.split s with
-  | [ "prepare"; b ] ->
+  | Some [ "prepare"; b ] ->
       Option.map (fun ballot -> Prepare { ballot }) (Codec.int_of_field b)
-  | [ "promise"; b; ab; av ] -> (
+  | Some [ "promise"; b; ab; av ] -> (
       match (Codec.int_of_field b, Codec.int_of_field ab) with
       | Some ballot, Some accepted_ballot ->
           Some (Promise { ballot; accepted_ballot; accepted_value = av })
       | _ -> None)
-  | [ "reject"; b; h ] -> (
+  | Some [ "reject"; b; h ] -> (
       match (Codec.int_of_field b, Codec.int_of_field h) with
       | Some ballot, Some higher -> Some (Reject { ballot; higher })
       | _ -> None)
-  | [ "accept"; b; v ] ->
+  | Some [ "accept"; b; v ] ->
       Option.map (fun ballot -> Accept { ballot; value = v }) (Codec.int_of_field b)
-  | [ "accepted"; b ] ->
+  | Some [ "accepted"; b ] ->
       Option.map (fun ballot -> Accepted { ballot }) (Codec.int_of_field b)
-  | [ "decide"; v ] -> Some (Decide { value = v })
+  | Some [ "decide"; v ] -> Some (Decide { value = v })
   | _ -> None
 
 type config = {

@@ -33,8 +33,8 @@ let encode_entry = function
 
 let decode_entry s =
   match Codec.split s with
-  | [ "s"; kf; msg ] -> Option.map (fun k -> Sent { k; msg }) (Codec.int_of_field kf)
-  | [ "r"; srcf; kf; msg; sig_enc ] -> (
+  | Some [ "s"; kf; msg ] -> Option.map (fun k -> Sent { k; msg }) (Codec.int_of_field kf)
+  | Some [ "r"; srcf; kf; msg; sig_enc ] -> (
       match (Codec.int_of_field srcf, Codec.int_of_field kf) with
       | Some src, Some k -> Some (Received { src; k; msg; sig_enc })
       | _ -> None)
@@ -42,10 +42,12 @@ let decode_entry s =
 
 let encode_history entries = Codec.join (List.map encode_entry entries)
 
+(* [None] for a malformed history, never the empty one: only [""]
+   decodes to no entries. *)
 let decode_history s =
-  let fields = Codec.split s in
-  let entries = List.filter_map decode_entry fields in
-  if List.length entries = List.length fields then Some entries else None
+  Option.bind (Codec.split s) (fun fields ->
+      let entries = List.filter_map decode_entry fields in
+      if List.length entries = List.length fields then Some entries else None)
 
 (* The bare signature of (src, k, m) that Received entries cite. *)
 let bare_payload ~k msg = Codec.join2 ("bare" ^ Codec.int_field k) msg

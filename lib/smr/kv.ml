@@ -6,13 +6,13 @@ type command = Set of string * string | Delete of string | Noop
 let encode_command = function
   | Set (k, v) -> Rdma_consensus.Codec.join3 "set" k v
   | Delete k -> Rdma_consensus.Codec.join2 "del" k
-  | Noop -> "noop"
+  | Noop -> Rdma_consensus.Codec.join [ "noop" ]
 
 let decode_command s =
   match Rdma_consensus.Codec.split s with
-  | [ "set"; k; v ] -> Some (Set (k, v))
-  | [ "del"; k ] -> Some (Delete k)
-  | [ "noop" ] -> Some Noop
+  | Some [ "set"; k; v ] -> Some (Set (k, v))
+  | Some [ "del"; k ] -> Some (Delete k)
+  | Some [ "noop" ] -> Some Noop
   | _ -> None
 
 type t = { table : (string, string) Hashtbl.t }

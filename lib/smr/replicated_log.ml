@@ -56,9 +56,9 @@ let encode_ckpt ~up_to ~entries = Codec.join (Codec.int_field up_to :: entries)
 
 let decode_ckpt s =
   match Codec.split s with
-  | up :: entries ->
+  | Some (up :: entries) ->
       Option.map (fun up_to -> (up_to, entries)) (Codec.int_of_field up)
-  | [] -> None
+  | None | Some [] -> None
 
 (* A checkpoint holds every committed entry up to its index: a reader
    that only needs to know whether it is ahead peeks the index, and
@@ -106,19 +106,19 @@ let decode_msg s =
   match Codec.head s with
   | Some ("req" | "ack" | "rdq" | "rdr") -> (
       match Codec.split s with
-      | [ "req"; c; q; cmd ] -> (
+      | Some [ "req"; c; q; cmd ] -> (
           match (Codec.int_of_field c, Codec.int_of_field q) with
           | Some client, Some seq -> Some (Request { client; seq; cmd })
           | _ -> None)
-      | [ "ack"; c; q; i ] -> (
+      | Some [ "ack"; c; q; i ] -> (
           match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
           | Some client, Some seq, Some index -> Some (Ack { client; seq; index })
           | _ -> None)
-      | [ "rdq"; c; q ] -> (
+      | Some [ "rdq"; c; q ] -> (
           match (Codec.int_of_field c, Codec.int_of_field q) with
           | Some client, Some seq -> Some (Read_request { client; seq })
           | _ -> None)
-      | [ "rdr"; c; q; u ] -> (
+      | Some [ "rdr"; c; q; u ] -> (
           match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
           | Some client, Some seq, Some up_to ->
               Some (Read_reply { client; seq; up_to })

@@ -35,8 +35,10 @@ val encode_ckpt : up_to:int -> entries:string list -> string
 
 val decode_ckpt : string -> (int * string list) option
 
-(** The index of a checkpoint without splitting its entries:
-    [ckpt_index s = Option.map fst (decode_ckpt s)]. *)
+(** The index of a checkpoint, read from its first frame without
+    splitting its entries.  Wherever [decode_ckpt s] is [Some (i, _)],
+    [ckpt_index s = Some i]; on a malformed tail it may still read an
+    index that [decode_ckpt] then rejects. *)
 val ckpt_index : string -> int option
 
 (** {2 Client protocol} *)

@@ -44,10 +44,10 @@ let encode_msg = function
 
 let decode_msg s =
   match Codec.split s with
-  | [ "com"; i; cmd ] ->
+  | Some [ "com"; i; cmd ] ->
       Option.map (fun index -> Commit { index; cmd }) (Codec.int_of_field i)
-  | [ "cup"; p ] -> Option.map (fun pid -> Catch_up { pid }) (Codec.int_of_field p)
-  | "snp" :: u :: entries ->
+  | Some [ "cup"; p ] -> Option.map (fun pid -> Catch_up { pid }) (Codec.int_of_field p)
+  | Some ("snp" :: u :: entries) ->
       Option.map (fun up_to -> Snapshot { up_to; entries }) (Codec.int_of_field u)
   | _ -> None
 

@@ -60,6 +60,18 @@ if git grep -nE \
   exit 1
 fi
 
+echo "== one wire format =="
+# Codec (lib/core/codec.ml) is the only encoder and decoder of register
+# values and signed payloads: length-prefixed frames, decoded strictly.
+# Nothing may split or join fields on '|' or percent-escape them, which
+# is how the format looked before.  Keychain's MAC input has a "|"
+# string part; it is hashed, never parsed, and does not match.
+if git grep -n -i -e "split_on_char '|'" -e 'concat "|"' -e '%7c' -e '%25' \
+  -- lib bin examples; then
+  echo "a '|'-separated or percent-escaped wire format outside Codec" >&2
+  exit 1
+fi
+
 echo "== telemetry smoke test =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

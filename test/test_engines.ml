@@ -435,57 +435,59 @@ let test_velos_truncated_poll_window () =
 (* --- client protocol and checkpoint decoding ------------------------- *)
 
 module R = Replicated_log
+module Codec = Rdma_consensus.Codec
 
 (* The split-first decoder the client protocol shipped with, kept as the
    reference for the tag-dispatching one. *)
 let reference_decode_msg s =
-  let open Rdma_consensus in
   match Codec.split s with
-  | [ "req"; c; q; cmd ] -> (
+  | Some [ "req"; c; q; cmd ] -> (
       match (Codec.int_of_field c, Codec.int_of_field q) with
       | Some client, Some seq -> Some (R.Request { client; seq; cmd })
       | _ -> None)
-  | [ "ack"; c; q; i ] -> (
+  | Some [ "ack"; c; q; i ] -> (
       match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
       | Some client, Some seq, Some index -> Some (R.Ack { client; seq; index })
       | _ -> None)
-  | [ "rdq"; c; q ] -> (
+  | Some [ "rdq"; c; q ] -> (
       match (Codec.int_of_field c, Codec.int_of_field q) with
       | Some client, Some seq -> Some (R.Read_request { client; seq })
       | _ -> None)
-  | [ "rdr"; c; q; u ] -> (
+  | Some [ "rdr"; c; q; u ] -> (
       match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
       | Some client, Some seq, Some up_to -> Some (R.Read_reply { client; seq; up_to })
       | _ -> None)
   | _ -> None
 
-(* Fields crowded with the codec's special bytes, so separators, escapes
-   and "%e" show up in commands and stored entries. *)
+(* Fields crowded with digits and ':', so commands and stored entries
+   look like frame headers. *)
 let wire_field =
   QCheck2.Gen.(
     string_size
-      ~gen:(frequency [ (3, oneofl [ '|'; '%'; '7'; 'c'; '2'; '5'; 'e' ]); (1, char) ])
+      ~gen:(frequency [ (3, oneofl [ '0'; '1'; '2'; '9'; ':'; '|' ]); (1, char) ])
       (0 -- 12))
 
 let int_field = QCheck2.Gen.(map string_of_int (int_range (-3) 40))
 
-(* Raw strings, and '|'-joined ones led by a known or foreign tag with
-   well- or ill-formed fields: the shapes both decoders branch on. *)
+(* Raw strings, and encodings led by a known or foreign tag with well-
+   or ill-formed fields, whole, cut short or with a trailing byte: the
+   shapes both decoders branch on. *)
 let wire_string =
   QCheck2.Gen.(
+    let encoded =
+      map
+        (fun (tag, fields) -> Codec.join (tag :: fields))
+        (pair
+           (oneofl ([ "req"; "ack"; "rdq"; "rdr"; "com"; "snp"; "cup" ] @ [ ""; "re"; "req:" ]))
+           (list_size (0 -- 5) (oneof [ int_field; wire_field ])))
+    in
     frequency
       [
+        (1, string_size ~gen:(oneof [ oneofl [ '3'; ':'; 'r'; 'e'; 'q' ]; char ]) (0 -- 30));
+        (3, encoded);
         ( 1,
-          string_size ~gen:(oneof [ oneofl [ '|'; '%'; 'r'; 'e'; 'q' ]; char ]) (0 -- 30)
-        );
-        ( 3,
-          map
-            (fun (tag, fields) -> String.concat "|" (tag :: fields))
-            (pair
-               (oneofl
-                  ([ "req"; "ack"; "rdq"; "rdr"; "com"; "snp"; "cup" ]
-                  @ [ ""; "%e"; "re"; "req%7c" ]))
-               (list_size (0 -- 5) (oneof [ int_field; wire_field ]))) );
+          map2 (fun s cut -> String.sub s 0 (cut mod (String.length s + 1))) encoded nat );
+        (1, map2 (fun s c -> s ^ String.make 1 c) encoded char);
       ])
 
 let msg_gen =
@@ -524,7 +526,11 @@ let qcheck_ckpt_index =
             (fun up_to entries -> R.encode_ckpt ~up_to ~entries)
             (int_range (-3) 40) (list_size (0 -- 8) wire_field);
         ])
-    (fun s -> R.ckpt_index s = Option.map fst (R.decode_ckpt s))
+    (* They agree wherever the checkpoint is well formed; on a malformed
+       tail the peek may still read an index, and velos's poll then
+       decodes [None] and applies nothing. *)
+    (fun s ->
+      R.ckpt_index s = Option.map fst (R.decode_ckpt s) || Codec.split s = None)
 
 (* --- suite ---------------------------------------------------------- *)
 
