@@ -467,7 +467,14 @@ let wire_field =
       ~gen:(frequency [ (3, oneofl [ '0'; '1'; '2'; '9'; ':'; '|' ]); (1, char) ])
       (0 -- 12))
 
-let int_field = QCheck2.Gen.(map string_of_int (int_range (-3) 40))
+(* Canonical integers, and spellings that only a lenient decoder takes. *)
+let int_field =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map string_of_int (int_range (-3) 40));
+        (1, oneofl [ "007"; "+5"; "-0"; "0x1f"; "1_0" ]);
+      ])
 
 (* Raw strings, and encodings led by a known or foreign tag with well-
    or ill-formed fields, whole, cut short or with a trailing byte: the
@@ -478,7 +485,7 @@ let wire_string =
       map
         (fun (tag, fields) -> Codec.join (tag :: fields))
         (pair
-           (oneofl ([ "req"; "ack"; "rdq"; "rdr"; "com"; "snp"; "cup" ] @ [ ""; "re"; "req:" ]))
+           (oneofl [ "req"; "ack"; "rdq"; "rdr"; "com"; "snp"; "cup"; ""; "re"; "req:" ])
            (list_size (0 -- 5) (oneof [ int_field; wire_field ])))
     in
     frequency
