@@ -109,9 +109,11 @@ let heal t =
       schedule_delivery t ~src ~dst ~delay:d env)
     pending
 
+let msgs_sent = Prof.counter "net.msgs.sent"
+
 let deliver t ~src ~dst payload =
   incr t.sent;
-  Prof.bump "net.msgs.sent" 1;
+  Prof.bump msgs_sent 1;
   Obs.event t.obs ~actor:t.actors.(src) (Event.Net_send { src; dst });
   let env = { from = src; payload } in
   if List.mem (src, dst) t.partitioned then t.buffered <- (src, dst, env) :: t.buffered

@@ -3,7 +3,10 @@
    DETERMINISTIC PLANE — integer work counters (SHA-256 blocks
    compressed, HMAC evaluations, sign/verify calls, memory operations,
    messages, simulator events) attributed to the innermost open scope
-   at the moment of the bump.  Scheduling is deterministic, so the
+   at the moment of the bump.  A site resolves its counter's name to
+   a handle once ([counter], at module level); a bump then adds into
+   an int array on the tree node of the current scope path, and path
+   strings are built only at read-back.  Scheduling is deterministic, so the
    scope stack at any bump site is a pure function of the seed: the
    whole plane is byte-identical across repeated runs and across
    [-j N].  It merges into an [Obs.t] (see [Obs.absorb_prof]) and may
@@ -36,38 +39,81 @@
    while suspended loses only the wall-time of its still-open frames,
    never counts. *)
 
+(* {2 Counter handles} *)
+
+(* A handle is an index into every node's count array.  Ids only
+   index arrays: read-back names each row and sorts by name, so the
+   order in which modules declare their counters never shows. *)
+type counter = int
+
+(* Counter names by id.  Grown by compare-and-set, so two domains
+   declaring counters at once both get their ids. *)
+let registry = Atomic.make [||]
+[@@simlint.allow
+  "D6 the handle-id allocator: ids only index count arrays, and \
+   read-back maps them to names and sorts by name, so no output depends \
+   on which domain or module declared a counter first"]
+
+let rec counter name =
+  let names = Atomic.get registry in
+  match Array.find_index (String.equal name) names with
+  | Some id -> id
+  | None ->
+      if Atomic.compare_and_set registry names (Array.append names [| name |])
+      then Array.length names
+      else counter name
+
+(* {2 Scope paths} *)
+
+(* One node per distinct scope path, found from its parent by name.
+   Counts and timings live on the node; the path string is built only
+   at read-back. *)
+type node = {
+  name : string;
+  up : node option; (* [None] for the root *)
+  mutable children : node list;
+  mutable counts : int array; (* counter id -> count, [unset] if never bumped *)
+  mutable timing : timing option;
+}
+
+and timing = { mutable calls : int; mutable total_s : float; mutable self_s : float }
+
+(* A slot a bump never reached; distinct from a bump of 0, which still
+   makes a row. *)
+let unset = min_int
+
+let new_node ~up name = { name; up; children = []; counts = [||]; timing = None }
+
+let child_named up name =
+  let rec find = function
+    | c :: rest -> if String.equal c.name name then c else find rest
+    | [] ->
+        let c = new_node ~up:(Some up) name in
+        up.children <- c :: up.children;
+        c
+  in
+  find up.children
+
 type frame = {
   id : int;
-  path : string; (* scope names joined with ';' — a collapsed stack *)
+  node : node;
   parent : frame option;
   mutable attached_at : float; (* wall time of last attach, when attached *)
   mutable ran : float; (* wall seconds accumulated over past attachments *)
   mutable child : float; (* total seconds of directly nested closed scopes *)
 }
 
-type timing = { mutable calls : int; mutable total_s : float; mutable self_s : float }
-
 type t = {
   clock : unit -> float;
+  root : node; (* bumps outside any scope *)
   mutable stack : frame list; (* innermost first *)
   mutable depth : int;
   mutable next_frame_id : int;
-  totals : (string, int ref) Hashtbl.t; (* counter -> total *)
-  by_path : (string * string, int ref) Hashtbl.t; (* (path, counter) -> n *)
-  times : (string, timing) Hashtbl.t; (* path -> wall self/total *)
 }
 
 let create ?clock () =
   let clock = match clock with Some c -> c | None -> Prof_clock.now in
-  {
-    clock;
-    stack = [];
-    depth = 0;
-    next_frame_id = 0;
-    totals = Hashtbl.create 16;
-    by_path = Hashtbl.create 32;
-    times = Hashtbl.create 32;
-  }
+  { clock; root = new_node ~up:None ""; stack = []; depth = 0; next_frame_id = 0 }
 
 (* {2 Ambient installation} *)
 
@@ -92,43 +138,41 @@ let without_profiler f =
 
 (* {2 Deterministic plane} *)
 
-let incr_tbl tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add tbl key (ref n)
+let plus counts c n =
+  let v = counts.(c) in
+  counts.(c) <- (if v = unset then n else v + n)
 
-let current_path t =
-  match t.stack with [] -> "" | f :: _ -> f.path
+let add_count node c n =
+  if c >= Array.length node.counts then begin
+    let counts = Array.make (Array.length (Atomic.get registry)) unset in
+    Array.blit node.counts 0 counts 0 (Array.length node.counts);
+    node.counts <- counts
+  end;
+  plus node.counts c n
 
-let bump_in t counter n =
-  incr_tbl t.totals counter n;
-  incr_tbl t.by_path (current_path t, counter) n
-
-let bump counter n =
+let bump c n =
   match Domain.DLS.get installed_key with
   | None -> ()
-  | Some t -> bump_in t counter n
+  | Some t -> add_count (match t.stack with [] -> t.root | f :: _ -> f.node) c n
 
 (* {2 Scopes (both planes)} *)
 
-let timing_for t path =
-  match Hashtbl.find_opt t.times path with
+let timing_for node =
+  match node.timing with
   | Some tm -> tm
   | None ->
       let tm = { calls = 0; total_s = 0.; self_s = 0. } in
-      Hashtbl.add t.times path tm;
+      node.timing <- Some tm;
       tm
 
 let push_frame t name =
   let parent = match t.stack with [] -> None | f :: _ -> Some f in
-  let path =
-    match parent with None -> name | Some p -> p.path ^ ";" ^ name
-  in
+  let up = match parent with None -> t.root | Some p -> p.node in
   t.next_frame_id <- t.next_frame_id + 1;
   let frame =
     {
       id = t.next_frame_id;
-      path;
+      node = child_named up name;
       parent;
       attached_at = t.clock ();
       ran = 0.;
@@ -141,7 +185,7 @@ let push_frame t name =
 
 let close_frame t frame =
   let total = frame.ran +. (t.clock () -. frame.attached_at) in
-  let tm = timing_for t frame.path in
+  let tm = timing_for frame.node in
   tm.calls <- tm.calls + 1;
   tm.total_s <- tm.total_s +. total;
   tm.self_s <- tm.self_s +. Float.max 0. (total -. frame.child);
@@ -227,32 +271,53 @@ let attach = function
 
 (* {2 Read-back (all sorted, so every consumer is order-stable)} *)
 
+(* A scope entered at the root is named by itself; a nested one by its
+   parent's path, [';'] and its name. *)
+let rec path_of node =
+  match node.up with
+  | None -> ""
+  | Some { up = None; _ } -> node.name
+  | Some up -> path_of up ^ ";" ^ node.name
+
+(* Every node of the tree; callers sort what they read. *)
+let nodes t =
+  let rec walk acc node = List.fold_left walk (node :: acc) node.children in
+  walk [] t.root
+
+(* The bumped [(counter, n)] rows of a count array, sorted by counter. *)
+let rows names counts =
+  let acc = ref [] in
+  Array.iteri (fun c n -> if n <> unset then acc := (names.(c), n) :: !acc) counts;
+  List.sort compare !acc
+
 let totals t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.totals []
-  |> List.sort compare
+  let names = Atomic.get registry in
+  let sums = Array.make (Array.length names) unset in
+  List.iter
+    (fun node -> Array.iteri (fun c n -> if n <> unset then plus sums c n) node.counts)
+    (nodes t);
+  rows names sums
 
 let display_path path = if path = "" then "(root)" else path
 
 let by_scope t =
-  let rows =
-    Hashtbl.fold
-      (fun (path, counter) r acc -> ((path, counter), !r) :: acc)
-      t.by_path []
-    |> List.sort compare
-  in
-  (* group the (path, counter)-sorted rows by path *)
-  List.fold_left
-    (fun acc ((path, counter), n) ->
-      match acc with
-      | (p, row) :: rest when p = path -> (p, (counter, n) :: row) :: rest
-      | _ -> (path, [ (counter, n) ]) :: acc)
-    [] rows
-  |> List.rev_map (fun (path, row) -> (display_path path, List.rev row))
+  let names = Atomic.get registry in
+  List.filter_map
+    (fun node ->
+      match rows names node.counts with
+      | [] -> None
+      | row -> Some (path_of node, row))
+    (nodes t)
+  |> List.sort compare
+  |> List.map (fun (path, row) -> (display_path path, row))
 
 let timings t =
-  Hashtbl.fold
-    (fun path tm acc -> (path, (tm.calls, tm.total_s, tm.self_s)) :: acc)
-    t.times []
+  List.filter_map
+    (fun node ->
+      Option.map
+        (fun tm -> (path_of node, (tm.calls, tm.total_s, tm.self_s)))
+        node.timing)
+    (nodes t)
   |> List.sort compare
   |> List.map (fun (path, (calls, total_s, self_s)) ->
          (display_path path, calls, total_s, self_s))
@@ -261,7 +326,11 @@ let timings t =
    into the timing plane, so one snapshot carries both the profiler's
    own scopes and harness-level wall-clock results. *)
 let add_timing t ~path ~calls ~total_s ~self_s =
-  let tm = timing_for t path in
+  let node =
+    if path = "" then t.root
+    else List.fold_left child_named t.root (String.split_on_char ';' path)
+  in
+  let tm = timing_for node in
   tm.calls <- tm.calls + calls;
   tm.total_s <- tm.total_s +. total_s;
   tm.self_s <- tm.self_s +. self_s

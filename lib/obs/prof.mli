@@ -36,9 +36,17 @@ val without_profiler : (unit -> 'a) -> 'a
 (** The profiler installed on the current domain, if any. *)
 val installed : unit -> t option
 
-(** [bump counter n] adds [n] to [counter] on the installed profiler
-    (total and current-scope attribution); no-op when none installed. *)
-val bump : string -> int -> unit
+(** A work counter, resolved from its name once.  Sites declare
+    [let c = Prof.counter "sha256.blocks"] at module level; two handles
+    with the same name are the same counter. *)
+type counter
+
+val counter : string -> counter
+
+(** [bump c n] adds [n] to [c] in the current scope of the installed
+    profiler; no-op when none installed.  A bump of [0] still makes
+    [c]'s row appear in {!totals} and {!by_scope}. *)
+val bump : counter -> int -> unit
 
 (** [scope name f] runs [f] under a scope frame named [name] on the
     installed profiler; no-op wrapper when none installed.  Scope names

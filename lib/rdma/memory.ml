@@ -237,6 +237,16 @@ let qp_state t ~from =
       Hashtbl.add t.qps from q;
       q
 
+let ops_issued = Prof.counter "mem.ops.issued"
+
+let ops_completed = Prof.counter "mem.ops.completed"
+
+let ops_lagged = Prof.counter "mem.ops.lagged"
+
+let ops_reordered = Prof.counter "mem.ops.reordered"
+
+let fences = Prof.counter "mem.fences"
+
 (* Issue [decide] as a timed memory operation.  The op arrives at the
    memory one one-way after issue; the ordering model then assigns its
    decision and apply instants, and the response is delivered one
@@ -274,13 +284,13 @@ let operation t ~span_name ~from ~cls decide =
   let result = Ivar.create () in
   let issue_epoch = t.epoch in
   let live () = (not t.crashed) && t.epoch = issue_epoch in
-  Prof.bump "mem.ops.issued" 1;
+  Prof.bump ops_issued 1;
   let sp = Obs.span t.obs ~actor:t.actor ~cat:"mem" span_name in
   let complete r =
     Engine.schedule t.engine t.one_way (fun () ->
         if live () then begin
           (* issued - completed = ops swallowed by a crash/restart *)
-          Prof.bump "mem.ops.completed" 1;
+          Prof.bump ops_completed 1;
           Obs.finish t.obs sp;
           Ivar.fill result r
         end)
@@ -312,7 +322,7 @@ let operation t ~span_name ~from ~cls decide =
                     q.floor <- apply_at;
                     q.horizon <- Float.max q.horizon apply_at;
                     t.data_horizon <- Float.max t.data_horizon apply_at;
-                    if apply_at > now then Prof.bump "mem.ops.lagged" 1;
+                    if apply_at > now then Prof.bump ops_lagged 1;
                     at_instant apply_at m
                 | None -> ());
                 complete r
@@ -321,7 +331,7 @@ let operation t ~span_name ~from ~cls decide =
             | `Control -> at_instant (Float.max now t.data_horizon) (fun () ->
                 complete (decide_apply ()))
             | `Fence ->
-                Prof.bump "mem.fences" 1;
+                Prof.bump fences 1;
                 at_instant (Float.max now q.horizon) (fun () ->
                     complete (decide_apply ())))
         | Ordering.Reorder_qp { window } -> (
@@ -331,14 +341,14 @@ let operation t ~span_name ~from ~cls decide =
                 let q = qp_state t ~from in
                 let d = Random.State.float t.ord_rng window in
                 let apply_at = Float.max (now +. d) q.floor in
-                if apply_at < q.horizon then Prof.bump "mem.ops.reordered" 1;
+                if apply_at < q.horizon then Prof.bump ops_reordered 1;
                 q.horizon <- Float.max q.horizon apply_at;
                 if cls = `Write then
                   t.data_horizon <- Float.max t.data_horizon apply_at;
                 at_instant apply_at (fun () -> complete (decide_apply ()))
             | `Fence ->
                 let q = qp_state t ~from in
-                Prof.bump "mem.fences" 1;
+                Prof.bump fences 1;
                 let at = Float.max now q.horizon in
                 q.floor <- Float.max q.floor at;
                 at_instant at (fun () -> complete (decide_apply ())))

@@ -122,9 +122,13 @@ let on_cancel fiber hook =
         List.filter (fun (id', _) -> id' <> id) fiber.cancel_hooks
   end
 
+let heap_pushes = Rdma_obs.Prof.counter "sim.heap.pushes"
+
+let events_popped = Rdma_obs.Prof.counter "sim.events.popped"
+
 let schedule t delay callback =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  Rdma_obs.Prof.bump "sim.heap.pushes" 1;
+  Rdma_obs.Prof.bump heap_pushes 1;
   t.seq <- t.seq + 1;
   Heap.push t.heap ~time:(t.now +. delay) ~seq:t.seq callback
 
@@ -213,7 +217,7 @@ let run t =
                   t.max_steps t.now))
         end;
         t.now <- time;
-        Rdma_obs.Prof.bump "sim.events.popped" 1;
+        Rdma_obs.Prof.bump events_popped 1;
         (* Frames open here belong to the caller; anything a payload
            opens above this depth belongs to the fiber it runs. *)
         t.prof_base <- Rdma_obs.Prof.depth ();

@@ -101,6 +101,8 @@ let write_lease (rg : ext R.reign) =
 
 let lease_header term = [ (R.lease_reg, Some (Codec.int_field term)) ]
 
+let reads_confirmed = Prof.counter "smr.reads.confirmed"
+
 module Engine = struct
   let name = "pmp"
 
@@ -194,7 +196,7 @@ module Engine = struct
     | [] -> ()
     | readers ->
         Prof.scope "pmp.read.lease" (fun () ->
-            Prof.bump "smr.reads.confirmed" (List.length readers);
+            Prof.bump reads_confirmed (List.length readers);
             Obs.count ctx.Cluster.ctx_obs "smr.reads.confirm" 1;
             if write_lease rg then R.reply_reads ctx r readers else rg.deposed <- true)
 

@@ -213,6 +213,10 @@ let publish_watermark (rg : ext R.reign) w =
   then rg.r.ext.published <- w
   else rg.deposed <- true
 
+let ops_issued = Prof.counter "mem.ops.issued"
+
+let reads_leased = Prof.counter "smr.reads.leased"
+
 module Engine = struct
   let name = "velos"
 
@@ -356,8 +360,8 @@ module Engine = struct
              counter row in the deterministic perf plane so the baseline
              gate would catch any op leaking into this scope. *)
           Prof.scope "velos.read.leased" (fun () ->
-              Prof.bump "mem.ops.issued" 0;
-              Prof.bump "smr.reads.leased" (List.length readers);
+              Prof.bump ops_issued 0;
+              Prof.bump reads_leased (List.length readers);
               Obs.count ctx.Cluster.ctx_obs "velos.reads.leased" 1;
               R.reply_reads ctx r readers)
         else

@@ -303,7 +303,7 @@ let test_dispose_moves_nothing () =
              Obs.with_span obs ~actor:"worker" ~cat:"phase" "wait" (fun () ->
                  Engine.sleep 2.0;
                  Obs.count obs "work" 1;
-                 Prof.bump "work" 1)));
+                 Prof.bump (Prof.counter "work") 1)));
       Engine.run eng;
       let before = readable eng prof in
       Alcotest.(check bool) "parked before dispose" false !unwound;

@@ -12,6 +12,13 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
+let root_work = Prof.counter "root.work"
+let ops = Prof.counter "ops"
+let ignored = Prof.counter "ignored"
+let work = Prof.counter "work"
+let other = Prof.counter "other"
+let events_popped = Prof.counter "sim.events.popped"
+
 (* {2 Scope attribution, fake clock} *)
 
 (* A controllable clock: each [now] read returns the scripted next
@@ -21,13 +28,13 @@ let test_scope_attribution () =
   let clock () = !t in
   let prof = Prof.create ~clock () in
   Prof.with_profiler prof (fun () ->
-      Prof.bump "root.work" 1;
+      Prof.bump root_work 1;
       Prof.scope "outer" (fun () ->
           t := 1.0;
-          Prof.bump "ops" 2;
+          Prof.bump ops 2;
           Prof.scope "inner" (fun () ->
               t := 4.0;
-              Prof.bump "ops" 3);
+              Prof.bump ops 3);
           t := 6.0));
   check bool "totals sum across scopes" true
     (Prof.totals prof = [ ("ops", 5); ("root.work", 1) ]);
@@ -57,7 +64,7 @@ let test_scope_attribution () =
 
 (* Without an installed profiler every hook must be a free no-op. *)
 let test_no_profiler_noop () =
-  Prof.bump "ignored" 1;
+  Prof.bump ignored 1;
   check int "scope passes value through" 7 (Prof.scope "s" (fun () -> 7));
   check int "depth is 0" 0 (Prof.depth ())
 
@@ -74,11 +81,11 @@ let test_scope_across_suspension () =
       ignore
         (Engine.spawn engine "worker" (fun () ->
              Prof.scope "fiber.work" (fun () ->
-                 Prof.bump "work" 1;
+                 Prof.bump work 1;
                  Engine.sleep 5.0;
-                 Prof.bump "work" 10)));
+                 Prof.bump work 10)));
       (* an interleaved timer event does unscoped work mid-sleep *)
-      Engine.schedule engine 2.0 (fun () -> Prof.bump "other" 100);
+      Engine.schedule engine 2.0 (fun () -> Prof.bump other 100);
       Engine.run engine);
   let by_scope = Prof.by_scope prof in
   check bool "fiber work stays scoped" true
@@ -98,9 +105,9 @@ let test_scope_cancelled_fiber () =
       let fiber =
         Engine.spawn engine "victim" (fun () ->
             Prof.scope "victim.scope" (fun () ->
-                Prof.bump "work" 3;
+                Prof.bump work 3;
                 Engine.sleep 10.0;
-                Prof.bump "work" 1000))
+                Prof.bump work 1000))
       in
       Engine.schedule engine 1.0 (fun () -> Engine.cancel fiber);
       Engine.run engine);
@@ -179,8 +186,8 @@ let test_flamegraph_format () =
   let prof = Prof.create ~clock:(fun () -> 0.0) () in
   Prof.with_profiler prof (fun () ->
       Prof.scope "a" (fun () ->
-          Prof.bump "sim.events.popped" 2;
-          Prof.scope "b" (fun () -> Prof.bump "sim.events.popped" 5)));
+          Prof.bump events_popped 2;
+          Prof.scope "b" (fun () -> Prof.bump events_popped 5)));
   let folded = Export.flamegraph prof in
   check string "collapsed stacks" "a 2\na;b 5\n" folded
 
