@@ -23,7 +23,9 @@ exception Deadlock of string
 type t = {
   mutable now : float;
   mutable seq : int;
-  heap : (unit -> unit) Heap.t;
+  heap : (unit -> unit) Heap.t; (* events due after [now] *)
+  lane : (unit -> unit) Queue.t; (* events due at [now], in schedule order *)
+  mutable peak : int; (* most events ever queued at once, both queues *)
   mutable steps : int;
   max_steps : int;
   rng : Random.State.t;
@@ -62,6 +64,8 @@ let create ?(max_steps = 20_000_000) ?(seed = 1) () =
       now = 0.;
       seq = 0;
       heap = Heap.create ~filler:ignore ();
+      lane = Queue.create ();
+      peak = 0;
       steps = 0;
       max_steps;
       rng = Random.State.make [| seed |];
@@ -126,11 +130,21 @@ let heap_pushes = Rdma_obs.Prof.counter "sim.heap.pushes"
 
 let events_popped = Rdma_obs.Prof.counter "sim.events.popped"
 
+(* An event due at [now] skips the heap: every event the heap holds
+   for [now] was pushed before the clock reached [now], so before any
+   event on the lane, and [run] drains those first.  Routing on the
+   computed time, not on [delay = 0.], sends a delay too small to move
+   the clock the same way.  [sim.heap.pushes] and the peak depth count
+   both queues, so they read as if every event went through the heap. *)
 let schedule t delay callback =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   Rdma_obs.Prof.bump heap_pushes 1;
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time:(t.now +. delay) ~seq:t.seq callback
+  let time = t.now +. delay in
+  if time = t.now then Queue.push callback t.lane
+  else Heap.push t.heap ~time ~seq:t.seq callback;
+  let depth = Heap.size t.heap + Queue.length t.lane in
+  if depth > t.peak then t.peak <- depth
 
 (* [resume_of t fiber ~saved k] wraps a continuation as a single-shot
    resume function that respects cancellation and schedules through the
@@ -201,12 +215,20 @@ let spawn t name f =
       end);
   fiber
 
+(* The next event in (time, seq) order: the heap's while it is due at
+   [now], then the lane's, then the heap's again. *)
+let next t =
+  match Heap.peek t.heap with
+  | Some { Heap.time; _ } when time = t.now || Queue.is_empty t.lane ->
+      Option.map (fun { Heap.time; payload; _ } -> (time, payload)) (Heap.pop t.heap)
+  | _ -> if Queue.is_empty t.lane then None else Some (t.now, Queue.pop t.lane)
+
 let run t =
   let continue = ref true in
   while !continue do
-    match Heap.pop t.heap with
+    match next t with
     | None -> continue := false
-    | Some { Heap.time; payload; _ } ->
+    | Some (time, payload) ->
         t.steps <- t.steps + 1;
         if t.steps > t.max_steps then begin
           Rdma_obs.Obs.event t.obs ~actor:"engine"
@@ -223,8 +245,7 @@ let run t =
         t.prof_base <- Rdma_obs.Prof.depth ();
         payload ()
   done;
-  Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth"
-    (float_of_int (Heap.max_size t.heap))
+  Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth" (float_of_int t.peak)
 
 (* End the run: drop the queued events and discontinue every parked
    fiber, in fid order, so their stacks are freed.  Everything a caller
@@ -234,6 +255,7 @@ let run t =
    and cancel hooks do not run, because the whole cluster is garbage. *)
 let dispose t =
   Heap.clear t.heap;
+  Queue.clear t.lane;
   Rdma_obs.Obs.mute t.obs;
   Hashtbl.fold (fun _ fiber acc -> fiber :: acc) t.live []
   |> List.sort (fun a b -> Int.compare a.fid b.fid)

@@ -5,8 +5,9 @@
     costs 2.0 (request arrival at +1.0, response at +2.0).
 
     Fibers are blocking-style computations multiplexed over the event loop
-    with OCaml effects.  All scheduling goes through a single heap ordered
-    by [(time, insertion seq)], so runs are fully deterministic. *)
+    with OCaml effects.  Events run in [(time, insertion seq)] order, so
+    runs are fully deterministic: events due at the current time wait
+    on a FIFO lane, later ones on a heap. *)
 
 (** Raised inside a fiber that has been {!cancel}led, at its next
     (attempted) resumption. *)
