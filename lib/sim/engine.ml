@@ -215,35 +215,31 @@ let spawn t name f =
       end);
   fiber
 
-(* The next event in (time, seq) order: the heap's while it is due at
-   [now], then the lane's, then the heap's again. *)
-let next t =
-  match Heap.peek t.heap with
-  | Some { Heap.time; _ } when time = t.now || Queue.is_empty t.lane ->
-      Option.map (fun { Heap.time; payload; _ } -> (time, payload)) (Heap.pop t.heap)
-  | _ -> if Queue.is_empty t.lane then None else Some (t.now, Queue.pop t.lane)
-
+(* Events run in (time, seq) order: the heap's while its least time is
+   [now], then the lane's, then the heap's again (see [schedule]). *)
 let run t =
-  let continue = ref true in
-  while !continue do
-    match next t with
-    | None -> continue := false
-    | Some (time, payload) ->
-        t.steps <- t.steps + 1;
-        if t.steps > t.max_steps then begin
-          Rdma_obs.Obs.event t.obs ~actor:"engine"
-            (Rdma_obs.Event.Deadlock { steps = t.steps });
-          raise
-            (Deadlock
-               (Printf.sprintf "Engine: exceeded %d steps at time %.2f"
-                  t.max_steps t.now))
-        end;
-        t.now <- time;
-        Rdma_obs.Prof.bump events_popped 1;
-        (* Frames open here belong to the caller; anything a payload
-           opens above this depth belongs to the fiber it runs. *)
-        t.prof_base <- Rdma_obs.Prof.depth ();
-        payload ()
+  while not (Heap.is_empty t.heap && Queue.is_empty t.lane) do
+    let from_heap =
+      Queue.is_empty t.lane
+      || ((not (Heap.is_empty t.heap)) && Heap.min_time t.heap = t.now)
+    in
+    let time = if from_heap then Heap.min_time t.heap else t.now in
+    let payload = if from_heap then Heap.pop t.heap else Queue.pop t.lane in
+    t.steps <- t.steps + 1;
+    if t.steps > t.max_steps then begin
+      Rdma_obs.Obs.event t.obs ~actor:"engine"
+        (Rdma_obs.Event.Deadlock { steps = t.steps });
+      raise
+        (Deadlock
+           (Printf.sprintf "Engine: exceeded %d steps at time %.2f"
+              t.max_steps t.now))
+    end;
+    t.now <- time;
+    Rdma_obs.Prof.bump events_popped 1;
+    (* Frames open here belong to the caller; anything a payload
+       opens above this depth belongs to the fiber it runs. *)
+    t.prof_base <- Rdma_obs.Prof.depth ();
+    payload ()
   done;
   Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth" (float_of_int t.peak)
 

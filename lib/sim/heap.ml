@@ -3,87 +3,101 @@
    The sequence number makes the ordering total and deterministic: two
    events scheduled for the same virtual time fire in insertion order.
 
-   Every slot at or past [size] holds the [blank] entry, never a copy of
-   an entry the heap no longer holds: an idle heap must not keep
-   already-run payloads (event closures) alive. *)
+   The heap is unboxed: entry [i] is slot [i] of three parallel arrays,
+   its time in a flat [Float.Array], its seq and payload beside it.  A
+   push or pop allocates nothing but an occasional resize, and a sift
+   moves a hole down or up the tree, writing the entry it carries once,
+   where the hole stops.
 
-type 'a entry = { time : float; seq : int; payload : 'a }
+   Every payload slot at or past [size] holds [filler], never a payload
+   the heap no longer holds: an idle heap must not keep already-run
+   payloads (event closures) alive. *)
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
-  mutable max_size : int; (* high watermark, for the heap-depth gauge *)
-  blank : 'a entry; (* fills every vacant slot *)
+  filler : 'a; (* fills every vacant payload slot *)
 }
 
 let create ~filler () =
-  let blank = { time = 0.; seq = 0; payload = filler } in
-  { data = [||]; size = 0; max_size = 0; blank }
+  { times = Float.Array.create 0; seqs = [||]; payloads = [||]; size = 0; filler }
 
 let is_empty h = h.size = 0
 
 let size h = h.size
 
-let max_size h = h.max_size
+let[@inline] less (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Does slot [i] sort before slot [j]? *)
+let[@inline] before h i j =
+  less (Float.Array.get h.times i) h.seqs.(i) (Float.Array.get h.times j) h.seqs.(j)
+
+let move h ~src ~dst =
+  Float.Array.set h.times dst (Float.Array.get h.times src);
+  h.seqs.(dst) <- h.seqs.(src);
+  h.payloads.(dst) <- h.payloads.(src)
 
 let grow h =
-  let capacity = Array.length h.data in
+  let capacity = Array.length h.seqs in
   if h.size = capacity then begin
     let capacity' = max 16 (2 * capacity) in
-    let data' = Array.make capacity' h.blank in
-    Array.blit h.data 0 data' 0 h.size;
-    h.data <- data'
+    let times = Float.Array.create capacity' in
+    Float.Array.blit h.times 0 times 0 h.size;
+    let seqs = Array.make capacity' 0 in
+    Array.blit h.seqs 0 seqs 0 h.size;
+    let payloads = Array.make capacity' h.filler in
+    Array.blit h.payloads 0 payloads 0 h.size;
+    h.times <- times;
+    h.seqs <- seqs;
+    h.payloads <- payloads
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
+(* Move the hole [i] up past every parent that sorts after the entry,
+   then put the entry there. *)
+let rec sift_up h i ~time ~seq payload =
+  let parent = (i - 1) / 2 in
+  if i > 0 && less time seq (Float.Array.get h.times parent) h.seqs.(parent)
+  then begin
+    move h ~src:parent ~dst:i;
+    sift_up h parent ~time ~seq payload
+  end
+  else begin
+    Float.Array.set h.times i time;
+    h.seqs.(i) <- seq;
+    h.payloads.(i) <- payload
   end
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && lt h.data.(left) h.data.(!smallest) then smallest := left;
-  if right < h.size && lt h.data.(right) h.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
+(* Move the hole [i] down past every child that sorts before the entry
+   in slot [src] (a slot past [size]), then move that entry there. *)
+let rec sift_down h i ~src =
+  let left = (2 * i) + 1 in
+  let child = if left + 1 < h.size && before h (left + 1) left then left + 1 else left in
+  if left < h.size && before h child src then begin
+    move h ~src:child ~dst:i;
+    sift_down h child ~src
   end
+  else move h ~src ~dst:i
 
 let push h ~time ~seq payload =
   grow h;
-  h.data.(h.size) <- { time; seq; payload };
   h.size <- h.size + 1;
-  if h.size > h.max_size then h.max_size <- h.size;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) ~time ~seq payload
+
+let min_time h =
+  if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
+  Float.Array.get h.times 0
 
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    let last = h.data.(h.size) in
-    h.data.(h.size) <- h.blank;
-    if h.size > 0 then begin
-      h.data.(0) <- last;
-      sift_down h 0
-    end;
-    Some top
-  end
-
-let peek h = if h.size = 0 then None else Some h.data.(0)
+  if h.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let top = h.payloads.(0) in
+  h.size <- h.size - 1;
+  let last = h.size in
+  if last > 0 then sift_down h 0 ~src:last;
+  h.payloads.(last) <- h.filler;
+  top
 
 let clear h =
-  Array.fill h.data 0 h.size h.blank;
+  Array.fill h.payloads 0 h.size h.filler;
   h.size <- 0

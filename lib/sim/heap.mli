@@ -3,8 +3,6 @@
     Two entries with the same time are ordered by their sequence number, so
     scheduling is fully deterministic. *)
 
-type 'a entry = { time : float; seq : int; payload : 'a }
-
 type 'a t
 
 (** [create ~filler ()] is an empty heap.  [filler] is the payload
@@ -17,18 +15,16 @@ val is_empty : 'a t -> bool
 
 val size : 'a t -> int
 
-(** Peak size ever reached (high watermark); feeds the engine's
-    [sim.heap.peak_depth] gauge. *)
-val max_size : 'a t -> int
-
 (** [push h ~time ~seq payload] inserts an entry. *)
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-(** [pop h] removes and returns the least entry, or [None] if empty. *)
-val pop : 'a t -> 'a entry option
+(** The least entry's time.  Raises [Invalid_argument] if [h] is
+    empty. *)
+val min_time : 'a t -> float
 
-(** [peek h] returns the least entry without removing it. *)
-val peek : 'a t -> 'a entry option
+(** [pop h] removes the least entry and returns its payload.  Raises
+    [Invalid_argument] if [h] is empty. *)
+val pop : 'a t -> 'a
 
-(** [clear h] drops every entry; {!max_size} is kept. *)
+(** [clear h] drops every entry. *)
 val clear : 'a t -> unit

@@ -8,9 +8,7 @@ let test_ordering () =
   Heap.push h ~time:3.0 ~seq:1 "c";
   Heap.push h ~time:1.0 ~seq:2 "a";
   Heap.push h ~time:2.0 ~seq:3 "b";
-  let pop () =
-    match Heap.pop h with Some e -> e.Heap.payload | None -> "empty"
-  in
+  let pop () = if Heap.is_empty h then "empty" else Heap.pop h in
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "second" "b" (pop ());
   Alcotest.(check string) "third" "c" (pop ());
@@ -22,9 +20,8 @@ let test_same_time_fifo () =
     Heap.push h ~time:5.0 ~seq:i i
   done;
   for i = 1 to 100 do
-    match Heap.pop h with
-    | Some e -> Alcotest.(check int) "fifo at equal time" i e.Heap.payload
-    | None -> Alcotest.fail "heap exhausted early"
+    if Heap.is_empty h then Alcotest.fail "heap exhausted early";
+    Alcotest.(check int) "fifo at equal time" i (Heap.pop h)
   done
 
 let test_interleaved () =
@@ -35,25 +32,26 @@ let test_interleaved () =
   Array.iteri (fun i (t, _) -> Heap.push h ~time:t ~seq:i i) times;
   let prev = ref (-1.0, -1) in
   for _ = 1 to n do
-    match Heap.pop h with
-    | None -> Alcotest.fail "heap exhausted early"
-    | Some e ->
-        let pt, ps = !prev in
-        if e.Heap.time < pt || (e.Heap.time = pt && e.Heap.seq < ps) then
-          Alcotest.fail "heap order violated";
-        prev := (e.Heap.time, e.Heap.seq)
+    if Heap.is_empty h then Alcotest.fail "heap exhausted early";
+    let time = Heap.min_time h in
+    let seq = Heap.pop h in
+    let pt, ps = !prev in
+    if time < pt || (time = pt && seq < ps) then
+      Alcotest.fail "heap order violated";
+    prev := (time, seq)
   done;
   Alcotest.(check bool) "empty at end" true (Heap.is_empty h)
 
 let test_peek () =
   let h = Heap.create ~filler:"" () in
-  Alcotest.(check bool) "peek empty" true (Heap.peek h = None);
+  Alcotest.check_raises "min_time of empty"
+    (Invalid_argument "Heap.min_time: empty heap") (fun () ->
+      ignore (Heap.min_time h));
   Heap.push h ~time:2.0 ~seq:1 "x";
   Heap.push h ~time:1.0 ~seq:2 "y";
-  (match Heap.peek h with
-  | Some e -> Alcotest.(check string) "peek min" "y" e.Heap.payload
-  | None -> Alcotest.fail "peek returned None");
-  Alcotest.(check int) "size unchanged by peek" 2 (Heap.size h)
+  Alcotest.(check (float 0.)) "min_time is the least time" 1.0 (Heap.min_time h);
+  Alcotest.(check int) "size unchanged by min_time" 2 (Heap.size h);
+  Alcotest.(check string) "pop returns that entry" "y" (Heap.pop h)
 
 (* Popped entries are released: the heap (still live, and grown past
    its first capacity) holds no reference to any payload it returned,
@@ -74,7 +72,8 @@ let test_pop_releases_payloads () =
   in
   push_all ();
   let popped = ref 0 in
-  while Heap.pop h <> None do
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop h);
     incr popped
   done;
   Alcotest.(check int) "all popped" n !popped;
