@@ -75,7 +75,8 @@ let find_algorithm ~engine name =
 (* Reject what the simulator cannot run before anything starts, with one
    line on stderr and exit status 1: no processes, no memories for an
    algorithm that needs them, a fault aimed outside the cluster of
-   [procs] processes, or a negative asynchrony extra. *)
+   [procs] processes, a NaN fault time, or a negative or NaN
+   asynchrony extra. *)
 let check_run ~name ~needs_memories ~n ~m ?(procs = n) faults =
   let reject msg =
     Fmt.epr "%s@." msg;

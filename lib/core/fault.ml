@@ -46,7 +46,8 @@ type t =
 (* Every fault names its targets before the run starts, so a target
    outside the cluster is a schedule bug, not a benign no-op: a typo'd
    pid would otherwise silently test nothing.  A negative asynchrony
-   extra would schedule deliveries in the past. *)
+   extra would schedule deliveries in the past, and a NaN time or extra
+   would put an event nowhere in virtual time. *)
 let fault_problem ~n ~m fault =
   let pid p =
     if p < 0 || p >= n then
@@ -58,20 +59,26 @@ let fault_problem ~n ~m fault =
       Some (Printf.sprintf "mid %d outside cluster of %d memories" i m)
     else None
   in
+  let time at =
+    if Float.is_nan at then Some "fault time nan is not a number" else None
+  in
   let first a b = match a with Some _ -> a | None -> b in
   match fault with
-  | Crash_process { pid = p; _ } | Set_leader { pid = p; _ } -> pid p
-  | Crash_memory { mid = i; _ } | Recover_memory { mid = i; _ } -> mid i
-  | Crash_machine { pid = p; mid = i; _ } | Restart_machine { pid = p; mid = i; _ }
+  | Crash_process { pid = p; at } | Set_leader { pid = p; at } -> first (pid p) (time at)
+  | Crash_memory { mid = i; at } | Recover_memory { mid = i; at } ->
+      first (mid i) (time at)
+  | Crash_machine { pid = p; mid = i; at } | Restart_machine { pid = p; mid = i; at }
     ->
-      first (pid p) (mid i)
-  | Partition { pairs; _ } ->
-      List.find_map (fun (src, dst) -> first (pid src) (pid dst)) pairs
-  | Async_until { extra; _ } ->
-      if extra < 0. then
+      first (first (pid p) (mid i)) (time at)
+  | Partition { pairs; at } ->
+      first (List.find_map (fun (src, dst) -> first (pid src) (pid dst)) pairs) (time at)
+  | Heal { at } -> time at
+  | Async_until { gst; extra } ->
+      if Float.is_nan extra then Some "async-until extra nan is not a number"
+      else if extra < 0. then
         Some (Printf.sprintf "async-until extra %.1f is negative" extra)
-      else None
-  | Random_latency _ | Heal _ | Set_ordering _ -> None
+      else time gst
+  | Random_latency _ | Set_ordering _ -> None
 
 let problem ~n ~m faults = List.find_map (fault_problem ~n ~m) faults
 

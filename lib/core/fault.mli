@@ -32,8 +32,9 @@ type t =
           the run's seed, so replay and shrinking reproduce them *)
 
 (** The first fault that targets a pid or mid outside a cluster of [n]
-    processes and [m] memories, or gives [Async_until] a negative
-    [extra], described in one line; [None] when the schedule is valid. *)
+    processes and [m] memories, has a NaN time, or gives [Async_until]
+    a negative or NaN [extra], described in one line; [None] when the
+    schedule is valid. *)
 val problem : n:int -> m:int -> t list -> string option
 
 (** Schedule the faults on the cluster.  Raises [Invalid_argument] with

@@ -137,7 +137,7 @@ let events_popped = Rdma_obs.Prof.counter "sim.events.popped"
    the clock the same way.  [sim.heap.pushes] and the peak depth count
    both queues, so they read as if every event went through the heap. *)
 let schedule t delay callback =
-  if delay < 0. then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.) then invalid_arg "Engine.schedule: negative or NaN delay";
   Rdma_obs.Prof.bump heap_pushes 1;
   t.seq <- t.seq + 1;
   let time = t.now +. delay in
@@ -265,7 +265,7 @@ let dispose t =
 let suspend f = Effect.perform (Suspend f)
 
 let sleep delay =
-  if delay < 0. then invalid_arg "Engine.sleep: negative delay";
+  if not (delay >= 0.) then invalid_arg "Engine.sleep: negative or NaN delay";
   suspend (fun t _fiber resume -> schedule t delay (fun () -> resume ()))
 
 let yield () = sleep 0.

@@ -43,7 +43,8 @@ val steps : t -> int
 val errors : t -> (string * exn) list
 
 (** [schedule t delay f] runs [f] at virtual time [now t +. delay].
-    Usable from inside or outside fibers. *)
+    Usable from inside or outside fibers.  Raises [Invalid_argument]
+    unless [delay >= 0.], so a NaN delay never reaches the queues. *)
 val schedule : t -> float -> (unit -> unit) -> unit
 
 (** [spawn t name f] starts a new fiber.  [f] runs at the current virtual
@@ -95,7 +96,8 @@ val dispose : t -> unit
     roots the whole-tree may-yield analysis is anchored at. *)
 val suspend : (t -> fiber -> ('a -> unit) -> unit) -> 'a [@@sim.yields]
 
-(** Block for [delay] units of virtual time. *)
+(** Block for [delay] units of virtual time.  Raises [Invalid_argument]
+    unless [delay >= 0.]. *)
 val sleep : float -> unit [@@sim.yields]
 
 (** Re-enqueue the current fiber at the current time. *)

@@ -314,6 +314,79 @@ let test_dispose_moves_nothing () =
         "one wait sample, the finished one" [ ("wait", 1) ]
         (List.map (fun (name, s) -> (name, s.Hist.count)) (Obs.summaries obs)))
 
+(* Every comparison with NaN is false, so a NaN delay would fire out
+   of order and leave the clock reading NaN: both entry points refuse
+   it, like a negative delay, before anything is queued. *)
+let test_nan_delay_rejected () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "schedule rejects nan"
+    (Invalid_argument "Engine.schedule: negative or NaN delay") (fun () ->
+      Engine.schedule eng Float.nan ignore);
+  let slept = ref None in
+  ignore
+    (Engine.spawn eng "sleeper" (fun () ->
+         slept :=
+           Some
+             (match Engine.sleep Float.nan with
+             | () -> "slept"
+             | exception Invalid_argument msg -> msg)));
+  Engine.run eng;
+  Alcotest.(check (option string)) "sleep rejects nan"
+    (Some "Engine.sleep: negative or NaN delay") !slept;
+  Alcotest.(check int) "only the spawn ran" 1 (Engine.steps eng);
+  Alcotest.(check (float 0.)) "the clock never moved" 0. (Engine.now eng)
+
+(* Random nested schedules, fiber suspensions and cancels, checked
+   against the (time, seq) order: every event the test schedules gets
+   an id in schedule order and its due time [now +. delay], and the
+   events must run exactly in the order of those pairs.  Delays are 0,
+   small integers and halves, and, once the clock reads at least 1, a
+   positive delay below one ulp of it, which is due now and must run
+   after the events already due now. *)
+let event_order =
+  QCheck2.Test.make ~name:"engine: events run in (time, seq) order" ~count:200
+    QCheck2.Gen.(1 -- 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let eng = Engine.create () in
+      let due = ref [] and ran = ref [] and next_id = ref 0 in
+      let delay () =
+        match Random.State.int rng 4 with
+        | 0 -> 0.
+        | 1 -> if Engine.now eng >= 1. then 1e-300 else 0.
+        | 2 -> float_of_int (1 + Random.State.int rng 3)
+        | _ -> 0.5 +. float_of_int (Random.State.int rng 3)
+      in
+      let sched body =
+        let d = delay () in
+        let id = !next_id in
+        incr next_id;
+        due := (Engine.now eng +. d, id) :: !due;
+        Engine.schedule eng d (fun () ->
+            ran := id :: !ran;
+            body ())
+      in
+      let fibers = ref [||] in
+      let rec work () =
+        if !next_id < 300 then
+          for _ = 1 to Random.State.int rng 3 do
+            sched work
+          done;
+        if Array.length !fibers > 0 && Random.State.int rng 8 = 0 then
+          Engine.cancel !fibers.(Random.State.int rng (Array.length !fibers))
+      in
+      fibers :=
+        Array.init 3 (fun i ->
+            Engine.spawn eng (Printf.sprintf "f%d" i) (fun () ->
+                for _ = 1 to 1 + Random.State.int rng 6 do
+                  Engine.suspend (fun _ _ resume -> sched (fun () -> resume ()));
+                  if Random.State.bool rng then Engine.yield ();
+                  work ()
+                done));
+      sched work;
+      Engine.run eng;
+      List.rev !ran = List.map snd (List.sort compare !due))
+
 let suite =
   [
     Alcotest.test_case "events fire at virtual times" `Quick test_virtual_time;
@@ -340,4 +413,7 @@ let suite =
       test_par_await_k_timeout_cancel_unhooks;
     Alcotest.test_case "dispose moves nothing readable" `Quick
       test_dispose_moves_nothing;
+    Alcotest.test_case "schedule and sleep reject NaN delays" `Quick
+      test_nan_delay_rejected;
+    QCheck_alcotest.to_alcotest event_order;
   ]

@@ -1,5 +1,5 @@
-(* Unit tests for the event heap: ordering, determinism, stability, and
-   that it keeps no popped payload alive. *)
+(* Unit tests for the event heap: ordering, determinism, stability,
+   that it keeps no popped payload alive, and a model check. *)
 
 open Rdma_sim
 
@@ -82,6 +82,33 @@ let test_pop_releases_payloads () =
   Alcotest.(check (list int)) "no popped payload pinned" [] pinned;
   Alcotest.(check bool) "heap still live and empty" true (Heap.is_empty h)
 
+(* Pushes and pops against a model that keeps [(time, seq, payload)]
+   sorted: every pop returns the model's least payload, [min_time] its
+   time, and the sizes agree.  Times are halves from 0 to 5, so ties
+   are common. *)
+let matches_sorted_model =
+  QCheck2.Test.make ~name:"heap: push/pop match a sorted-list model" ~count:300
+    QCheck2.Gen.(list_size (0 -- 200) (option (0 -- 10)))
+    (fun ops ->
+      let h = Heap.create ~filler:(-1) () in
+      let model = ref [] in
+      List.iteri
+        (fun seq op ->
+          (match (op, !model) with
+          | Some k, _ ->
+              let time = float_of_int k /. 2. in
+              Heap.push h ~time ~seq seq;
+              model := List.merge compare !model [ (time, seq, seq) ]
+          | None, [] -> assert (Heap.is_empty h)
+          | None, (time, _, payload) :: rest ->
+              assert (Heap.min_time h = time);
+              assert (Heap.pop h = payload);
+              model := rest);
+          assert (Heap.size h = List.length !model))
+        ops;
+      List.iter (fun (_, _, payload) -> assert (Heap.pop h = payload)) !model;
+      Heap.is_empty h)
+
 let suite =
   [
     Alcotest.test_case "pops in time order" `Quick test_ordering;
@@ -90,4 +117,5 @@ let suite =
     Alcotest.test_case "peek returns min without removing" `Quick test_peek;
     Alcotest.test_case "popped payloads are released" `Quick
       test_pop_releases_payloads;
+    QCheck_alcotest.to_alcotest matches_sorted_model;
   ]

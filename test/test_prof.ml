@@ -1,7 +1,7 @@
 (* The work profiler: scope attribution with a fake clock, fiber
    suspension (detach/attach through the engine), determinism of the
-   counter plane across repeated seeds and across [-j], and the
-   flamegraph/snapshot renderers. *)
+   counter plane across repeated seeds and across [-j], the
+   flamegraph/snapshot renderers, and counter handles. *)
 
 open Rdma_sim
 open Rdma_obs
@@ -202,6 +202,107 @@ let test_heap_peak_gauge () =
   | Some peak -> check bool "peak depth >= 5" true (peak >= 5.0)
   | None -> Alcotest.fail "sim.heap.peak_depth gauge missing"
 
+(* {2 Counter handles} *)
+
+let rows = Alcotest.(list (pair string int))
+
+(* A handle is the counter's name resolved once: a second handle with
+   the same name bumps the same counter, so it reads back as one row. *)
+let test_same_name_one_row () =
+  let a = Prof.counter "twin" and b = Prof.counter "twin" in
+  let prof = Prof.create ~clock:(fun () -> 0.0) () in
+  Prof.with_profiler prof (fun () ->
+      Prof.bump a 1;
+      Prof.scope "s" (fun () ->
+          Prof.bump b 2;
+          Prof.bump a 3));
+  check rows "one total row" [ ("twin", 6) ] (Prof.totals prof);
+  check
+    Alcotest.(list (pair string rows))
+    "one row per scope"
+    [ ("(root)", [ ("twin", 1) ]); ("s", [ ("twin", 5) ]) ]
+    (Prof.by_scope prof)
+
+(* A bump of 0 still makes a row (velos.read.leased pins its zero
+   mem.ops.issued this way); a declared counter nobody bumps makes
+   none. *)
+let test_zero_bump_row () =
+  let zero = Prof.counter "zero.bumped" in
+  let _never = Prof.counter "never.bumped" in
+  let prof = Prof.create ~clock:(fun () -> 0.0) () in
+  Prof.with_profiler prof (fun () -> Prof.scope "idle" (fun () -> Prof.bump zero 0));
+  check rows "zero total" [ ("zero.bumped", 0) ] (Prof.totals prof);
+  check
+    Alcotest.(list (pair string rows))
+    "zero row in its scope"
+    [ ("idle", [ ("zero.bumped", 0) ]) ]
+    (Prof.by_scope prof)
+
+(* Paths are built from the scope tree only at read-back: under
+   nesting, a re-entered scope, a fiber resumed inside its scope, a
+   fiber cancelled while suspended and a fiber disposed while parked,
+   counts and timings read back under the paths the string-keyed
+   tables produced. *)
+let test_scope_path_strings () =
+  let prof = Prof.create ~clock:(fun () -> 0.0) () in
+  Prof.with_profiler prof (fun () ->
+      let engine = Engine.create () in
+      Prof.bump work 1;
+      Prof.scope "a" (fun () ->
+          Prof.bump work 1;
+          Prof.scope "b" (fun () -> Prof.bump work 1);
+          Prof.scope "b" (fun () -> Prof.scope "c" (fun () -> Prof.bump work 1)));
+      Prof.scope "b" (fun () -> Prof.bump work 1);
+      ignore
+        (Engine.spawn engine "sleeper" (fun () ->
+             Prof.scope "fiber" (fun () ->
+                 Engine.sleep 1.0;
+                 Prof.scope "after" (fun () -> Prof.bump work 1))));
+      let victim =
+        Engine.spawn engine "victim" (fun () ->
+            Prof.scope "victim" (fun () ->
+                Prof.bump work 1;
+                Engine.sleep 5.0;
+                Prof.bump work 1))
+      in
+      ignore
+        (Engine.spawn engine "parked" (fun () ->
+             Prof.scope "parked" (fun () ->
+                 Prof.bump work 1;
+                 ignore (Ivar.await (Ivar.create () : int Ivar.t)))));
+      Engine.schedule engine 2.0 (fun () ->
+          Engine.cancel victim;
+          Prof.bump other 1);
+      Prof.scope "run" (fun () -> Engine.run engine);
+      Engine.dispose engine);
+  check
+    Alcotest.(list (pair string rows))
+    "counts by path"
+    [
+      ("(root)", [ ("sim.heap.pushes", 4); ("work", 1) ]);
+      ("a", [ ("work", 1) ]);
+      ("a;b", [ ("work", 1) ]);
+      ("a;b;c", [ ("work", 1) ]);
+      ("b", [ ("work", 1) ]);
+      ("run", [ ("other", 1); ("sim.events.popped", 8); ("sim.heap.pushes", 4) ]);
+      ("run;fiber;after", [ ("work", 1) ]);
+      ("run;parked", [ ("work", 1) ]);
+      ("run;victim", [ ("work", 1) ]);
+    ]
+    (Prof.by_scope prof);
+  check rows "calls by path"
+    [
+      ("a", 1);
+      ("a;b", 2);
+      ("a;b;c", 1);
+      ("b", 1);
+      ("run", 1);
+      ("run;fiber", 1);
+      ("run;fiber;after", 1);
+      ("run;victim", 1);
+    ]
+    (List.map (fun (path, calls, _, _) -> (path, calls)) (Prof.timings prof))
+
 let suite =
   [
     Alcotest.test_case "scope attribution with a fake clock" `Quick
@@ -220,4 +321,9 @@ let suite =
       test_flamegraph_format;
     Alcotest.test_case "event-heap peak depth gauge" `Quick
       test_heap_peak_gauge;
+    Alcotest.test_case "same-name handles read back as one row" `Quick
+      test_same_name_one_row;
+    Alcotest.test_case "a zero bump makes a row" `Quick test_zero_bump_row;
+    Alcotest.test_case "scope paths read back as strings" `Quick
+      test_scope_path_strings;
   ]
