@@ -200,8 +200,12 @@ echo "== benchmark pairs =="
 # failed output check on either side fails the stage.  byz-agreement
 # never reaches the SMR path, so kv-write pairs too: its checks are
 # prefix-consistent logs, acked writes at their index and no stale read.
+# chaos-sweep pairs for the simulator core: its checks are 0 in-model
+# violations, every velos-stale-lease schedule flagged and the shrunk
+# repro still failing.
 scripts/bench_pairs.sh HEAD byz-agreement --pairs 1 --seconds 1
 scripts/bench_pairs.sh HEAD kv-write --pairs 1 --seconds 1
+scripts/bench_pairs.sh HEAD chaos-sweep --pairs 1 --seconds 1
 
 echo "== weak ordering =="
 # The memory-ordering chaos axis: forced weak-mode explore batches must
