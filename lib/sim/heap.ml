@@ -34,7 +34,7 @@ let[@inline] less (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2
 let[@inline] before h i j =
   less (Float.Array.get h.times i) h.seqs.(i) (Float.Array.get h.times j) h.seqs.(j)
 
-let move h ~src ~dst =
+let[@inline] move h ~src ~dst =
   Float.Array.set h.times dst (Float.Array.get h.times src);
   h.seqs.(dst) <- h.seqs.(src);
   h.payloads.(dst) <- h.payloads.(src)
