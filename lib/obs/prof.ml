@@ -6,10 +6,10 @@
    at the moment of the bump.  A site resolves its counter's name to
    a handle once ([counter], at module level); a bump then adds into
    an int array on the tree node of the current scope path, and path
-   strings are built only at read-back.  Scheduling is deterministic, so the
-   scope stack at any bump site is a pure function of the seed: the
-   whole plane is byte-identical across repeated runs and across
-   [-j N].  It merges into an [Obs.t] (see [Obs.absorb_prof]) and may
+   strings are built only at read-back.  Scheduling is deterministic,
+   so the scope stack at any bump site is a pure function of the
+   seed: the whole plane is byte-identical across repeated runs and
+   across [-j N].  It merges into an [Obs.t] (see [Obs.absorb_prof]) and may
    appear in digests, baselines and replay artifacts.
 
    TIMING PLANE — wall-clock self/total seconds per scope path, read
@@ -41,9 +41,7 @@
 
 (* {2 Counter handles} *)
 
-(* A handle is an index into every node's count array.  Ids only
-   index arrays: read-back names each row and sorts by name, so the
-   order in which modules declare their counters never shows. *)
+(* A handle is an index into the count array of every scope node. *)
 type counter = int
 
 (* Counter names by id.  Grown by compare-and-set, so two domains

@@ -147,8 +147,8 @@ let schedule t delay callback =
   if depth > t.peak then t.peak <- depth
 
 (* [resume_of t fiber ~saved k] wraps a continuation as a single-shot
-   resume function that respects cancellation and schedules through the
-   heap, preserving deterministic ordering.  [saved] is the fiber's
+   resume function that respects cancellation and runs as a scheduled
+   event, preserving deterministic ordering.  [saved] is the fiber's
    detached profiler-frame segment: re-attached just before the
    continuation runs (also on the discontinue path, so the unwinding
    [Fun.protect]s close their frames), and left paused forever if the

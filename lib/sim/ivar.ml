@@ -40,8 +40,8 @@ let fill t v =
 let try_fill t v = match t.state with Full _ -> false | Empty _ -> fill t v; true
 
 (* [on_fill t f] calls [f v] when the ivar is filled — immediately if it
-   already is.  Callbacks must be cheap; fiber wake-ups go through the
-   engine heap so no user code runs re-entrantly. *)
+   already is.  Callbacks must be cheap; fiber wake-ups are scheduled
+   as engine events so no user code runs re-entrantly. *)
 let on_fill t f =
   match t.state with
   | Full v -> f v
