@@ -437,7 +437,7 @@ let exp_d7 env =
         end
       in
       loop 0);
-  Cluster.crash_process_at cluster ~at:crash_at 0;
+  Fault.apply cluster [ Crash_process { pid = 0; at = crash_at } ];
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let commits = List.rev !commits in

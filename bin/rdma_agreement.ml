@@ -387,74 +387,6 @@ let run_cmd =
       $ crash_mems $ recover_mems $ restart_machines $ leaders $ gst
       $ ordering_arg $ trace $ trace_out $ metrics_out $ perf_out $ flame_out)
 
-let fuzz_cmd =
-  let algo =
-    let doc = "Algorithm to fuzz (see the list command)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ALGORITHM" ~doc)
-  in
-  let runs =
-    let doc = "Number of randomized runs." in
-    Arg.(value & opt int 50 & info [ "runs" ] ~doc)
-  in
-  let n = Arg.(value & opt int 3 & info [ "n"; "processes" ] ~doc:"Processes.") in
-  let m = Arg.(value & opt int 3 & info [ "m"; "memories" ] ~doc:"Memories.") in
-  let action name runs n m =
-    if name = "smr" then begin
-      Fmt.epr
-        "smr is exercised by the chaos scenarios (chaos explore \
-         smr-ENGINE-recovery), not fuzz@.";
-      exit 1
-    end;
-    match Algorithms.find name with
-    | None ->
-        Fmt.epr "unknown algorithm %s; try the list command@." name;
-        exit 1
-    | Some algo ->
-        (* Randomized schedules drawn deterministically per seed: one
-           process crash at a random time, optionally one memory crash,
-           and random per-message latencies. *)
-        let violations = ref 0 in
-        let no_decision = ref 0 in
-        let m = if algo.needs_memories then m else 0 in
-        check_run ~name ~needs_memories:algo.needs_memories ~n ~m [];
-        let inputs = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-        for seed = 1 to runs do
-          let rng = Random.State.make [| seed; 0xF5 |] in
-          let faults =
-            [
-              Fault.Crash_process
-                { pid = Random.State.int rng n; at = Random.State.float rng 10.0 };
-              Fault.Random_latency
-                { min = 0.5; max = 1.5 +. Random.State.float rng 4.0 };
-            ]
-            @
-            if m > 0 && Random.State.bool rng then
-              [ Fault.Crash_memory
-                  { mid = Random.State.int rng m; at = Random.State.float rng 10.0 } ]
-            else []
-          in
-          let report =
-            algo.exec ~seed ~n ~m ~inputs ~faults ~byzantine:[]
-              ~prepare:(fun _ -> ())
-          in
-          if
-            (not (Report.agreement_ok report))
-            || not (Report.validity_ok report ~inputs)
-          then begin
-            incr violations;
-            Fmt.pr "VIOLATION at seed %d: %a@." seed
-              Fmt.(list ~sep:(any ", ") Fault.pp)
-              faults
-          end;
-          if Report.decided_count report = 0 then incr no_decision
-        done;
-        Fmt.pr "%d randomized runs of %s: %d safety violations, %d without decisions@."
-          runs name !violations !no_decision;
-        if !violations > 0 then exit 1
-  in
-  let doc = "Fuzz an algorithm with randomized crash/latency schedules." in
-  Cmd.v (Cmd.info "fuzz" ~doc) Term.(const action $ algo $ runs $ n $ m)
-
 let log_cmd =
   let kind =
     let doc = "Log flavour: bft (Fast & Robust per slot, Byzantine model)." in
@@ -712,7 +644,6 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            fuzz_cmd;
             chaos_cmd;
             log_cmd;
             validate_trace_cmd;

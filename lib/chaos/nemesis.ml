@@ -79,9 +79,6 @@ let action_of_name = function
   | "flip-leader" -> Some Flip_leader
   | _ -> None
 
-let pp_trigger ppf tr =
-  Fmt.pf ppf "%s#%d->%s" tr.phase tr.occurrence (action_name tr.action)
-
 (* Draw [k] distinct elements from [pool] (in draw order). *)
 let sample rng k pool =
   let pool = ref pool in
@@ -309,21 +306,3 @@ let generate ~budget ~n ~m ?(attack_pool = []) ?(max_byz = 0)
     byz;
     triggers;
   }
-
-let pp_case ppf case =
-  Fmt.pf ppf "seed=%d faults=[%a]%a%a" case.case_seed
-    Fmt.(list ~sep:(any ", ") Fault.pp)
-    case.faults
-    (fun ppf -> function
-      | [] -> ()
-      | byz ->
-          Fmt.pf ppf " byz=[%a]"
-            Fmt.(
-              list ~sep:(any ", ") (fun ppf (pid, a) -> Fmt.pf ppf "p%d:%s" pid a))
-            byz)
-    case.byz
-    (fun ppf -> function
-      | [] -> ()
-      | triggers ->
-          Fmt.pf ppf " triggers=[%a]" Fmt.(list ~sep:(any ", ") pp_trigger) triggers)
-    case.triggers

@@ -54,10 +54,6 @@ val action_name : action -> string
 
 val action_of_name : string -> action option
 
-val pp_trigger : Format.formatter -> trigger -> unit
-
-val pp_case : Format.formatter -> case -> unit
-
 (** Deterministically generate one case from [seed].  [attack_pool]
     names the Byzantine behaviours the scenario allows; [phases] the
     span names the telemetry adversary may hook.  [ordering] forces the

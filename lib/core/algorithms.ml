@@ -1,7 +1,7 @@
 (* The algorithm table: every single-instance algorithm a user can name,
-   read by the CLI's run, fuzz and list commands and by the chaos
-   scenario registry.  Each entry runs through the algorithm's own
-   [run], so the table adds no second way to start one. *)
+   read by the CLI's run and list commands and by the chaos scenario
+   registry.  Each entry runs through the algorithm's own [run], so the
+   table adds no second way to start one. *)
 
 open Rdma_mm
 

@@ -1,5 +1,5 @@
-(** The table of single-instance algorithms behind the CLI's [run],
-    [fuzz] and [list] commands and the chaos scenario registry. *)
+(** The table of single-instance algorithms behind the CLI's [run] and
+    [list] commands and the chaos scenario registry. *)
 
 open Rdma_mm
 

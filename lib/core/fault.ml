@@ -46,8 +46,9 @@ type t =
 (* Every fault names its targets before the run starts, so a target
    outside the cluster is a schedule bug, not a benign no-op: a typo'd
    pid would otherwise silently test nothing.  A negative asynchrony
-   extra would schedule deliveries in the past, and a NaN time or extra
-   would put an event nowhere in virtual time. *)
+   extra or latency bound would schedule deliveries in the past, a NaN
+   time, extra or bound would put an event nowhere in virtual time, and
+   an empty latency range has no latency to draw. *)
 let fault_problem ~n ~m fault =
   let pid p =
     if p < 0 || p >= n then
@@ -78,10 +79,24 @@ let fault_problem ~n ~m fault =
       else if extra < 0. then
         Some (Printf.sprintf "async-until extra %.1f is negative" extra)
       else time gst
-  | Random_latency _ | Set_ordering _ -> None
+  | Random_latency { min; max } ->
+      let bound b =
+        if Float.is_nan b then Some "latency bound nan is not a number"
+        else if b < 0. then Some (Printf.sprintf "latency bound %.1f is negative" b)
+        else None
+      in
+      first (first (bound min) (bound max))
+        (if max <= min then
+           Some (Printf.sprintf "latency range [%.1f,%.1f) is empty" min max)
+         else None)
+  | Set_ordering _ -> None
 
 let problem ~n ~m faults = List.find_map (fault_problem ~n ~m) faults
 
+(* Every timed fault fires at its absolute virtual time, clamped to now:
+   one engine event per action, each calling the cluster's or Ω's
+   immediate transition.  A machine crash is two events at one instant,
+   the process's first. *)
 let apply cluster faults =
   Option.iter
     (fun msg -> invalid_arg ("Fault.apply: " ^ msg))
@@ -91,10 +106,12 @@ let apply cluster faults =
   List.iter
     (fun fault ->
       match fault with
-      | Crash_process { pid; at } -> Cluster.crash_process_at cluster ~at pid
-      | Crash_memory { mid; at } -> Cluster.crash_memory_at cluster ~at mid
+      | Crash_process { pid; at } ->
+          at_time at (fun () -> Cluster.crash_process cluster pid)
+      | Crash_memory { mid; at } ->
+          at_time at (fun () -> Cluster.crash_memory cluster mid)
       | Set_leader { pid; at } ->
-          Omega.set_leader_after (Cluster.omega cluster) at pid
+          at_time at (fun () -> Omega.set_leader (Cluster.omega cluster) pid)
       | Async_until { gst; extra } ->
           Network.set_gst (Cluster.net cluster) ~at:gst
             ~extra:(fun ~src:_ ~dst:_ ~now:_ -> extra)
@@ -103,14 +120,15 @@ let apply cluster faults =
             ~rng:(Engine.rng (Cluster.engine cluster))
             ~min ~max
       | Crash_machine { pid; mid; at } ->
-          Cluster.crash_process_at cluster ~at pid;
-          Cluster.crash_memory_at cluster ~at mid
+          at_time at (fun () -> Cluster.crash_process cluster pid);
+          at_time at (fun () -> Cluster.crash_memory cluster mid)
       | Partition { pairs; at } ->
           at_time at (fun () -> Network.partition (Cluster.net cluster) pairs)
       | Heal { at } -> at_time at (fun () -> Network.heal (Cluster.net cluster))
-      | Recover_memory { mid; at } -> Cluster.restart_memory_at cluster ~at mid
+      | Recover_memory { mid; at } ->
+          at_time at (fun () -> Cluster.restart_memory cluster mid)
       | Restart_machine { pid; mid; at } ->
-          Cluster.restart_machine_at cluster ~at ~pid ~mid
+          at_time at (fun () -> Cluster.restart_machine cluster ~pid ~mid)
       | Set_ordering { mode } -> Cluster.set_ordering cluster mode)
     faults
 

@@ -32,14 +32,17 @@ type t =
           the run's seed, so replay and shrinking reproduce them *)
 
 (** The first fault that targets a pid or mid outside a cluster of [n]
-    processes and [m] memories, has a NaN time, or gives [Async_until]
-    a negative or NaN [extra], described in one line; [None] when the
+    processes and [m] memories, has a NaN time, gives [Async_until] a
+    negative or NaN [extra], or gives [Random_latency] a negative or NaN
+    bound or an empty range, described in one line; [None] when the
     schedule is valid. *)
 val problem : n:int -> m:int -> t list -> string option
 
-(** Schedule the faults on the cluster.  Raises [Invalid_argument] with
-    {!problem}'s description if there is one — a typo'd target would
-    otherwise silently test nothing. *)
+(** Schedule the faults on the cluster: the one place a fault's time is
+    turned into engine events.  Each timed fault fires at its absolute
+    time [at], or now if [at] has passed.  Raises [Invalid_argument]
+    with {!problem}'s description, before scheduling anything, if there
+    is one — a typo'd target would otherwise silently test nothing. *)
 val apply : 'm Cluster.t -> t list -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -36,8 +36,6 @@ let signer t pid =
     invalid_arg "Keychain.signer: no such process";
   { pid; chain = t }
 
-let signer_id s = s.pid
-
 (* The MAC'd message "<author>|<payload>", in parts: the hash absorbs
    them in turn, so the payload is never copied. *)
 let tagged author payload = [ Int.to_string author; "|"; payload ]

@@ -22,8 +22,6 @@ val set_hooks : t -> on_sign:(int -> unit) -> on_verify:(ok:bool -> unit) -> uni
     obtain their own. *)
 val signer : t -> int -> signer
 
-val signer_id : signer -> int
-
 (** [sign signer v] — the paper's [sign(v)]. *)
 val sign : signer -> string -> signature
 

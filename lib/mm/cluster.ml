@@ -28,10 +28,6 @@ type 'm t = {
      restarted process re-runs its program from the top — no state
      survives except what the program itself recovers from the memories *)
   programs : (int -> unit) option array;
-  mutable auto_leader : bool;
-      (* on leader crash, Ω repoints to the lowest-id correct process
-         after [detection_delay] *)
-  mutable detection_delay : float;
 }
 
 (* The capability bundle handed to a process program.  This is all a
@@ -52,6 +48,8 @@ type 'm ctx = {
   spawn_sub : string -> (unit -> unit) -> unit;
 }
 
+let detection_delay = 8.0
+
 (* Eventually-accurate failure detection: after the detection delay, if
    Ω still points at a crashed process, repoint to the lowest-id live
    correct one (falling back to any live process when every survivor is
@@ -59,7 +57,7 @@ type 'm ctx = {
    not dangle).  Choosing the target at fire time (not at scheduling
    time) keeps Ω correct when several processes crash together. *)
 let schedule_repoint t =
-  Engine.schedule t.engine t.detection_delay (fun () ->
+  Engine.schedule t.engine detection_delay (fun () ->
       if t.crashed.(Omega.leader t.omega) then begin
         let live = List.filter (fun p -> not t.crashed.(p)) (List.init t.n Fun.id) in
         match List.filter (fun p -> not t.byzantine.(p)) live with
@@ -108,8 +106,6 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
       crashed = Array.make n false;
       byzantine = Array.make n false;
       programs = Array.make n None;
-      auto_leader = true;
-      detection_delay = 8.0;
     }
   in
   (* Eventual accuracy covers leadership changes too: if Ω is ever
@@ -120,8 +116,7 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
     Omega.on_change t.omega
       ~want:(fun _ -> true)
       (fun () ->
-        if t.auto_leader && t.crashed.(Omega.leader t.omega) then
-          schedule_repoint t;
+        if t.crashed.(Omega.leader t.omega) then schedule_repoint t;
         watch ())
   in
   watch ();
@@ -157,10 +152,6 @@ let keychain t = t.keychain
 let obs t = Engine.obs t.engine
 
 let stats = obs
-
-let set_auto_leader t flag = t.auto_leader <- flag
-
-let set_detection_delay t d = t.detection_delay <- d
 
 (* Create the same region (name, permission, registers) on every memory —
    the replicated layout all the paper's algorithms use. *)
@@ -216,39 +207,22 @@ let correct_pids t =
 let byzantine_pids t =
   List.filter (fun p -> t.byzantine.(p)) (List.init t.n Fun.id)
 
-let crashed_pids t = List.filter (fun p -> t.crashed.(p)) (List.init t.n Fun.id)
-
-let crashed_mids t =
-  List.filter (fun mid -> Memory.is_crashed t.memories.(mid)) (List.init t.m Fun.id)
-
 let crash_process t pid =
   if not t.crashed.(pid) then begin
     t.crashed.(pid) <- true;
     (match t.fibers.(pid) with Some f -> Engine.cancel f | None -> ());
     List.iter Engine.cancel t.sub_fibers.(pid);
-    if t.auto_leader then schedule_repoint t
+    schedule_repoint t
   end
 
-let crash_process_at t ~at pid =
-  Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
-      crash_process t pid)
-
 let crash_memory t mid = Memory.crash t.memories.(mid)
-
-let crash_memory_at t ~at mid =
-  Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
-      crash_memory t mid)
 
 (* Bring a crashed memory back, empty, under a fresh epoch (see
    [Memory.restart]).  A benign no-op when the memory is not crashed, so
    a shrunk fault schedule that dropped the paired crash stays valid. *)
-let restart_memory ?rejoin t mid =
+let restart_memory t mid =
   let mem = t.memories.(mid) in
-  if Memory.is_crashed mem then Memory.restart ?rejoin mem
-
-let restart_memory_at ?rejoin t ~at mid =
-  Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
-      restart_memory ?rejoin t mid)
+  if Memory.is_crashed mem then Memory.restart mem
 
 (* Restart a crashed process: re-run the program it was spawned with,
    from the top, with a fresh ctx.  Only state the program explicitly
@@ -265,19 +239,11 @@ let restart_process t pid =
       t.fibers.(pid) <- Some fiber
   | _ -> ()
 
-let restart_process_at t ~at pid =
-  Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
-      restart_process t pid)
-
 (* A machine hosts one process and one memory (the M&M pairing used by
    Fault.Crash_machine): restart both. *)
-let restart_machine ?rejoin t ~pid ~mid =
-  restart_memory ?rejoin t mid;
+let restart_machine t ~pid ~mid =
+  restart_memory t mid;
   restart_process t pid
-
-let restart_machine_at ?rejoin t ~at ~pid ~mid =
-  Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
-      restart_machine ?rejoin t ~pid ~mid)
 
 (* The run is the profiler's root frame: every fiber scope, crypto
    scope and root-attributed counter of this cluster's execution nests

@@ -78,13 +78,6 @@ val obs : 'm t -> Obs.t
     may use it. *)
 val stats : 'm t -> Stats.t
 
-(** Whether Ω automatically repoints to the lowest-id live process when the
-    current leader crashes (default true). *)
-val set_auto_leader : 'm t -> bool -> unit
-
-(** Failure-detection delay for the automatic Ω (default 8.0). *)
-val set_detection_delay : 'm t -> float -> unit
-
 (** Create the same region on every memory — the replicated layout the
     paper's algorithms use. *)
 val add_region_everywhere :
@@ -108,28 +101,22 @@ val correct_pids : 'm t -> int list
 (** Processes spawned with {!spawn_byzantine}. *)
 val byzantine_pids : 'm t -> int list
 
-(** Processes crashed so far (by injected faults or direct calls). *)
-val crashed_pids : 'm t -> int list
+(** The fault transitions below take effect when called.  Only a fault
+    schedule, applied by [rdma_consensus]'s [Fault] module, schedules
+    them at a fault's time. *)
 
-(** Memories crashed so far. *)
-val crashed_mids : 'm t -> int list
-
+(** Crash a process and its sub-fibers.  Ω repoints to the lowest-id
+    live correct process 8 delays later if it still trusts a crashed
+    one. *)
 val crash_process : 'm t -> int -> unit
-
-val crash_process_at : 'm t -> at:float -> int -> unit
 
 val crash_memory : 'm t -> int -> unit
 
-val crash_memory_at : 'm t -> at:float -> int -> unit
-
 (** Bring a crashed memory back empty under a fresh epoch (see
-    [Memory.restart]; [rejoin] defaults to [`Genesis]).  A benign no-op
-    when the memory is not crashed, so shrunk fault schedules that
-    dropped the paired crash stay valid. *)
-val restart_memory : ?rejoin:[ `Genesis | `Quarantine ] -> 'm t -> int -> unit
-
-val restart_memory_at :
-  ?rejoin:[ `Genesis | `Quarantine ] -> 'm t -> at:float -> int -> unit
+    [Memory.restart]).  A benign no-op when the memory is not crashed,
+    so shrunk fault schedules that dropped the paired crash stay
+    valid. *)
+val restart_memory : 'm t -> int -> unit
 
 (** Restart a crashed process: re-run the program it was spawned with
     from the top, with a fresh capability bundle.  Only state the
@@ -137,15 +124,9 @@ val restart_memory_at :
     crashed or was never spawned. *)
 val restart_process : 'm t -> int -> unit
 
-val restart_process_at : 'm t -> at:float -> int -> unit
-
 (** Restart the machine hosting process [pid] and memory [mid]: both come
     back with nothing but what they recover. *)
-val restart_machine :
-  ?rejoin:[ `Genesis | `Quarantine ] -> 'm t -> pid:int -> mid:int -> unit
-
-val restart_machine_at :
-  ?rejoin:[ `Genesis | `Quarantine ] -> 'm t -> at:float -> pid:int -> mid:int -> unit
+val restart_machine : 'm t -> pid:int -> mid:int -> unit
 
 (** Run the engine to quiescence. *)
 val run : 'm t -> unit

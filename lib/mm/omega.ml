@@ -34,10 +34,6 @@ let set_leader t pid =
     List.iter (fun (_, wake) -> wake ()) ready
   end
 
-(* Change leadership [delay] time units from now. *)
-let set_leader_after t delay pid =
-  Engine.schedule t.engine delay (fun () -> set_leader t pid)
-
 (* Register a one-shot callback fired at the first leadership change to a
    pid satisfying [want] (not retroactive: the current leader does not
    trigger it). *)
@@ -51,6 +47,3 @@ let wait_while t ~unwanted =
 (* Block the calling fiber until this process is the current leader
    (Algorithm 7 line 9: "wait until Ω == p"). *)
 let wait_until_leader t ~me = wait_while t ~unwanted:(fun pid -> pid <> me)
-
-(* Block until the leader is someone other than [prev]. *)
-let wait_for_change t ~prev = wait_while t ~unwanted:(fun pid -> pid = prev)

@@ -14,15 +14,9 @@ val history : t -> (float * int) list
 
 val set_leader : t -> int -> unit
 
-(** Change leadership [delay] time units from now. *)
-val set_leader_after : t -> float -> int -> unit
-
 (** Block the calling fiber until this process is leader
     (Algorithm 7 line 9). *)
 val wait_until_leader : t -> me:int -> unit [@@sim.yields]
-
-(** Block until the leader differs from [prev]. *)
-val wait_for_change : t -> prev:int -> unit [@@sim.yields]
 
 (** Block while [unwanted leader] holds. *)
 val wait_while : t -> unwanted:(int -> bool) -> unit [@@sim.yields]

@@ -53,13 +53,12 @@ let create ?(latency = 1.0) ~engine ~n () =
 
 let n t = t.n
 
-let set_latency t f = t.base_latency <- f
-
-(* Random per-message latency in [min, max) — used by the safety fuzzers:
-   with heterogeneous latencies, messages between the same pair of
-   processes can overtake each other, which the model allows (links
-   guarantee integrity and no-loss, not FIFO).  Draws come from the
-   engine's seeded RNG, so runs stay reproducible. *)
+(* Random per-message latency in [min, max), installed by a fault
+   schedule's [Random_latency]: with heterogeneous latencies, messages
+   between the same pair of processes can overtake each other, which
+   the model allows (links guarantee integrity and no-loss, not FIFO).
+   Draws come from the engine's seeded RNG, so runs stay
+   reproducible. *)
 let randomize_latency t ~rng ~min:lo ~max:hi =
   if hi <= lo then invalid_arg "Network.randomize_latency: empty range";
   t.base_latency <-

@@ -10,10 +10,6 @@ val create : ?latency:float -> engine:Engine.t -> n:int -> unit -> 'm t
 
 val n : 'm t -> int
 
-(** Override the per-link base latency (default: the [latency] given to
-    {!create}, itself defaulting to 1.0 — one delay unit). *)
-val set_latency : 'm t -> (src:int -> dst:int -> float) -> unit
-
 (** Random per-message latency in [[min, max)]: messages may overtake
     each other (the model's links are not FIFO).  Reproducible via the
     supplied seeded RNG. *)

@@ -131,7 +131,3 @@ let summary (t : t) =
       p90 = percentile t 0.9;
       p99 = percentile t 0.99;
     }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "count=%d p50=%.2f p90=%.2f p99=%.2f max=%.2f" s.count s.p50 s.p90
-    s.p99 s.max

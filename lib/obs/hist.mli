@@ -42,5 +42,3 @@ type summary = {
 }
 
 val summary : t -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

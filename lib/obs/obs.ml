@@ -233,8 +233,3 @@ let gauges t =
    reach either. *)
 let absorb_prof t prof =
   List.iter (fun (name, n) -> count t ("prof." ^ name) n) (Prof.totals prof)
-
-(* Drop retained entries (metrics and counters are kept). *)
-let clear_entries t =
-  t.entries <- [];
-  t.entry_count <- 0

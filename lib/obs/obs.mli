@@ -140,6 +140,3 @@ val gauges : t -> (string * float) list
     metrics feed digests and replay artifacts, and wall-clock must
     never reach either. *)
 val absorb_prof : t -> Prof.t -> unit
-
-(** Drop retained entries; metrics and counters are kept. *)
-val clear_entries : t -> unit

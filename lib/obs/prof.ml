@@ -225,8 +225,6 @@ let scope name f =
    a nested one) re-attaches to the right stack. *)
 type frames = (t * frame list) option
 
-let no_frames : frames = None
-
 let depth () =
   match Domain.DLS.get installed_key with None -> 0 | Some t -> t.depth
 

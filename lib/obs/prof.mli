@@ -58,8 +58,6 @@ val scope : string -> (unit -> 'a) -> 'a
 (** A detached stack segment, paused and portable with a continuation. *)
 type frames
 
-val no_frames : frames
-
 (** Current scope-stack depth of the installed profiler (0 if none). *)
 val depth : unit -> int
 

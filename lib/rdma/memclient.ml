@@ -136,69 +136,3 @@ let write_many t ~mem ~region ~values =
   client_span t "rdma.write_many" (fun () ->
       Ivar.await
         (Memory.write_many_async t.memories.(mem) ~from:t.pid ~region ~values))
-
-(* {2 Bounded-time quorum operations}
-
-   The blocking quorum ops above implement the paper's semantics
-   literally: with a majority of memories crashed they hang forever.
-   The [_timed] variants bound the wait in *virtual* time — each attempt
-   re-issues the operation to every memory and waits one exponentially
-   growing backoff window; once the windows have consumed the deadline
-   the op returns a typed [Timeout] instead of a result.  Retries and
-   timeouts are counted per operation name in the collector, which
-   feeds both the metrics export and [Report.t]'s named counters. *)
-
-type 'a timed = Done of 'a | Timeout of { attempts : int; waited : float }
-
-let default_deadline = 64.0
-
-let default_backoff = 4.0
-
-let count t name = Option.iter (fun obs -> Obs.count obs name 1) t.obs
-
-(* One attempt per backoff window: [issue ()] fires the operation at
-   every memory and the attempt succeeds when [k] of the fresh ivars fill
-   within the window.  Re-issuing is safe — writes, reads and permission
-   changes are all idempotent — and each abandoned attempt deregisters
-   its quorum-wait callbacks, so late responses are dropped rather than
-   queued. *)
-let retry_quorum ?k ?(deadline = default_deadline) ?(backoff = default_backoff)
-    t ~name issue =
-  let k = Option.value k ~default:(majority t) in
-  client_span t name (fun () ->
-      let rec attempt n window waited =
-        let responses = Par.await_k_timeout (issue ()) k window in
-        if List.length responses >= k then Done responses
-        else begin
-          let waited = waited +. window in
-          let remaining = deadline -. waited in
-          if remaining > 0. then begin
-            count t (name ^ ".retries");
-            attempt (n + 1) (Float.min (window *. 2.) remaining) waited
-          end
-          else begin
-            count t (name ^ ".timeouts");
-            Timeout { attempts = n; waited }
-          end
-        end
-      in
-      attempt 1 (Float.min backoff deadline) 0.)
-
-let write_quorum_timed ?k ?deadline ?backoff t ~region ~reg value =
-  match
-    retry_quorum ?k ?deadline ?backoff t ~name:"rdma.write_quorum" (fun () ->
-        write_all_async t ~region ~reg value)
-  with
-  | Done responses ->
-      if List.for_all (fun (_, r) -> r = Memory.Ack) responses then
-        Done Memory.Ack
-      else Done Memory.Nak
-  | Timeout w -> Timeout w
-
-let read_quorum_timed ?k ?deadline ?backoff t ~region ~reg =
-  retry_quorum ?k ?deadline ?backoff t ~name:"rdma.read_quorum" (fun () ->
-      read_all_async t ~region ~reg)
-
-let change_permission_quorum_timed ?k ?deadline ?backoff t ~region ~perm =
-  retry_quorum ?k ?deadline ?backoff t ~name:"rdma.perm_quorum" (fun () ->
-      change_permission_all_async t ~region ~perm)

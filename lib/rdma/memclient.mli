@@ -86,48 +86,3 @@ val write_many :
   values:(string * string option) list ->
   Memory.op_result
 [@@sim.yields]
-
-(** {2 Bounded-time quorum operations}
-
-    The plain quorum ops hang forever when a majority of memories is
-    down (the paper's semantics).  These variants bound the wait with a
-    virtual-time [deadline] (default 64 delays): each attempt re-issues
-    the operation to every memory and waits one exponentially growing
-    backoff window (initial [backoff], default 4 delays, doubling per
-    attempt, clamped to the remaining deadline), then returns a typed
-    [Timeout] once the deadline is spent.  Per-operation [.retries] and
-    [.timeouts] counters go to the collector, which feeds the metrics
-    export and the [Report.t] named counters. *)
-
-type 'a timed = Done of 'a | Timeout of { attempts : int; waited : float }
-
-val write_quorum_timed :
-  ?k:int ->
-  ?deadline:float ->
-  ?backoff:float ->
-  t ->
-  region:string ->
-  reg:string ->
-  string ->
-  Memory.op_result timed
-[@@sim.yields]
-
-val read_quorum_timed :
-  ?k:int ->
-  ?deadline:float ->
-  ?backoff:float ->
-  t ->
-  region:string ->
-  reg:string ->
-  (int * Memory.read_result) list timed
-[@@sim.yields]
-
-val change_permission_quorum_timed :
-  ?k:int ->
-  ?deadline:float ->
-  ?backoff:float ->
-  t ->
-  region:string ->
-  perm:Permission.t ->
-  (int * Memory.op_result) list timed
-[@@sim.yields]

@@ -67,5 +67,3 @@ let pp ppf t =
 type legal_change = pid:int -> region:string -> current:t -> requested:t -> bool
 
 let static_permissions : legal_change = fun ~pid:_ ~region:_ ~current:_ ~requested:_ -> false
-
-let any_change : legal_change = fun ~pid:_ ~region:_ ~current:_ ~requested:_ -> true

@@ -42,6 +42,3 @@ type legal_change = pid:int -> region:string -> current:t -> requested:t -> bool
 
 (** Always refuse: static permissions. *)
 val static_permissions : legal_change
-
-(** Always allow (crash-only settings where no process misbehaves). *)
-val any_change : legal_change

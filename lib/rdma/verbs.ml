@@ -46,8 +46,6 @@ let emit_mr memory ~region op =
     ~actor:(Printf.sprintf "mu%d" (Memory.id memory))
     (Event.Verbs_mr { mid = Memory.id memory; region; op })
 
-let nic_memory t = t.memory
-
 (* pd ids are per-NIC, not global: a module-level counter would be
    shared mutable state across pooled task domains and would make rkeys
    depend on task interleaving. *)
@@ -74,8 +72,6 @@ let reg_mr pd ~name ~registers ~access ~grantees =
 
 let rkey mr = mr.rkey
 
-let mr_region mr = mr.mr_name
-
 (* Deregistration = instant revocation: the region's permission becomes
    empty, so in-flight and future operations nak. *)
 let dereg_mr mr =
@@ -101,8 +97,6 @@ let rereg_mr mr ~access ~grantees =
   mr'
 
 let create_qp pd ~remote = { qp_pd = pd; remote }
-
-let qp_remote qp = qp.remote
 
 (* A queue pair operation checks: same protection domain, a live
    registration, and the right rkey — then defers to the memory, whose

@@ -20,8 +20,6 @@ type qp
 
 val nic : Memory.t -> nic
 
-val nic_memory : nic -> Memory.t
-
 val alloc_pd : nic -> pd
 
 (** Register a region for the [grantees] at the given access level;
@@ -31,8 +29,6 @@ val reg_mr :
 
 val rkey : mr -> string
 
-val mr_region : mr -> string
-
 (** Deregistration = instant revocation: future operations nak. *)
 val dereg_mr : mr -> unit
 
@@ -41,8 +37,6 @@ val dereg_mr : mr -> unit
 val rereg_mr : mr -> access:access -> grantees:int list -> mr
 
 val create_qp : pd -> remote:int -> qp
-
-val qp_remote : qp -> int
 
 (** RDMA read through a queue pair: checked against the protection
     domain, the registration, and the rkey, then against the region's

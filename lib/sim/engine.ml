@@ -91,8 +91,6 @@ let steps t = t.steps
 
 let errors t = t.errors
 
-let fiber_name f = f.name
-
 let cancelled f = f.cancelled
 
 let cancel f =
@@ -215,33 +213,52 @@ let spawn t name f =
       end);
   fiber
 
+(* Bump [sim.events.popped] by the events run since step [first]: the
+   event that trips [Deadlock] is counted in [steps] but never runs. *)
+let bump_popped t ~first =
+  let ran = min t.steps t.max_steps - first in
+  if ran > 0 then Rdma_obs.Prof.bump events_popped ran
+
 (* Events run in (time, seq) order: the heap's while its least time is
-   [now], then the lane's, then the heap's again (see [schedule]). *)
+   [now], then the lane's, then the heap's again (see [schedule]).
+
+   Every payload starts and ends at the caller's profiler depth: a fiber
+   detaches its frames when it suspends, and a scope a payload opens
+   closes before it returns or raises.  So [run] reads that depth once,
+   and bumps [sim.events.popped] once, in the caller's scope, by the
+   events it ran — also when a payload raises. *)
 let run t =
-  while not (Heap.is_empty t.heap && Queue.is_empty t.lane) do
-    let from_heap =
-      Queue.is_empty t.lane
-      || ((not (Heap.is_empty t.heap)) && Heap.min_time t.heap = t.now)
-    in
-    let time = if from_heap then Heap.min_time t.heap else t.now in
-    let payload = if from_heap then Heap.pop t.heap else Queue.pop t.lane in
-    t.steps <- t.steps + 1;
-    if t.steps > t.max_steps then begin
-      Rdma_obs.Obs.event t.obs ~actor:"engine"
-        (Rdma_obs.Event.Deadlock { steps = t.steps });
-      raise
-        (Deadlock
-           (Printf.sprintf "Engine: exceeded %d steps at time %.2f"
-              t.max_steps t.now))
-    end;
-    t.now <- time;
-    Rdma_obs.Prof.bump events_popped 1;
-    (* Frames open here belong to the caller; anything a payload
-       opens above this depth belongs to the fiber it runs. *)
-    t.prof_base <- Rdma_obs.Prof.depth ();
-    payload ()
-  done;
-  Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth" (float_of_int t.peak)
+  let first = t.steps in
+  (* Frames open here belong to the caller; anything a payload opens
+     above this depth belongs to the fiber it runs. *)
+  t.prof_base <- Rdma_obs.Prof.depth ();
+  match
+    while not (Heap.is_empty t.heap && Queue.is_empty t.lane) do
+      let from_heap =
+        Queue.is_empty t.lane
+        || ((not (Heap.is_empty t.heap)) && Heap.min_time t.heap = t.now)
+      in
+      let time = if from_heap then Heap.min_time t.heap else t.now in
+      let payload = if from_heap then Heap.pop t.heap else Queue.pop t.lane in
+      t.steps <- t.steps + 1;
+      if t.steps > t.max_steps then begin
+        Rdma_obs.Obs.event t.obs ~actor:"engine"
+          (Rdma_obs.Event.Deadlock { steps = t.steps });
+        raise
+          (Deadlock
+             (Printf.sprintf "Engine: exceeded %d steps at time %.2f"
+                t.max_steps t.now))
+      end;
+      t.now <- time;
+      payload ()
+    done
+  with
+  | () ->
+      bump_popped t ~first;
+      Rdma_obs.Obs.gauge t.obs "sim.heap.peak_depth" (float_of_int t.peak)
+  | exception e ->
+      bump_popped t ~first;
+      raise e
 
 (* End the run: drop the queued events and discontinue every parked
    fiber, in fid order, so their stacks are freed.  Everything a caller

@@ -68,8 +68,6 @@ val cancelled : fiber -> bool
     discontinues it); a hook must guard its own settled state. *)
 val on_cancel : fiber -> (unit -> unit) -> unit -> unit
 
-val fiber_name : fiber -> string
-
 (** Run the event loop until no events remain.  Raises {!Deadlock} if the
     step budget is exhausted. *)
 val run : t -> unit

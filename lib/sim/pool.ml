@@ -33,10 +33,6 @@
 
 type error = { task_label : string; task_seed : int; exn : exn }
 
-let pp_error ppf e =
-  Fmt.pf ppf "task %s (seed %d) raised %s" e.task_label e.task_seed
-    (Printexc.to_string e.exn)
-
 (* One domain is the coordinator; leave the rest to workers.  At least
    1 so the pool degrades to sequential on single-core machines. *)
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)

@@ -10,8 +10,6 @@
 
 type error = { task_label : string; task_seed : int; exn : exn }
 
-val pp_error : Format.formatter -> error -> unit
-
 (** [Domain.recommended_domain_count () - 1] (at least 1): one domain
     coordinates, the rest work. *)
 val default_jobs : unit -> int

@@ -101,10 +101,15 @@ msgs="$(sed -n 's/^cost *: \([0-9][0-9]*\) msgs.*/\1/p' "$tmp/run1.out")"
 }
 
 echo "== chaos smoke test =="
-# Fixed-seed explore batches over two algorithms: inside the fault model
-# every schedule must hold all four invariants.
-dune exec bin/rdma_agreement.exe -- chaos explore paxos \
-  --runs 25 --seed 1 --adversary
+# A fixed-seed adversary batch over every algorithm of the table, plus
+# Byzantine attacks on robust-backup: inside the fault model every
+# schedule must hold all four invariants, and a violation fails the
+# batch's exit status.
+for scenario in paxos fast-paxos disk-paxos protected-paxos aligned-paxos \
+  robust-backup fast-robust; do
+  dune exec bin/rdma_agreement.exe -- chaos explore "$scenario" \
+    --runs 20 --seed 1 --adversary
+done
 dune exec bin/rdma_agreement.exe -- chaos explore robust-backup \
   --runs 25 --seed 1 --adversary --byzantine
 

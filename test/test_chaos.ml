@@ -101,7 +101,27 @@ let test_apply_validates_targets () =
   Alcotest.check_raises "negative asynchrony extra"
     (Invalid_argument "Fault.apply: async-until extra -3.0 is negative")
     (fun () ->
-      Fault.apply cluster [ Async_until { gst = 10.0; extra = -3.0 } ])
+      Fault.apply cluster [ Async_until { gst = 10.0; extra = -3.0 } ]);
+  Alcotest.check_raises "NaN latency bound"
+    (Invalid_argument "Fault.apply: latency bound nan is not a number")
+    (fun () ->
+      Fault.apply cluster [ Random_latency { min = 0.5; max = Float.nan } ]);
+  Alcotest.check_raises "negative latency bounds"
+    (Invalid_argument "Fault.apply: latency bound -5.0 is negative")
+    (fun () ->
+      Fault.apply cluster [ Random_latency { min = -5.0; max = -1.0 } ]);
+  Alcotest.check_raises "one-point latency range"
+    (Invalid_argument "Fault.apply: latency range [1.0,1.0) is empty")
+    (fun () ->
+      Fault.apply cluster [ Random_latency { min = 1.0; max = 1.0 } ]);
+  Alcotest.check_raises "inverted latency range, after a valid fault"
+    (Invalid_argument "Fault.apply: latency range [3.0,1.0) is empty")
+    (fun () ->
+      Fault.apply cluster
+        [ Crash_process { pid = 1; at = 0.0 }; Random_latency { min = 3.0; max = 1.0 } ]);
+  Cluster.run cluster;
+  Alcotest.(check bool) "a rejected schedule schedules nothing" false
+    (Cluster.is_crashed cluster 1)
 
 let get_scenario name =
   match Scenario.find name with
@@ -522,6 +542,49 @@ let test_recovery_swmr () = recovery_batch "swmr-recovery"
    with a recovery, so a larger batch reaches the 100-schedule floor *)
 let test_recovery_smr_pmp () = recovery_batch ~runs:220 "smr-pmp-recovery"
 
+(* A timed fault whose time has passed fires now: applied before the
+   run, every timed constructor fires at time 0.  A probe scheduled at
+   time 0 after [Fault.apply] runs after the faults' events and sees
+   their effect. *)
+let test_past_faults_fire_at_zero () =
+  let fires name faults holds =
+    let cluster : string Cluster.t = Cluster.create ~n:3 ~m:2 () in
+    Cluster.spawn cluster ~pid:1 (fun _ -> ());
+    Fault.apply cluster faults;
+    let engine = Cluster.engine cluster in
+    let seen = ref false in
+    Rdma_sim.Engine.schedule engine 0. (fun () ->
+        seen := Rdma_sim.Engine.now engine = 0. && holds cluster);
+    Cluster.run cluster;
+    Alcotest.(check bool) (name ^ " fires at time 0") true !seen
+  in
+  let memory_crashed c mid = Rdma_mem.Memory.is_crashed (Cluster.memory c mid) in
+  let rejoined c mid =
+    (not (memory_crashed c mid)) && Rdma_mem.Memory.epoch (Cluster.memory c mid) = 1
+  in
+  fires "crash process" [ Crash_process { pid = 1; at = -1.0 } ] (fun c ->
+      Cluster.is_crashed c 1);
+  fires "crash memory" [ Crash_memory { mid = 0; at = -1.0 } ] (fun c ->
+      memory_crashed c 0);
+  fires "set leader" [ Set_leader { pid = 2; at = -1.0 } ] (fun c ->
+      Omega.leader (Cluster.omega c) = 2);
+  fires "crash machine" [ Crash_machine { pid = 1; mid = 1; at = -1.0 } ] (fun c ->
+      Cluster.is_crashed c 1 && memory_crashed c 1);
+  fires "partition" [ Partition { pairs = [ (0, 1) ]; at = -1.0 } ] (fun c ->
+      Rdma_net.Network.severed (Cluster.net c) = [ (0, 1) ]);
+  fires "heal"
+    [ Partition { pairs = [ (0, 1) ]; at = -2.0 }; Heal { at = -1.0 } ]
+    (fun c -> Rdma_net.Network.severed (Cluster.net c) = []);
+  fires "recover memory"
+    [ Crash_memory { mid = 0; at = -2.0 }; Recover_memory { mid = 0; at = -1.0 } ]
+    (fun c -> rejoined c 0);
+  fires "restart machine"
+    [
+      Crash_machine { pid = 1; mid = 1; at = -2.0 };
+      Restart_machine { pid = 1; mid = 1; at = -1.0 };
+    ]
+    (fun c -> (not (Cluster.is_crashed c 1)) && rejoined c 1)
+
 let suite =
   [
     Alcotest.test_case "fault codec round trip" `Quick test_codec_round_trip;
@@ -561,4 +624,6 @@ let suite =
       test_recovery_swmr;
     Alcotest.test_case "smr-pmp-recovery repair invariant (220 runs)" `Slow
       test_recovery_smr_pmp;
+    Alcotest.test_case "past fault times fire at time 0" `Quick
+      test_past_faults_fire_at_zero;
   ]

@@ -50,7 +50,7 @@ let test_cluster_crash_kills_subfibers () =
           Engine.sleep 5.0;
           sub_ran := true);
       Engine.sleep 100.0);
-  Cluster.crash_process_at cluster ~at:1.0 0;
+  Fault.apply cluster [ Crash_process { pid = 0; at = 1.0 } ];
   Cluster.run cluster;
   Alcotest.(check bool) "cluster sub-fiber dies with its process" false !sub_ran
 

@@ -387,6 +387,53 @@ let event_order =
       Engine.run eng;
       List.rev !ran = List.map snd (List.sort compare !due))
 
+(* [sim.events.popped] counts the events a run ran, all in the caller's
+   scope, never in a scope a payload opens: for a run to quiescence, for
+   a run a plain callback's exception ends, and for a run [Deadlock]
+   ends, whose tripping event never runs. *)
+let test_events_popped_per_run () =
+  let module Prof = Rdma_obs.Prof in
+  let popped ?max_steps ~events setup =
+    let eng = Engine.create ?max_steps () in
+    setup eng;
+    let prof = Prof.create () in
+    Prof.with_profiler prof (fun () ->
+        Prof.scope "caller" (fun () ->
+            try Engine.run eng with Failure _ | Engine.Deadlock _ -> ()));
+    let rows =
+      List.filter_map
+        (fun (path, rows) ->
+          Option.map (fun n -> (path, n)) (List.assoc_opt "sim.events.popped" rows))
+        (Prof.by_scope prof)
+    in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "%d events popped in the caller's scope" events)
+      [ ("caller", events) ] rows
+  in
+  (* three fibers, each started, then woken from a sleep and from a
+     yield, each wake-up a timer event and a resume event: 15 events *)
+  popped ~events:15 (fun eng ->
+      for i = 1 to 3 do
+        ignore
+          (Engine.spawn eng (Printf.sprintf "f%d" i) (fun () ->
+               Prof.scope "fiber" (fun () ->
+                   Engine.sleep 1.0;
+                   Engine.yield ())))
+      done);
+  (* the second of three callbacks raises out of [run] inside a scope *)
+  popped ~events:2 (fun eng ->
+      Engine.schedule eng 1.0 ignore;
+      Engine.schedule eng 2.0 (fun () ->
+          Prof.scope "callback" (fun () -> failwith "boom"));
+      Engine.schedule eng 3.0 ignore);
+  (* a spinner trips a budget of five steps on the sixth *)
+  popped ~max_steps:5 ~events:5 (fun eng ->
+      ignore
+        (Engine.spawn eng "spinner" (fun () ->
+             while true do
+               Engine.yield ()
+             done)))
+
 let suite =
   [
     Alcotest.test_case "events fire at virtual times" `Quick test_virtual_time;
@@ -416,4 +463,6 @@ let suite =
     Alcotest.test_case "schedule and sleep reject NaN delays" `Quick
       test_nan_delay_rejected;
     QCheck_alcotest.to_alcotest event_order;
+    Alcotest.test_case "events popped are counted once, in the caller's scope"
+      `Quick test_events_popped_per_run;
   ]

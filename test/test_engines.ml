@@ -156,7 +156,7 @@ let memory_crash_tolerated ((module E : Consensus_engine.S) as engine) (m, crash
         (fun seq cmd ->
           results := E.submit ctx ~cfg:base_cfg ~seq ~cmd ~timeout:200.0 :: !results)
         [ "c0"; "c1"; "c2" ]);
-  List.iter (fun (mid, at) -> Cluster.crash_memory_at cluster ~at mid) crashes;
+  Fault.apply cluster (List.map (fun (mid, at) -> Fault.Crash_memory { mid; at }) crashes);
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let live = Printf.sprintf " with %d/%d memories" (m - List.length crashes) m in

@@ -92,7 +92,7 @@ let test_replicated_lock_service () =
       Engine.sleep 1.0;
       submit_all ctx [ acq "L" "bob"; acq "M" "bob" ]);
   (* crash the leader mid-stream *)
-  Cluster.crash_process_at cluster ~at:7.0 0;
+  Rdma_consensus.Fault.(apply cluster [ Crash_process { pid = 0; at = 7.0 } ]);
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let s1 = Lock_service.of_log (Smr_log.applied_entries replicas.(1)) in

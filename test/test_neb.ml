@@ -183,8 +183,8 @@ let test_survives_memory_crashes () =
     let msgs = if pid = 1 then [ "survivor" ] else [] in
     Cluster.spawn cluster ~pid (honest ~msgs ~log:logs.(pid) ())
   done;
-  Cluster.crash_memory_at cluster ~at:0.0 0;
-  Cluster.crash_memory_at cluster ~at:0.0 3;
+  Fault.apply cluster
+    [ Crash_memory { mid = 0; at = 0.0 }; Crash_memory { mid = 3; at = 0.0 } ];
   Cluster.run cluster;
   Cluster.check_errors cluster;
   Array.iteri
@@ -282,7 +282,7 @@ let test_broadcaster_crash_mid_write () =
         let msgs = if pid = 0 then [ "maybe" ] else [] in
         Cluster.spawn cluster ~pid (honest ~msgs ~log:logs.(pid) ())
       done;
-      Cluster.crash_process_at cluster ~at 0;
+      Fault.apply cluster [ Crash_process { pid = 0; at } ];
       Cluster.run cluster;
       Cluster.check_errors cluster;
       let d1 = delivered_by logs.(1) ~src:0 and d2 = delivered_by logs.(2) ~src:0 in

@@ -183,7 +183,7 @@ let test_omega_wait_until_leader () =
     (Engine.spawn engine "candidate" (fun () ->
          Omega.wait_until_leader omega ~me:2;
          woke_at := Engine.now engine));
-  Omega.set_leader_after omega 5.0 2;
+  Engine.schedule engine 5.0 (fun () -> Omega.set_leader omega 2);
   Engine.run engine;
   Alcotest.(check (float 0.0)) "woken exactly at leadership change" 5.0 !woke_at
 
@@ -201,8 +201,8 @@ let test_omega_already_leader () =
 let test_omega_history () =
   let engine = Engine.create () in
   let omega = Omega.create ~engine ~initial:0 in
-  Omega.set_leader_after omega 1.0 1;
-  Omega.set_leader_after omega 2.0 2;
+  Engine.schedule engine 1.0 (fun () -> Omega.set_leader omega 1);
+  Engine.schedule engine 2.0 (fun () -> Omega.set_leader omega 2);
   Engine.run engine;
   Alcotest.(check (list (pair (float 0.0) int)))
     "history records changes"
@@ -217,7 +217,7 @@ let test_omega_no_spurious_wake () =
     (Engine.spawn engine "candidate" (fun () ->
          Omega.wait_until_leader omega ~me:2;
          woke := true));
-  Omega.set_leader_after omega 1.0 1;
+  Engine.schedule engine 1.0 (fun () -> Omega.set_leader omega 1);
   Engine.run engine;
   Alcotest.(check bool) "other changes do not wake" false !woke
 

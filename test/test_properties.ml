@@ -264,7 +264,7 @@ let smr_no_lost_acks =
             | Some index -> acked := (index, cmd) :: !acked
             | None -> ()
           done);
-      Cluster.crash_process_at cluster ~at:crash_at 0;
+      Fault.apply cluster [ Crash_process { pid = 0; at = crash_at } ];
       Cluster.run cluster;
       let l1 = Smr_log.applied_entries replicas.(1) in
       let l2 = Smr_log.applied_entries replicas.(2) in

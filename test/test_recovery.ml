@@ -1,6 +1,5 @@
-(* Recovery & repair: bounded-time quorum operations, the waiter-leak
-   fix in the quorum combinators, and SMR checkpoint/state-transfer
-   across memory and machine restarts. *)
+(* Recovery & repair: the waiter-leak fix in the quorum combinators, and
+   SMR checkpoint/state-transfer across memory and machine restarts. *)
 
 open Rdma_sim
 open Rdma_mem
@@ -8,75 +7,7 @@ open Rdma_mm
 open Rdma_consensus
 open Rdma_smr
 
-(* ---------------- bounded-time quorum operations ------------------- *)
-
-let test_timed_write_times_out () =
-  (* With a majority of memories dead the plain quorum ops hang forever;
-     the timed variant must return a typed Timeout within the
-     virtual-time deadline, with retry/backoff counters. *)
-  let cluster : unit Cluster.t = Cluster.create ~n:1 ~m:3 () in
-  Cluster.add_region_everywhere cluster ~name:"r"
-    ~perm:(Permission.all_readwrite ~n:1) ~registers:[ "x" ];
-  Cluster.crash_memory cluster 1;
-  Cluster.crash_memory cluster 2;
-  let result = ref None and took = ref nan in
-  Cluster.spawn cluster ~pid:0 (fun ctx ->
-      let t0 = Engine.now ctx.Cluster.ctx_engine in
-      let r =
-        Memclient.write_quorum_timed ~deadline:32.0 ctx.Cluster.client
-          ~region:"r" ~reg:"x" "v"
-      in
-      took := Engine.now ctx.Cluster.ctx_engine -. t0;
-      result := Some r);
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  (match !result with
-  | Some (Memclient.Timeout { attempts; waited }) ->
-      (* backoff windows 4 + 8 + 16 + 4 (clamped) consume the deadline *)
-      Alcotest.(check int) "four backoff attempts" 4 attempts;
-      Alcotest.(check (float 0.0001)) "waited the whole deadline" 32.0 waited
-  | _ -> Alcotest.fail "dead majority must yield Timeout, not hang");
-  Alcotest.(check (float 0.0001)) "bounded in virtual time" 32.0 !took;
-  let obs = Cluster.obs cluster in
-  Alcotest.(check int) "retries counted" 3
-    (Rdma_obs.Obs.counter obs "rdma.write_quorum.retries");
-  Alcotest.(check int) "timeout counted" 1
-    (Rdma_obs.Obs.counter obs "rdma.write_quorum.timeouts");
-  (* and the counters flow into the report consumers read *)
-  let report =
-    Report.of_cluster ~algorithm:"timed" ~n:1 ~m:3 ~decisions:[| None |] cluster
-  in
-  Alcotest.(check int) "timeouts in Report.named" 1
-    (Report.named report "rdma.write_quorum.timeouts");
-  Alcotest.(check int) "retries in Report.named" 3
-    (Report.named report "rdma.write_quorum.retries")
-
-let test_timed_write_recovers_within_deadline () =
-  (* Each attempt re-issues the operation, so a memory that rejoins
-     mid-deadline makes a later attempt succeed: the op returns Done,
-     not Timeout.  (The attempt in flight across the restart is dropped
-     by the epoch fence — only the re-issue lands.) *)
-  let cluster : unit Cluster.t = Cluster.create ~n:1 ~m:3 () in
-  Cluster.add_region_everywhere cluster ~name:"r"
-    ~perm:(Permission.all_readwrite ~n:1) ~registers:[ "x" ];
-  Cluster.crash_memory cluster 1;
-  Cluster.crash_memory cluster 2;
-  Cluster.restart_memory_at cluster ~at:10.0 1;
-  let result = ref None in
-  Cluster.spawn cluster ~pid:0 (fun ctx ->
-      result :=
-        Some
-          (Memclient.write_quorum_timed ~deadline:64.0 ctx.Cluster.client
-             ~region:"r" ~reg:"x" "v"));
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  (match !result with
-  | Some (Memclient.Done r) -> Alcotest.(check bool) "write acks" true (r = Memory.Ack)
-  | _ -> Alcotest.fail "rejoin within the deadline must yield Done");
-  Alcotest.(check bool) "earlier attempts were retried" true
-    (Rdma_obs.Obs.counter (Cluster.obs cluster) "rdma.write_quorum.retries" >= 1);
-  Alcotest.(check (list string)) "the re-issued write repaired the register" []
-    (Memory.stale_registers (Cluster.memory cluster 1) ~region:"r")
+(* ---------------- quorum waits ------------------------------------ *)
 
 let test_abandoned_attempts_drop_waiters () =
   (* The leak fix: an abandoned quorum wait deregisters its callbacks
@@ -201,10 +132,6 @@ let test_restart_machine_reruns_program () =
 
 let suite =
   [
-    Alcotest.test_case "timed quorum write times out on a dead majority" `Quick
-      test_timed_write_times_out;
-    Alcotest.test_case "timed quorum write succeeds after a mid-deadline rejoin"
-      `Quick test_timed_write_recovers_within_deadline;
     Alcotest.test_case "abandoned quorum waits drop their waiters" `Quick
       test_abandoned_attempts_drop_waiters;
     Alcotest.test_case "smr checkpoints commit and truncate" `Quick

@@ -81,7 +81,7 @@ let test_neb_liveness_under_reader_crash () =
           Neb.broadcast neb "liveness"
         end)
   done;
-  Cluster.crash_process_at cluster ~at:1.0 3;
+  Fault.apply cluster [ Crash_process { pid = 3; at = 1.0 } ];
   Cluster.run cluster;
   Cluster.check_errors cluster;
   List.iter

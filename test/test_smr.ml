@@ -112,7 +112,7 @@ let test_memory_crash_tolerated () =
   let results = ref [] in
   let commands = List.init 3 (fun i -> Kv.encode_command (Kv.Set (Printf.sprintf "k%d" i, "v"))) in
   Cluster.spawn cluster ~pid:3 (client_program ~commands ~results);
-  Cluster.crash_memory_at cluster ~at:0.0 1;
+  Rdma_consensus.Fault.(apply cluster [ Crash_memory { mid = 1; at = 0.0 } ]);
   Cluster.run cluster;
   Cluster.check_errors cluster;
   Alcotest.(check bool) "all committed with 2/3 memories" true
@@ -136,7 +136,7 @@ let test_log_prefix_safety_sweep () =
               | Some index -> acked := (index, cmd) :: !acked
               | None -> ())
             [ 0; 1; 2; 3 ]);
-      Cluster.crash_process_at cluster ~at 0;
+      Rdma_consensus.Fault.(apply cluster [ Crash_process { pid = 0; at } ]);
       Cluster.run cluster;
       Cluster.check_errors cluster;
       let l1 = Smr_log.applied_entries replicas.(1) in

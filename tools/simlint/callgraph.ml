@@ -60,8 +60,6 @@ let yield_seeds : fn_id list =
     ("Memclient", "change_permission_quorum");
     ("Memclient", "fence"); ("Memclient", "fence_quorum");
     ("Memclient", "write_many");
-    ("Memclient", "write_quorum_timed"); ("Memclient", "read_quorum_timed");
-    ("Memclient", "change_permission_quorum_timed");
   ]
 
 (* Callback-registration primitives whose function arguments run on
@@ -94,8 +92,7 @@ let deferred_attr_name = "simlint.deferred"
 let write_issuer_prims : fn_id list =
   [
     ("Memclient", "write"); ("Memclient", "write_quorum");
-    ("Memclient", "write_many"); ("Memclient", "write_quorum_timed");
-    ("Memclient", "write_all_async");
+    ("Memclient", "write_many"); ("Memclient", "write_all_async");
     ("Memory", "write_async"); ("Memory", "write_many_async");
     ("Verbs", "rdma_write");
   ]
@@ -112,7 +109,6 @@ let fence_prims : fn_id list =
     ("Memclient", "change_permission");
     ("Memclient", "change_permission_all_async");
     ("Memclient", "change_permission_quorum");
-    ("Memclient", "change_permission_quorum_timed");
     ("Memory", "change_permission_async"); ("Memory", "fence_async");
     ("Verbs", "rdma_flush"); ("Verbs", "dereg_mr"); ("Verbs", "rereg_mr");
   ]
