@@ -219,13 +219,13 @@ let exp_d3 env =
     [
       ("with permissions", Aligned_paxos.default_config, 3, 2);
       ( "disk-style (no permissions)",
-        { Aligned_paxos.default_config with mode = Aligned_paxos.Disk },
+        { Aligned_paxos.mode = Aligned_paxos.Disk },
         3, 2 );
       (* with n=2, m=3 the memories are needed for the majority, so the
          memory path is on the critical path and the modes differ *)
       ("with permissions, memory-bound", Aligned_paxos.default_config, 2, 3);
       ( "disk-style, memory-bound",
-        { Aligned_paxos.default_config with mode = Aligned_paxos.Disk },
+        { Aligned_paxos.mode = Aligned_paxos.Disk },
         2, 3 );
     ]
 

@@ -41,13 +41,15 @@ let decode_slot s =
 
 type memory_mode = Permissions | Disk
 
-type config = {
-  mode : memory_mode;
-  max_rounds : int;
-  round_timeout : float;
-}
+type config = { mode : memory_mode }
 
-let default_config = { mode = Permissions; max_rounds = 64; round_timeout = 16.0 }
+let default_config = { mode = Permissions }
+
+(* Proposer retry budget; keeps failing runs finite. *)
+let max_rounds = 64
+
+(* How long a round waits for a majority of the n + m agents. *)
+let round_timeout = 16.0
 
 let legal_change ~pid ~region:r ~current:_ ~requested =
   r = region
@@ -215,10 +217,10 @@ type collect_outcome =
 
 (* Wait until a majority of the n + m agents answered positively for
    [prop_nr]; restart on any rejection/failure or on timeout. *)
-let collect (ctx : _ Cluster.ctx) cfg ~reply_box ~prop_nr ~is_positive =
+let collect (ctx : _ Cluster.ctx) ~reply_box ~prop_nr ~is_positive =
   let n = ctx.Cluster.cluster_n and m = ctx.Cluster.cluster_m in
   let needed = ((n + m) / 2) + 1 in
-  let deadline = Engine.now ctx.Cluster.ctx_engine +. cfg.round_timeout in
+  let deadline = Engine.now ctx.Cluster.ctx_engine +. round_timeout in
   let rec loop acc count =
     if count >= needed then Enough acc
     else
@@ -250,7 +252,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
     if Ivar.is_full decision then continue := false
     else begin
       incr round;
-      if !round > cfg.max_rounds then continue := false
+      if !round > max_rounds then continue := false
       else begin
         let prop_nr = (!round * n) + me + 1 in
         let grab = not !holds_permission in
@@ -263,7 +265,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
         done;
         Network.broadcast ep (Paxos.encode (Paxos.Prepare { ballot = prop_nr }));
         let phase1 =
-          collect ctx cfg ~reply_box ~prop_nr ~is_positive:(fun reply ->
+          collect ctx ~reply_box ~prop_nr ~is_positive:(fun reply ->
               match reply with
               | Mem_info { prop_nr = p; slots } when p = prop_nr ->
                   if
@@ -324,7 +326,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
             done;
             Network.broadcast ep (Paxos.encode (Paxos.Accept { ballot = prop_nr; value }));
             let phase2 =
-              collect ctx cfg ~reply_box ~prop_nr ~is_positive:(fun reply ->
+              collect ctx ~reply_box ~prop_nr ~is_positive:(fun reply ->
                   match reply with
                   | Mem_ack { prop_nr = p } when p = prop_nr -> `Yes
                   | Mem_fail { prop_nr = p } when p = prop_nr -> `No

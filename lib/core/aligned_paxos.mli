@@ -11,11 +11,7 @@ open Rdma_mm
       permissions not needed, two extra delays). *)
 type memory_mode = Permissions | Disk
 
-type config = {
-  mode : memory_mode;
-  max_rounds : int;
-  round_timeout : float;
-}
+type config = { mode : memory_mode }
 
 val default_config : config
 

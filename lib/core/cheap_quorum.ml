@@ -146,10 +146,12 @@ type config = {
   ns : string; (* instance namespace; "" for standalone use *)
   fast_timeout : float;
       (* upper bound on common-case communication delays (footnote 3) *)
-  check_interval : float;
 }
 
-let default_config = { ns = ""; fast_timeout = 120.0; check_interval = 1.0 }
+let default_config = { ns = ""; fast_timeout = 120.0 }
+
+(* Pause between two scans of the other processes' registers. *)
+let check_interval = 1.0
 
 type state = {
   ctx : string Cluster.ctx;
@@ -269,7 +271,7 @@ let leader_helper st ~sig_l =
       if List.for_all Option.is_some copies then
         Some (encode_proof ~value ~sigs:(List.filter_map Fun.id copies))
       else begin
-        Engine.sleep st.cfg.check_interval;
+        Engine.sleep check_interval;
         gather ()
       end
     end
@@ -301,7 +303,7 @@ let run_follower st =
                  leader is Byzantine *)
               None)
       | None ->
-          Engine.sleep st.cfg.check_interval;
+          Engine.sleep check_interval;
           await_leader_value ()
   in
   match await_leader_value () with
@@ -336,7 +338,7 @@ let run_follower st =
           if List.for_all Option.is_some copies then
             Some (encode_proof ~value ~sigs:(List.filter_map Fun.id copies))
           else begin
-            Engine.sleep st.cfg.check_interval;
+            Engine.sleep check_interval;
             await_unanimity ()
           end
         end
@@ -356,7 +358,7 @@ let run_follower st =
               in
               if List.for_all Fun.id ok then Some ()
               else begin
-                Engine.sleep st.cfg.check_interval;
+                Engine.sleep check_interval;
                 await_proofs ()
               end
             end

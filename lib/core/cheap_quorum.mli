@@ -9,20 +9,11 @@ open Rdma_crypto
 
 val leader : int
 
-(** The leader region of instance namespace [ns]. *)
-val leader_region_ns : string -> string
-
 val leader_region : string
 
 val leader_value_reg : string
 
 val region_of : ?ns:string -> int -> string
-
-val value_reg : int -> string
-
-val panic_reg : int -> string
-
-val proof_reg : int -> string
 
 (** The byte string processes sign: the proposed value under a protocol
     tag and instance namespace (so signatures and proofs cannot be
@@ -30,8 +21,6 @@ val proof_reg : int -> string
 val value_payload : ?ns:string -> string -> string
 
 val encode_leader_value : value:string -> sig_l:Keychain.signature -> string
-
-val decode_leader_value : string -> (string * Keychain.signature) option
 
 val encode_proof : value:string -> sigs:(int * Keychain.signature) list -> string
 
@@ -58,7 +47,6 @@ type config = {
   ns : string;  (** instance namespace; [""] for standalone use *)
   fast_timeout : float;
       (** upper bound on common-case delays (footnote 3) *)
-  check_interval : float;
 }
 
 val default_config : config

@@ -42,15 +42,14 @@ let decode_block s =
       | Some mbal, Some bal -> Some (mbal, bal, inp)
       | _ -> None)
 
-type config = {
-  f_m : int option;
-  max_rounds : int;
-  poll_interval : float; (* follower poll of decided blocks *)
-  max_polls : int;
-}
+(* Proposer retry budget; keeps failing runs finite. *)
+let max_rounds = 64
 
-let default_config =
-  { f_m = None; max_rounds = 64; poll_interval = 5.0; max_polls = 400 }
+(* Followers poll the decided blocks every [poll_interval] delays, at
+   most [max_polls] times. *)
+let poll_interval = 5.0
+
+let max_polls = 400
 
 let setup_regions cluster =
   let n = Cluster.n cluster in
@@ -114,7 +113,7 @@ let publish_decision (ctx : _ Cluster.ctx) value =
 
 (* Followers poll the decided blocks, rotating over the disks (a decided
    value reaches a majority of them, so rotation finds it). *)
-let poller (ctx : _ Cluster.ctx) cfg decision =
+let poller (ctx : _ Cluster.ctx) decision =
   let n = ctx.Cluster.cluster_n in
   let m = ctx.Cluster.cluster_m in
   let me = ctx.Cluster.pid in
@@ -125,13 +124,13 @@ let poller (ctx : _ Cluster.ctx) cfg decision =
     if Ivar.is_full decision then continue := false
     else begin
       incr polls;
-      if !polls > cfg.max_polls then continue := false
+      if !polls > max_polls then continue := false
       else begin
         let disk = Memclient.mem ctx.Cluster.client (!polls mod m) in
         let response =
           Ivar.await_timeout
             (Memory.read_many_async disk ~from:me ~region ~regs:all_decided)
-            (2.0 *. cfg.poll_interval)
+            (2.0 *. poll_interval)
         in
         let found =
           match response with
@@ -145,18 +144,17 @@ let poller (ctx : _ Cluster.ctx) cfg decision =
         | Some v ->
             decide_now ctx decision v;
             continue := false
-        | None -> Engine.sleep cfg.poll_interval
+        | None -> Engine.sleep poll_interval
       end
     end
   done
 
-let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
+let proposer (ctx : _ Cluster.ctx) ~input decision =
   let n = ctx.Cluster.cluster_n in
   let m = ctx.Cluster.cluster_m in
   let me = ctx.Cluster.pid in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
-  if quorum <= 0 then invalid_arg "Disk_paxos: bad f_m";
+  let quorum = m - ((m - 1) / 2) in
+  if quorum <= 0 then invalid_arg "Disk_paxos: no memories";
   let round = ref 0 in
   let bal = ref 0 in
   let inp = ref input in
@@ -200,7 +198,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
     if Ivar.is_full decision then continue := false
     else begin
       incr round;
-      if !round > cfg.max_rounds then continue := false
+      if !round > max_rounds then continue := false
       else begin
         let mbal = (!round * n) + me + 1 in
         (* Phase 1 — skipped when p0 still owns the initial ballot. *)
@@ -237,14 +235,14 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
     end
   done
 
-let spawn cfg cluster pid input =
+let spawn cluster pid input =
   let decision = Ivar.create () in
   Cluster.spawn cluster ~pid (fun ctx ->
-      ctx.Cluster.spawn_sub "disk.poller" (fun () -> poller ctx cfg decision);
-      proposer ctx cfg ~input decision);
+      ctx.Cluster.spawn_sub "disk.poller" (fun () -> poller ctx decision);
+      proposer ctx ~input decision);
   fun () -> Ivar.peek decision
 
-let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
+let run ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
   fst
     (Instance.decide ~algorithm:"disk-paxos" ~setup:setup_regions ?faults
-       ?prepare ~seed ~n ~m ~inputs ~spawn:(spawn cfg) ())
+       ?prepare ~seed ~n ~m ~inputs ~spawn ())

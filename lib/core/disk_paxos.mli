@@ -4,17 +4,8 @@
 
 open Rdma_mm
 
-type config = {
-  f_m : int option;
-  max_rounds : int;
-  poll_interval : float;  (** follower poll of decided blocks *)
-  max_polls : int;
-}
-
-val default_config : config
-
+(** Tolerates ⌊(m−1)/2⌋ memory crashes. *)
 val run :
-  ?cfg:config ->
   ?seed:int ->
   ?faults:Fault.t list ->
   ?prepare:(string Cluster.t -> unit) ->

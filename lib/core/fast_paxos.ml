@@ -84,17 +84,21 @@ let decode s =
   | _ -> None
 
 type config = {
-  recovery_timeout : float; (* when the leader abandons the fast round *)
-  round_timeout : float;
-  max_rounds : int;
   proposer_stagger : float;
       (* followers hold their fast proposal back this long per pid, so
          the common case has a single fast proposer *)
 }
 
-let default_config =
-  { recovery_timeout = 10.0; round_timeout = 8.0; max_rounds = 64;
-    proposer_stagger = 4.0 }
+let default_config = { proposer_stagger = 4.0 }
+
+(* When the leader abandons the fast round. *)
+let recovery_timeout = 10.0
+
+(* How long a recovery round waits for a quorum. *)
+let round_timeout = 8.0
+
+(* Recovery retry budget; keeps failing runs finite. *)
+let max_rounds = 64
 
 type state = {
   ctx : string Cluster.ctx;
@@ -215,7 +219,7 @@ let fast_proposer st =
 type collect = Quorum of (int * int * string * bool) list | Rejected | Timeout
 
 let collect_promises st ~ballot ~quorum =
-  let deadline = Engine.now st.ctx.Cluster.ctx_engine +. st.cfg.round_timeout in
+  let deadline = Engine.now st.ctx.Cluster.ctx_engine +. round_timeout in
   let rec loop acc =
     if List.length acc >= quorum then Quorum acc
     else
@@ -238,7 +242,7 @@ let collect_promises st ~ballot ~quorum =
   loop []
 
 let collect_accepts st ~ballot ~quorum =
-  let deadline = Engine.now st.ctx.Cluster.ctx_engine +. st.cfg.round_timeout in
+  let deadline = Engine.now st.ctx.Cluster.ctx_engine +. round_timeout in
   let rec loop count =
     if count >= quorum then Quorum []
     else
@@ -264,7 +268,7 @@ let recovery st =
   let me = st.ctx.Cluster.pid in
   let ep = st.ctx.Cluster.ep in
   let majority = (n / 2) + 1 in
-  Engine.sleep st.cfg.recovery_timeout;
+  Engine.sleep recovery_timeout;
   let round = ref 0 in
   let continue = ref true in
   while !continue do
@@ -274,7 +278,7 @@ let recovery st =
       if Ivar.is_full st.decision then continue := false
       else begin
         incr round;
-        if !round > st.cfg.max_rounds then continue := false
+        if !round > max_rounds then continue := false
         else begin
           let ballot = (!round * n) + me + 1 in
           Network.broadcast ep (encode (Prepare { ballot }));

@@ -5,9 +5,6 @@
 open Rdma_mm
 
 type config = {
-  recovery_timeout : float;  (** when the leader abandons the fast round *)
-  round_timeout : float;
-  max_rounds : int;
   proposer_stagger : float;
       (** followers hold their fast proposal back this long per pid *)
 }

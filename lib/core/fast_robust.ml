@@ -64,8 +64,7 @@ let config_with_ns ?(base = default_config) ns =
   {
     cheap_quorum = { base.cheap_quorum with Cheap_quorum.ns };
     preferential =
-      { base.preferential with
-        Preferential_paxos.backup =
+      { Preferential_paxos.backup =
           { base.preferential.Preferential_paxos.backup with
             Robust_backup.trusted =
               { Trusted.neb =

@@ -7,8 +7,6 @@ open Rdma_sim
 open Rdma_mm
 open Rdma_crypto
 
-val encode_evidence : Cheap_quorum.evidence -> string
-
 (** Definition 3, verified within instance namespace [ns]: T (correct
     unanimity proof) = 2 > M (leader-signed) = 1 > B = 0. *)
 val classify : ?ns:string -> Keychain.t -> n:int -> Preferential_paxos.classify
@@ -23,8 +21,6 @@ val default_config : config
 (** A configuration whose Cheap Quorum and NEB layers live in instance
     namespace [ns] — the slots of a BFT log use one per slot. *)
 val config_with_ns : ?base:config -> string -> config
-
-val ns_of : config -> string
 
 type handle
 

@@ -48,7 +48,9 @@ type t =
    pid would otherwise silently test nothing.  A negative asynchrony
    extra or latency bound would schedule deliveries in the past, a NaN
    time, extra or bound would put an event nowhere in virtual time, and
-   an empty latency range has no latency to draw. *)
+   an empty latency range has no latency to draw.  An ordering parameter
+   is a per-op lag or window: negative, NaN or infinite, it would put a
+   memory operation in the past or nowhere. *)
 let fault_problem ~n ~m fault =
   let pid p =
     if p < 0 || p >= n then
@@ -89,7 +91,18 @@ let fault_problem ~n ~m fault =
         (if max <= min then
            Some (Printf.sprintf "latency range [%.1f,%.1f) is empty" min max)
          else None)
-  | Set_ordering _ -> None
+  | Set_ordering { mode } -> (
+      let param p =
+        let what = Rdma_mem.Ordering.name mode ^ " parameter" in
+        if Float.is_nan p then Some (what ^ " nan is not a number")
+        else if p < 0. then Some (Printf.sprintf "%s %.1f is negative" what p)
+        else if not (Float.is_finite p) then Some (what ^ " inf is not finite")
+        else None
+      in
+      match mode with
+      | Rdma_mem.Ordering.Strict -> None
+      | Completion_lag { max_lag } -> param max_lag
+      | Reorder_qp { window } -> param window)
 
 let problem ~n ~m faults = List.find_map (fault_problem ~n ~m) faults
 

@@ -33,8 +33,9 @@ type t =
 
 (** The first fault that targets a pid or mid outside a cluster of [n]
     processes and [m] memories, has a NaN time, gives [Async_until] a
-    negative or NaN [extra], or gives [Random_latency] a negative or NaN
-    bound or an empty range, described in one line; [None] when the
+    negative or NaN [extra], gives [Random_latency] a negative or NaN
+    bound or an empty range, or gives [Set_ordering] a negative, NaN or
+    infinite lag or window, described in one line; [None] when the
     schedule is valid. *)
 val problem : n:int -> m:int -> t list -> string option
 

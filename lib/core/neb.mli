@@ -9,10 +9,7 @@ open Rdma_crypto
 val region_of : ?ns:string -> int -> string
 
 (** slots[owner, k, src] — [owner]'s copy of the k-th message of [src],
-    within instance namespace [ns]. *)
-val slot_reg_ns : ns:string -> owner:int -> k:int -> src:int -> string
-
-(** {!slot_reg_ns} in the default namespace. *)
+    in the default namespace. *)
 val slot_reg : owner:int -> k:int -> src:int -> string
 
 (** The byte string a broadcaster signs: (ns, k, m) — namespaced so
@@ -52,9 +49,5 @@ val stop : t -> unit
 (** broadcast(k, m) with auto-incremented k.  Blocking: one replicated
     write (2 delays).  Raises [Invalid_argument] past [max_seq]. *)
 val broadcast : t -> string -> unit [@@sim.yields]
-
-(** One delivery attempt for the next message of [src]; true if
-    delivered.  Exposed for tests; normal use runs {!spawn_poller}. *)
-val try_deliver : t -> int -> bool [@@sim.yields]
 
 val spawn_poller : 'm Cluster.ctx -> t -> unit

@@ -29,16 +29,13 @@ type classify = value:string -> evidence:string -> int
    Byzantine agreement, no preference). *)
 let no_priorities : classify = fun ~value:_ ~evidence:_ -> 0
 
-type config = {
-  backup : Robust_backup.config;
-  f_p : int option; (* default ⌊(n-1)/2⌋ *)
-  setup_timeout : float;
-      (* safety net: adopt from whatever arrived if the set-up quorum
-         never completes (only reachable when > fP processes are faulty) *)
-}
+type config = { backup : Robust_backup.config }
 
-let default_config =
-  { backup = Robust_backup.default_config; f_p = None; setup_timeout = 400.0 }
+let default_config = { backup = Robust_backup.default_config }
+
+(* Safety net: adopt from whatever arrived if the set-up quorum never
+   completes (only reachable when > fP processes are faulty). *)
+let setup_timeout = 400.0
 
 let encode_setup ~value ~evidence = Codec.join3 Robust_backup.setup_tag value evidence
 
@@ -56,7 +53,7 @@ let decision h = h.decision
 let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorities)
     ~value ~evidence () =
   let n = ctx.Cluster.cluster_n in
-  let f_p = match cfg.f_p with Some f -> f | None -> (n - 1) / 2 in
+  let f_p = (n - 1) / 2 in
   let setup_box = Mailbox.create () in
   let transport, trusted =
     Robust_backup.make_channel ctx ~cfg:cfg.backup
@@ -73,7 +70,7 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorit
       (* Set-up phase: send our input to all, gather n − fP inputs
          (first message per sender), adopt the best verified one. *)
       Robust_backup.T_transport.broadcast transport (encode_setup ~value ~evidence);
-      let deadline = Engine.now ctx.Cluster.ctx_engine +. cfg.setup_timeout in
+      let deadline = Engine.now ctx.Cluster.ctx_engine +. setup_timeout in
       let seen = Hashtbl.create 8 in
       Hashtbl.add seen ctx.Cluster.pid (value, evidence);
       let rec gather () =

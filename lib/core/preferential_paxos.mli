@@ -10,19 +10,12 @@ open Rdma_mm
     evidence must get the bottom priority. *)
 type classify = value:string -> evidence:string -> int
 
-val no_priorities : classify
-
-type config = {
-  backup : Robust_backup.config;
-  f_p : int option;  (** default ⌊(n−1)/2⌋ *)
-  setup_timeout : float;
-}
+(** The set-up phase waits for n − fP inputs, with fP = ⌊(n−1)/2⌋. *)
+type config = { backup : Robust_backup.config }
 
 val default_config : config
 
 val encode_setup : value:string -> evidence:string -> string
-
-val decode_setup : string -> (string * string) option
 
 type handle
 

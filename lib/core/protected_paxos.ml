@@ -44,10 +44,12 @@ let legal_change ~pid ~region:r ~current:_ ~requested =
 
 type config = {
   f_m : int option; (* tolerated memory crashes; default ⌊(m-1)/2⌋ *)
-  max_rounds : int;
 }
 
-let default_config = { f_m = None; max_rounds = 64 }
+let default_config = { f_m = None }
+
+(* Proposer retry budget; keeps failing runs finite. *)
+let max_rounds = 64
 
 let setup_regions cluster =
   let n = Cluster.n cluster in
@@ -140,7 +142,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
     if Ivar.is_full decision then continue := false
     else begin
       incr round;
-      if !round > cfg.max_rounds then continue := false
+      if !round > max_rounds then continue := false
       else begin
         let prop_nr = (!round * n) + me + 1 in
         (* Phase 1 — skipped by p1 on its very first attempt: it already

@@ -17,7 +17,6 @@ val legal_change : Permission.legal_change
 
 type config = {
   f_m : int option;  (** tolerated memory crashes; default ⌊(m−1)/2⌋ *)
-  max_rounds : int;
 }
 
 val default_config : config

@@ -63,7 +63,5 @@ val decision_value : t -> string option
 
 val pp : Format.formatter -> t -> unit
 
-val pp_phase : Format.formatter -> phase -> unit
-
 (** The per-phase latency table ({!field-phases}). *)
 val pp_phases : Format.formatter -> t -> unit

@@ -31,18 +31,9 @@ end
 
 module Paxos_bft : module type of Paxos.Make (T_transport)
 
-(** Application messages over the trusted transport: Paxos messages plus
-    Preferential Paxos set-up messages (validated separately). *)
-type app = Paxos_msg of Paxos.msg | Setup_msg
-
+(** The tag of Preferential Paxos set-up messages on the trusted
+    transport (validated separately from Paxos messages). *)
 val setup_tag : string
-
-val decode_app : string -> (int * app) option
-
-(** The Clement et al. state-machine replay for Paxos: rejects any
-    message a correct Paxos process could not send given the claimed
-    history. *)
-val paxos_validator : n:int -> Trusted.validator
 
 type config = {
   paxos : Paxos.config;

@@ -68,10 +68,9 @@ let schedule_repoint t =
             | [] -> ())
       end)
 
-let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
-    ?(legal_change = Permission.static_permissions) ?(initial_leader = 0)
-    ?(ordering = Ordering.Strict) ~n ~m () =
-  let engine = Engine.create ~max_steps ~seed () in
+let create ?(seed = 1) ?(legal_change = Permission.static_permissions) ~n ~m
+    () =
+  let engine = Engine.create ~seed () in
   let keychain = Keychain.create ~seed ~n () in
   let obs = Engine.obs engine in
   Keychain.set_hooks keychain
@@ -87,11 +86,10 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
      verbatim. *)
   let memories =
     Array.init m (fun mid ->
-        Memory.create ~one_way:(latency *. 1.0) ~legal_change ~ordering ~seed
-          ~engine ~mid ())
+        Memory.create ~legal_change ~seed ~engine ~mid ())
   in
-  let net = Network.create ~latency ~engine ~n () in
-  let omega = Omega.create ~engine ~initial:initial_leader in
+  let net = Network.create ~engine ~n () in
+  let omega = Omega.create ~engine ~initial:0 in
   let t =
     {
       engine;

@@ -28,17 +28,14 @@ type 'm ctx = {
           the process when a crash is injected. *)
 }
 
-(** [ordering] (default {!Rdma_mem.Ordering.Strict}) installs a memory
-    ordering model on every memory; the cluster seed keys the per-op
-    lag/reorder streams, so the same seed replays the same weak-mode
-    decisions. *)
+(** Memories start under {!Rdma_mem.Ordering.Strict} and Ω trusts p0.
+    A fault schedule's [Set_ordering] and [Set_leader] change them (and
+    Ω leaves a crashed leader by itself, see {!crash_process}).  The
+    cluster seed keys each memory's per-op lag/reorder stream, so the
+    same seed replays the same weak-mode decisions. *)
 val create :
   ?seed:int ->
-  ?max_steps:int ->
-  ?latency:float ->
   ?legal_change:Permission.legal_change ->
-  ?initial_leader:int ->
-  ?ordering:Rdma_mem.Ordering.mode ->
   n:int ->
   m:int ->
   unit ->

@@ -22,18 +22,21 @@ open Rdma_sim
 open Rdma_net
 
 type config = {
-  period : float; (* heartbeat broadcast interval *)
-  suspect_after : float; (* silence threshold *)
   run_until : float; (* virtual time at which the daemon stops *)
 }
 
-let default_config = { period = 2.0; suspect_after = 7.0; run_until = 300.0 }
+let default_config = { run_until = 300.0 }
+
+(* Heartbeat broadcast interval. *)
+let period = 2.0
+
+(* Silence threshold. *)
+let suspect_after = 7.0
 
 type t = {
   me : int;
   n : int;
   engine : Engine.t;
-  cfg : config;
   last_seen : float array;
   mutable leader_history : (float * int) list; (* newest first *)
 }
@@ -42,13 +45,13 @@ let leader t =
   let now = Engine.now t.engine in
   let rec first p =
     if p >= t.n then t.me (* everyone suspected: trust self *)
-    else if p = t.me || now -. t.last_seen.(p) <= t.cfg.suspect_after then p
+    else if p = t.me || now -. t.last_seen.(p) <= suspect_after then p
     else first (p + 1)
   in
   first 0
 
 let suspects t p =
-  p <> t.me && Engine.now t.engine -. t.last_seen.(p) > t.cfg.suspect_after
+  p <> t.me && Engine.now t.engine -. t.last_seen.(p) > suspect_after
 
 let history t = List.rev t.leader_history
 
@@ -62,7 +65,6 @@ let spawn ~engine ~(ep : unit Network.endpoint) ~n ?(cfg = default_config) () =
       me;
       n;
       engine;
-      cfg;
       last_seen = Array.make n (Engine.now engine);
       leader_history = [ (Engine.now engine, 0) ];
     }
@@ -80,7 +82,7 @@ let spawn ~engine ~(ep : unit Network.endpoint) ~n ?(cfg = default_config) () =
          while Engine.now engine < cfg.run_until do
            Network.broadcast_others ep ();
            note_leader ();
-           Engine.sleep cfg.period
+           Engine.sleep period
          done));
   ignore
     (Engine.spawn engine

@@ -1,14 +1,13 @@
 (** A heartbeat-based implementation of the Ω leader oracle: after GST,
     every correct process converges on the lowest-id correct process.
     Shows the model's liveness assumption is implementable from its own
-    primitives. *)
+    primitives.  Heartbeats go out every 2 delays, and a peer silent for
+    more than 7 is suspected. *)
 
 open Rdma_sim
 open Rdma_net
 
 type config = {
-  period : float;  (** heartbeat broadcast interval *)
-  suspect_after : float;  (** silence threshold *)
   run_until : float;  (** virtual time at which the daemon stops *)
 }
 

@@ -18,9 +18,6 @@ val set_leader : t -> int -> unit
     (Algorithm 7 line 9). *)
 val wait_until_leader : t -> me:int -> unit [@@sim.yields]
 
-(** Block while [unwanted leader] holds. *)
-val wait_while : t -> unwanted:(int -> bool) -> unit [@@sim.yields]
-
 (** One-shot callback at the first leadership change to a pid satisfying
     [want] (not retroactive). *)
 val on_change : t -> want:(int -> bool) -> (unit -> unit) -> unit

@@ -5,8 +5,8 @@
    message between correct processes is eventually received).  Liveness
    assumptions are modelled with a global stabilization time (GST):
    before GST an adversary may add arbitrary finite delay to any message;
-   from GST on, every message takes exactly the base latency — one delay
-   unit in the paper's metric.
+   from GST on, every message takes exactly the base latency — one
+   [Engine.delay], the unit of the paper's metric.
 
    A process sends through its [endpoint] capability, which pins the
    sender id: a Byzantine program can send arbitrary *payloads* but only
@@ -35,7 +35,7 @@ type 'm t = {
   mutable buffered : (int * int * 'm envelope) list;
 }
 
-let create ?(latency = 1.0) ~engine ~n () =
+let create ~engine ~n () =
   let obs = Engine.obs engine in
   {
     engine;
@@ -44,7 +44,7 @@ let create ?(latency = 1.0) ~engine ~n () =
     n;
     actors = Array.init n (Printf.sprintf "p%d");
     boxes = Array.init n (fun _ -> Mailbox.create ());
-    base_latency = (fun ~src:_ ~dst:_ -> latency);
+    base_latency = (fun ~src:_ ~dst:_ -> Engine.delay);
     gst = 0.;
     pre_gst_extra = (fun ~src:_ ~dst:_ ~now:_ -> 0.);
     partitioned = [];

@@ -5,8 +5,9 @@ open Rdma_sim
 
 type 'm t
 
-(** Every send counts one [net.msgs.sent] on the engine's collector. *)
-val create : ?latency:float -> engine:Engine.t -> n:int -> unit -> 'm t
+(** Every send counts one [net.msgs.sent] on the engine's collector.
+    Every link starts at the base latency of one {!Engine.delay}. *)
+val create : engine:Engine.t -> n:int -> unit -> 'm t
 
 val n : 'm t -> int
 

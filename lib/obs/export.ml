@@ -232,15 +232,16 @@ let perf_snapshot_json ?(wall_clock = false) ~id prof =
 let perf_snapshot ?wall_clock ~id prof =
   Json.to_string (perf_snapshot_json ?wall_clock ~id prof)
 
-(* Collapsed-stack rendering of one deterministic counter: one line per
-   scope path, [frame;frame;frame weight], the input format of
-   flamegraph.pl / speedscope / inferno.  Weights are the per-scope
-   (self) attribution, which is exactly what a flamegraph expects. *)
-let flamegraph ?(counter = "sim.events.popped") prof =
+(* Collapsed-stack rendering of the deterministic [sim.events.popped]
+   counter: one line per scope path, [frame;frame;frame weight], the
+   input format of flamegraph.pl / speedscope / inferno.  Weights are
+   the per-scope (self) attribution, which is exactly what a flamegraph
+   expects. *)
+let flamegraph prof =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (path, row) ->
-      match List.assoc_opt counter row with
+      match List.assoc_opt "sim.events.popped" row with
       | Some n when n > 0 ->
           Buffer.add_string buf path;
           Buffer.add_char buf ' ';

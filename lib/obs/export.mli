@@ -4,8 +4,6 @@
 
 (** Chrome trace_event document: actors as tracks, spans as "X" duration
     events, instant events as "i".  One virtual delay = 1000 trace µs. *)
-val chrome_json : Obs.t -> Json.t
-
 val chrome : Obs.t -> string
 
 (** One JSON object per line per entry. *)
@@ -13,12 +11,7 @@ val jsonl : Obs.t -> string
 
 (** Histogram summaries (count/sum/min/max/p50/p90/p99), counters and
     gauges. *)
-val metrics_json : Obs.t -> Json.t
-
 val metrics : Obs.t -> string
-
-(** Perf-snapshot schema version (see tools/perfdiff). *)
-val perf_snapshot_version : int
 
 (** One profiler as a versioned snapshot document: the deterministic
     plane (counters + per-scope attribution, byte-stable for a seed,
@@ -29,10 +22,10 @@ val perf_snapshot_json : ?wall_clock:bool -> id:string -> Prof.t -> Json.t
 
 val perf_snapshot : ?wall_clock:bool -> id:string -> Prof.t -> string
 
-(** Collapsed-stack rendering of one deterministic counter (default
-    ["sim.events.popped"]): one [path weight] line per scope, the input
-    format of flamegraph.pl / speedscope. *)
-val flamegraph : ?counter:string -> Prof.t -> string
+(** Collapsed-stack rendering of the deterministic [sim.events.popped]
+    counter: one [path weight] line per scope, the input format of
+    flamegraph.pl / speedscope. *)
+val flamegraph : Prof.t -> string
 
 (** Render the trace that {!write_trace} would write to [file]: a
     [.jsonl] suffix selects the JSONL exporter, anything else the

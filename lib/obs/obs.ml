@@ -43,10 +43,10 @@ type t = {
   gauges : (string, float ref) Hashtbl.t; (* name -> high watermark *)
 }
 
-let create ?(recording = false) () =
+let create () =
   {
     clock = (fun () -> 0.);
-    recording;
+    recording = false;
     muted = false;
     entries = [];
     entry_count = 0;

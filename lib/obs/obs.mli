@@ -14,7 +14,8 @@ type t
     virtual time. *)
 type span
 
-val create : ?recording:bool -> unit -> t
+(** A collector that does not record; see {!set_recording}. *)
+val create : unit -> t
 
 (** Install the time source (the engine does this at creation). *)
 val set_clock : t -> (unit -> float) -> unit

@@ -5,10 +5,10 @@
    Byzantine caller cannot bypass it — the trust placement of an RDMA NIC.
 
    Timing follows the paper's delay metric: an operation issued at time t
-   arrives at the memory at t + one_way (permission check + state change
-   happen atomically there) and its response reaches the caller at
-   t + 2 * one_way.  A crashed memory never responds: the result ivar is
-   simply never filled.
+   arrives at the memory one [Engine.delay] later (permission check +
+   state change happen atomically there) and its response reaches the
+   caller one delay after that.  A crashed memory never responds: the
+   result ivar is simply never filled.
 
    Crash–recovery extends the paper's crash-stop memories: [restart]
    brings a crashed memory back *empty*, under a fresh epoch.  Nothing
@@ -70,7 +70,6 @@ type t = {
   ops : int ref; (* the collector's [mem.ops] counter *)
   actor : string; (* "mu<mid>": this memory's telemetry track *)
   legal_change : Permission.legal_change;
-  one_way : float;
   mutable crashed : bool;
   mutable epoch : int;
   regions : (string, region) Hashtbl.t;
@@ -87,7 +86,7 @@ type t = {
   mutable data_horizon : float;
 }
 
-let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
+let create ?(legal_change = Permission.static_permissions)
     ?(ordering = Ordering.Strict) ?(seed = 0) ~engine ~mid () =
   let obs = Engine.obs engine in
   {
@@ -97,7 +96,6 @@ let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
     ops = Obs.cell obs "mem.ops";
     actor = Printf.sprintf "mu%d" mid;
     legal_change;
-    one_way;
     crashed = false;
     epoch = 0;
     regions = Hashtbl.create 64;
@@ -287,7 +285,7 @@ let operation t ~span_name ~from ~cls decide =
   Prof.bump ops_issued 1;
   let sp = Obs.span t.obs ~actor:t.actor ~cat:"mem" span_name in
   let complete r =
-    Engine.schedule t.engine t.one_way (fun () ->
+    Engine.schedule t.engine Engine.delay (fun () ->
         if live () then begin
           (* issued - completed = ops swallowed by a crash/restart *)
           Prof.bump ops_completed 1;
@@ -305,7 +303,7 @@ let operation t ~span_name ~from ~cls decide =
     Engine.schedule t.engine (at -. Engine.now t.engine) (fun () ->
         if live () then f ())
   in
-  Engine.schedule t.engine t.one_way (fun () ->
+  Engine.schedule t.engine Engine.delay (fun () ->
       if live () then begin
         let now = Engine.now t.engine in
         match t.ordering with

@@ -11,8 +11,9 @@
     lost state as ⊥.
 
     Timing follows the paper's delay metric: an operation issued at time
-    [t] applies at the memory at [t + one_way] and its response arrives
-    at [t + 2 * one_way] — under the default {!Ordering.Strict} model.
+    [t] applies at the memory one {!Rdma_sim.Engine.delay} later and its
+    response arrives two delays after issue — under the default
+    {!Ordering.Strict} model.
     The weaker models ({!Ordering.Completion_lag},
     {!Ordering.Reorder_qp}) decouple apply from completion per the mode
     semantics in {!Ordering}; {!fence_async} is the explicit flush. *)
@@ -30,7 +31,6 @@ type t
     lag/reorder decisions from — pass the run's seed so chaos schedules
     replay to identical decisions. *)
 val create :
-  ?one_way:float ->
   ?legal_change:Permission.legal_change ->
   ?ordering:Ordering.mode ->
   ?seed:int ->
@@ -82,11 +82,6 @@ val add_region :
 (** Zero-delay inspection, for tests and traces only. *)
 val peek_register : t -> string -> string option
 
-(** Whether the register's last write is from the current epoch.  A stale
-    register is state lost in a restart and not yet repaired: reads nak
-    on it.  Zero-delay; for tests and the chaos oracle. *)
-val register_fresh : t -> string -> bool
-
 (** The region's registers still awaiting repair (sorted).  Empty means
     the region is fully re-replicated.  Zero-delay; for tests and the
     chaos oracle. *)
@@ -106,7 +101,7 @@ val region_names : t -> string list
     current epoch. *)
 val force_permission : t -> region:string -> perm:Permission.t -> unit
 
-(** Timed write; the ivar fills with the result two one-way delays later
+(** Timed write; the ivar fills with the result two delays later
     (never, if the memory crashes).  A successful write stamps the
     register with the current epoch, repairing it if it was stale. *)
 val write_async :

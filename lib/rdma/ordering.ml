@@ -52,7 +52,7 @@ let of_string s =
     | None -> Ok default
     | Some p -> (
         match float_of_string_opt p with
-        | Some f when f >= 0.0 -> Ok f
+        | Some f when Float.is_finite f && f >= 0.0 -> Ok f
         | Some _ | None ->
             Error (Printf.sprintf "bad ordering parameter %S (%s)" p usage))
   in

@@ -27,8 +27,6 @@ val can_write : t -> int -> bool
 
 val readers : t -> Pset.t
 
-val writers : t -> Pset.t
-
 (** The single process with write access, if exactly one. *)
 val sole_writer : t -> int option
 

@@ -64,6 +64,9 @@ let read_detailed t ~reg =
   in
   (value, naks)
 
+(* How long a repair sweep waits for every replica, in delays. *)
+let grace = 10.0
+
 (* Quorum read with write-back repair.  When the responding majority
    agrees on exactly one value v, any responding replica that did *not*
    confirm v — it returned ⊥, a divergent value, or nak'd (typically a
@@ -79,7 +82,7 @@ let read_detailed t ~reg =
    that only looks at the fastest majority can then miss the rejoined
    replica on every sweep of a bounded serving window — the replica
    loses each quorum race and is never observed, let alone repaired.
-   The grace default covers the response spread of the stock weak modes
+   The grace covers the response spread of the stock weak modes
    (completion-lag lag ≤ 6, reordered-qp window ≤ 4) with margin; a
    crashed replica costs one grace wait per sweep and is skipped.
    Fewer than a majority of responses within [grace] returns ⊥.
@@ -91,7 +94,7 @@ let read_detailed t ~reg =
    replicas are the expected cause of divergence (crash-model recovery),
    and the writes carry the caller's pid, so repair is only possible
    where the caller holds write permission. *)
-let read_repair ?(grace = 10.0) t ~reg =
+let read_repair t ~reg =
   let ivars = Memclient.read_all_async t.client ~region:t.region ~reg in
   let responses =
     Rdma_sim.Par.await_k_timeout ivars (Array.length ivars) grace

@@ -25,17 +25,17 @@ val read_detailed : handle -> reg:string -> string option * bool [@@sim.yields]
     agrees on one value v, every responding replica that returned ⊥, a
     divergent value, or a nak (e.g. a restarted memory whose register is
     stale) gets v written back, awaited, before v is returned.  The
-    sweep waits up to [grace] (default 10 delays) for {e every} replica
+    sweep waits up to a grace of 10 delays for {e every} replica
     rather than settling for the first majority: under a weak ordering
     model ({!Ordering}) response times spread out, and a
     fastest-majority sweep can race past the very replica it exists to
     repair on every sweep of a bounded window.  Fewer than a majority of
-    responses within [grace] returns ⊥.  Opt-in — [read] never repairs,
+    responses within the grace returns ⊥.  Opt-in — [read] never repairs,
     because non-equivocating broadcast relies on divergent replicas
     staying observable.  Requires the caller to hold write permission on
     the region; repairs are counted on the ["swmr.repairs"] telemetry
     counter. *)
-val read_repair : ?grace:float -> handle -> reg:string -> string option
+val read_repair : handle -> reg:string -> string option
 [@@sim.yields]
 
 (** Change the region's permission on every memory (majority-waited). *)

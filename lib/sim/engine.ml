@@ -81,6 +81,8 @@ let create ?(max_steps = 20_000_000) ?(seed = 1) () =
   Rdma_obs.Obs.set_clock t.obs (fun () -> t.now);
   t
 
+let delay = 1.0
+
 let now t = t.now
 
 let obs t = t.obs

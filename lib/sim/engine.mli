@@ -23,6 +23,10 @@ type fiber
 
 val create : ?max_steps:int -> ?seed:int -> unit -> t
 
+(** One network delay, the unit of virtual time: a message takes one,
+    and each leg of a memory operation takes one. *)
+val delay : float
+
 (** Current virtual time. *)
 val now : t -> float
 

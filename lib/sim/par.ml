@@ -10,23 +10,23 @@
    the late response is dropped, rather than queueing a dead closure on
    an ivar that may never fill (e.g. one owned by a crashed memory). *)
 
-(* [await_k ivars k] blocks until at least [k] of [ivars] are filled, then
-   returns the filled (index, value) pairs observed at that instant, in
-   index order.  Raises [Invalid_argument] if [k] exceeds the number of
-   ivars (such a wait could never complete even without failures). *)
-let await_k ivars k =
-  let total = Array.length ivars in
-  if k > total then invalid_arg "Par.await_k: k larger than ivar count";
-  let snapshot () =
-    Array.to_list ivars
-    |> List.mapi (fun i iv -> (i, Ivar.peek iv))
-    |> List.filter_map (fun (i, v) ->
-           match v with Some v -> Some (i, v) | None -> None)
-  in
+(* The filled (index, value) pairs, in index order. *)
+let snapshot ivars =
+  Array.to_list ivars
+  |> List.mapi (fun i iv -> (i, Ivar.peek iv))
+  |> List.filter_map (fun (i, v) ->
+         match v with Some v -> Some (i, v) | None -> None)
+
+(* Block until at least [k] of [ivars] are filled, or until [timeout]
+   (if any) has passed since the wait began, then return the snapshot
+   observed at that instant.  The timer is scheduled once the callbacks
+   are registered, also when the wait already settled inside the
+   suspension; it then finds the wait settled. *)
+let wait ivars k ~timeout =
   let filled = Array.fold_left (fun acc iv -> if Ivar.is_full iv then acc + 1 else acc) 0 ivars in
-  if filled >= k then snapshot ()
+  if filled >= k then snapshot ivars
   else begin
-    Engine.suspend (fun _eng fiber resume ->
+    Engine.suspend (fun eng fiber resume ->
         let count = ref filled and settled = ref false in
         let cancels = ref [] in
         let unhook = ref (fun () -> ()) in
@@ -56,9 +56,20 @@ let await_k ivars k =
            no waiter to wake and no callbacks leak on never-filled
            ivars.  The resume inside [settle] discontinues the fiber. *)
         unhook := Engine.on_cancel fiber settle;
-        if (not !settled) && !count >= k then settle ());
-    snapshot ()
+        if !count >= k then settle ();
+        match timeout with
+        | Some delay -> Engine.schedule eng delay settle
+        | None -> ());
+    snapshot ivars
   end
+
+(* [await_k ivars k] blocks until at least [k] of [ivars] are filled, then
+   returns the filled (index, value) pairs observed at that instant, in
+   index order.  Raises [Invalid_argument] if [k] exceeds the number of
+   ivars (such a wait could never complete even without failures). *)
+let await_k ivars k =
+  if k > Array.length ivars then invalid_arg "Par.await_k: k larger than ivar count";
+  wait ivars k ~timeout:None
 
 (* Wait for all. *)
 let await_all ivars = await_k ivars (Array.length ivars)
@@ -66,46 +77,4 @@ let await_all ivars = await_k ivars (Array.length ivars)
 (* [await_k_timeout ivars k d]: like [await_k] but gives up after [d] time
    units, returning whatever completed. *)
 let await_k_timeout ivars k delay =
-  let total = Array.length ivars in
-  let k = min k total in
-  let snapshot () =
-    Array.to_list ivars
-    |> List.mapi (fun i iv -> (i, Ivar.peek iv))
-    |> List.filter_map (fun (i, v) ->
-           match v with Some v -> Some (i, v) | None -> None)
-  in
-  let filled = Array.fold_left (fun acc iv -> if Ivar.is_full iv then acc + 1 else acc) 0 ivars in
-  if filled >= k then snapshot ()
-  else begin
-    Engine.suspend (fun eng fiber resume ->
-        let count = ref filled and settled = ref false in
-        let cancels = ref [] in
-        let unhook = ref (fun () -> ()) in
-        let finish () =
-          if not !settled then begin
-            settled := true;
-            List.iter (fun cancel -> cancel ()) !cancels;
-            cancels := [];
-            !unhook ();
-            resume ()
-          end
-        in
-        Array.iter
-          (fun iv ->
-            if not (Ivar.is_full iv) then
-              let cancel =
-                Ivar.on_fill_cancellable iv (fun _ ->
-                    if not !settled then begin
-                      incr count;
-                      if !count >= k then finish ()
-                    end)
-              in
-              cancels := cancel :: !cancels)
-          ivars;
-        (* Cancel-time teardown, as in [await_k]; the timer below still
-           fires afterwards and finds [settled] set. *)
-        unhook := Engine.on_cancel fiber finish;
-        if !count >= k then finish ();
-        Engine.schedule eng delay (fun () -> finish ()));
-    snapshot ()
-  end
+  wait ivars (min k (Array.length ivars)) ~timeout:(Some delay)

@@ -9,8 +9,6 @@ open Rdma_mem
 type config = {
   replicas : int;
   max_entries : int;
-  f_m : int option;
-  max_terms : int;
   serve_until : float;
   checkpoint_every : int;
   anti_entropy_every : float;
@@ -22,8 +20,6 @@ let default_config =
   {
     replicas = 3;
     max_entries = 64;
-    f_m = None;
-    max_terms = 32;
     serve_until = 2000.0;
     checkpoint_every = 0;
     anti_entropy_every = 0.0;

@@ -19,8 +19,6 @@ open Rdma_mem
 type config = {
   replicas : int;  (** replicas are processes [0 .. replicas-1] *)
   max_entries : int;
-  f_m : int option;
-  max_terms : int;
   serve_until : float;
       (** virtual time at which replicas stop serving (so runs quiesce) *)
   checkpoint_every : int;

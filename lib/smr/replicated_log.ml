@@ -158,10 +158,9 @@ let apply_stored r ~index stored =
   in
   apply_entry r ~index ~cmd
 
-let quorum (ctx : _ Cluster.ctx) (cfg : config) =
+let quorum (ctx : _ Cluster.ctx) =
   let m = ctx.Cluster.cluster_m in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  m - f_m
+  m - ((m - 1) / 2)
 
 (* The replica the Ω oracle points at, clamped to the replica range. *)
 let leader (ctx : _ Cluster.ctx) (cfg : config) =
@@ -214,6 +213,9 @@ type 'e reign = {
 let committed rg up_to = List.init up_to (fun i -> Hashtbl.find rg.stored (i + 1))
 
 type header = (string * string option) list
+
+(* Leader-term budget; keeps failing runs finite. *)
+let max_terms = 32
 
 module type ENGINE = sig
   val name : string
@@ -362,7 +364,7 @@ module Make (E : ENGINE) = struct
   let recover (ctx : _ Cluster.ctx) r ~term =
     let cfg = r.cfg in
     let m = ctx.Cluster.cluster_m in
-    let quorum = quorum ctx cfg in
+    let quorum = quorum ctx in
     let n = ctx.Cluster.cluster_n in
     let client = ctx.Cluster.client in
     let k = List.length E.adopt_regs in
@@ -576,7 +578,7 @@ module Make (E : ENGINE) = struct
         ctx;
         r;
         term;
-        quorum = quorum ctx r.cfg;
+        quorum = quorum ctx;
         stored = Hashtbl.create 64;
         dedup = Hashtbl.create 32;
         next = List.length prefix + 1;
@@ -619,7 +621,7 @@ module Make (E : ENGINE) = struct
         continue := false
       else begin
         incr terms;
-        if !terms > r.cfg.max_terms then continue := false
+        if !terms > max_terms then continue := false
         else begin
           let term = (!terms * r.cfg.replicas) + r.pid + 1 in
           r.current_term <- term;

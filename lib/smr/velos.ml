@@ -104,7 +104,7 @@ let poll_window = 8
 
 let poll_once (ctx : _ Cluster.ctx) (r : ext R.replica) =
   let cfg = r.cfg in
-  let quorum = R.quorum ctx cfg in
+  let quorum = R.quorum ctx in
   let base = r.applied_up_to in
   let width = min poll_window (cfg.max_entries - base) in
   let regs =
@@ -251,7 +251,7 @@ module Engine = struct
      a no-op under Strict), then wait out every lease that could still
      be valid BEFORE serving reads or acking appends — on the shared
      virtual clock this closes the stale-read window exactly. *)
-  let adopt (ctx : _ Cluster.ctx) (r : ext R.replica) ~term ~prefix_len headers =
+  let adopt (ctx : _ Cluster.ctx) (_ : ext R.replica) ~term ~prefix_len headers =
     let max_of decode zero =
       List.fold_left
         (fun acc h -> match decode h with Some v when v > acc -> v | _ -> acc)
@@ -272,7 +272,7 @@ module Engine = struct
               (Codec.int_field prefix_len)
           in
           if
-            (not (R.all_acked writes (R.quorum ctx r.cfg)))
+            (not (R.all_acked writes (R.quorum ctx)))
             [@simlint.allow
               "F1 watermark republish commit point: an acked write may lag \
                its application, but every reader that could contradict it \

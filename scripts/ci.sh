@@ -201,15 +201,18 @@ echo "perf baselines match; injected drift detected"
 echo "== benchmark pairs =="
 # scripts/bench_pairs.sh is bench/e2e/README.md's comparison protocol
 # (alternating parent/change pairs, medians, quartiles, wins).  One
-# short pair of HEAD against the working tree keeps it runnable; a
-# failed output check on either side fails the stage.  byz-agreement
-# never reaches the SMR path, so kv-write pairs too: its checks are
-# prefix-consistent logs, acked writes at their index and no stale read.
-# chaos-sweep pairs for the simulator core: its checks are 0 in-model
-# violations, every velos-stale-lease schedule flagged and the shrunk
-# repro still failing.
+# short pair of HEAD against the working tree, for every workload of
+# BENCHMARK.json, keeps it runnable; a failed output check on either
+# side fails the stage.  The kv-* checks are prefix-consistent logs,
+# acked writes at their index, final bindings equal to the acked-write
+# model, no read below the watermark and no timeouts; kv-failover also
+# crashes a memory, rejoins it and crashes the leader in every session.
+# chaos-sweep's checks are 0 in-model violations, every
+# velos-stale-lease schedule flagged and the shrunk repro still failing.
 scripts/bench_pairs.sh HEAD byz-agreement --pairs 1 --seconds 1
 scripts/bench_pairs.sh HEAD kv-write --pairs 1 --seconds 1
+scripts/bench_pairs.sh HEAD kv-read --pairs 1 --seconds 1
+scripts/bench_pairs.sh HEAD kv-failover --pairs 1 --seconds 1
 scripts/bench_pairs.sh HEAD chaos-sweep --pairs 1 --seconds 1
 
 echo "== weak ordering =="

@@ -5,7 +5,7 @@ open Rdma_consensus
 
 let inputs n = Array.init n (fun i -> Printf.sprintf "v%d" i)
 
-let disk_cfg = { Aligned_paxos.default_config with mode = Aligned_paxos.Disk }
+let disk_cfg = { Aligned_paxos.mode = Aligned_paxos.Disk }
 
 let test_no_failures () =
   let n = 3 and m = 2 in

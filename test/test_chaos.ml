@@ -119,9 +119,35 @@ let test_apply_validates_targets () =
     (fun () ->
       Fault.apply cluster
         [ Crash_process { pid = 1; at = 0.0 }; Random_latency { min = 3.0; max = 1.0 } ]);
+  List.iter
+    (fun (mode, msg) ->
+      Alcotest.check_raises msg (Invalid_argument ("Fault.apply: " ^ msg))
+        (fun () ->
+          Fault.apply cluster
+            [
+              Crash_process { pid = 1; at = 0.0 };
+              Set_ordering { mode = Rdma_mem.Ordering.completion_lag };
+              Set_ordering { mode };
+            ]))
+    [
+      ( Rdma_mem.Ordering.Completion_lag { max_lag = Float.nan },
+        "completion-lag parameter nan is not a number" );
+      ( Rdma_mem.Ordering.Completion_lag { max_lag = -5.0 },
+        "completion-lag parameter -5.0 is negative" );
+      ( Rdma_mem.Ordering.Completion_lag { max_lag = Float.infinity },
+        "completion-lag parameter inf is not finite" );
+      ( Rdma_mem.Ordering.Reorder_qp { window = Float.nan },
+        "reordered-qp parameter nan is not a number" );
+      ( Rdma_mem.Ordering.Reorder_qp { window = -5.0 },
+        "reordered-qp parameter -5.0 is negative" );
+      ( Rdma_mem.Ordering.Reorder_qp { window = Float.infinity },
+        "reordered-qp parameter inf is not finite" );
+    ];
   Cluster.run cluster;
   Alcotest.(check bool) "a rejected schedule schedules nothing" false
-    (Cluster.is_crashed cluster 1)
+    (Cluster.is_crashed cluster 1);
+  Alcotest.(check bool) "a rejected schedule installs no ordering" true
+    (Rdma_mem.Ordering.equal (Cluster.ordering cluster) Rdma_mem.Ordering.Strict)
 
 let get_scenario name =
   match Scenario.find name with

@@ -58,7 +58,7 @@ let test_collision_resolved () =
      No value reaches the full fast quorum; recovery must pick one of the
      proposed values and everyone agrees. *)
   let n = 3 in
-  let cfg = { Fast_paxos.default_config with proposer_stagger = 0.0 } in
+  let cfg = { Fast_paxos.proposer_stagger = 0.0 } in
   let report = Fast_paxos.run ~cfg ~n ~inputs:(inputs n) () in
   Alcotest.(check bool) "agreement after collision" true (Report.agreement_ok report);
   Alcotest.(check bool) "validity after collision" true
@@ -69,7 +69,7 @@ let test_collision_seed_sweep () =
   List.iter
     (fun seed ->
       let n = 5 in
-      let cfg = { Fast_paxos.default_config with proposer_stagger = 0.0 } in
+      let cfg = { Fast_paxos.proposer_stagger = 0.0 } in
       let report = Fast_paxos.run ~cfg ~seed ~n ~inputs:(inputs n) () in
       Alcotest.(check bool)
         (Printf.sprintf "agreement under collision, seed %d" seed)

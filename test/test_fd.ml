@@ -7,7 +7,7 @@ open Rdma_net
 open Rdma_mm
 open Rdma_consensus
 
-let cfg = { Heartbeat_fd.default_config with run_until = 120.0 }
+let cfg = { Heartbeat_fd.run_until = 120.0 }
 
 let run_fd_scenario ?(n = 4) ~crash () =
   let engine = Engine.create () in

@@ -68,6 +68,12 @@ let test_mode_strings () =
   (match Ordering.of_string "completion-lag:-1" with
   | Ok _ -> Alcotest.fail "negative lag accepted"
   | Error _ -> ());
+  (match Ordering.of_string "completion-lag:inf" with
+  | Ok _ -> Alcotest.fail "infinite lag accepted"
+  | Error _ -> ());
+  (match Ordering.of_string "reordered-qp:1e400" with
+  | Ok _ -> Alcotest.fail "overflowing window accepted"
+  | Error _ -> ());
   match Ordering.of_string "total-store-order" with
   | Ok _ -> Alcotest.fail "unknown mode accepted"
   | Error _ -> ()

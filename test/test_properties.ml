@@ -115,7 +115,7 @@ let fast_paxos_collisions =
     ~count:20
     QCheck2.Gen.(pair (1 -- 1000) (float_range 0.0 3.0))
     (fun (seed, stagger) ->
-      let cfg = { Fast_paxos.default_config with proposer_stagger = stagger } in
+      let cfg = { Fast_paxos.proposer_stagger = stagger } in
       let inputs = [| "a"; "b"; "c" |] in
       let report = Fast_paxos.run ~cfg ~seed ~n:3 ~inputs () in
       Report.agreement_ok report && Report.validity_ok report ~inputs)
