@@ -1,7 +1,7 @@
 (** Preferential Paxos (Algorithm 8, Lemma 4.7): a set-up phase in which
     every process adopts the highest-priority input among n − fP
-    T-received ones, followed by Robust Backup(Paxos).  The decision is
-    always among the fP + 1 highest-priority inputs. *)
+    T-received ones, fP = ⌊(n−1)/2⌋, followed by Robust Backup(Paxos).
+    The decision is always among the fP + 1 highest-priority inputs. *)
 
 open Rdma_sim
 open Rdma_mm
@@ -10,7 +10,6 @@ open Rdma_mm
     evidence must get the bottom priority. *)
 type classify = value:string -> evidence:string -> int
 
-(** The set-up phase waits for n − fP inputs, with fP = ⌊(n−1)/2⌋. *)
 type config = { backup : Robust_backup.config }
 
 val default_config : config
