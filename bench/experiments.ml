@@ -249,23 +249,24 @@ let exp_d4 env =
   (* NEB broadcast-to-delivery latency *)
   let open Rdma_mm in
   let open Rdma_sim in
-  let cluster : string Cluster.t = Cluster.create ~n ~m () in
   let neb_cfg = { Neb.default_config with give_up_at = 200.0; poll_interval = 1.0 } in
-  Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ();
   let delivered_at = Array.make n nan in
-  for pid = 0 to n - 1 do
-    Cluster.spawn cluster ~pid (fun ctx ->
-        let neb =
-          Neb.create ctx ~cfg:neb_cfg
-            ~deliver:(fun ~k:_ ~msg:_ ~src ->
-              if src = 0 then delivered_at.(pid) <- Engine.now ctx.Cluster.ctx_engine)
-            ()
-        in
-        Neb.spawn_poller ctx neb;
-        if pid = 0 then Neb.broadcast neb "payload")
-  done;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  ignore
+    (Instance.run
+       ~setup:(fun cluster -> Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ())
+       ~seed:1 ~n ~m
+       ~spawn:(fun cluster pid ->
+         Cluster.spawn cluster ~pid (fun ctx ->
+             let neb =
+               Neb.create ctx ~cfg:neb_cfg
+                 ~deliver:(fun ~k:_ ~msg:_ ~src ->
+                   if src = 0 then delivered_at.(pid) <- Engine.now ctx.Cluster.ctx_engine)
+                 ()
+             in
+             Neb.spawn_poller ctx neb;
+             if pid = 0 then Neb.broadcast neb "payload");
+         fun () -> ())
+       ());
   pr env "@.Non-equivocating broadcast delivery times (broadcast at t=0):@.";
   Array.iteri (fun pid t -> pr env "  p%d delivered at %.1f delays@." pid t) delivered_at;
   pr env "Paper (footnote 2): non-equivocating broadcast costs at least 6 delays,@.";
@@ -415,31 +416,31 @@ let exp_d7 env =
     { Consensus_engine.default_config with replicas = 3; max_entries = 32; serve_until = 600.0 }
   in
   let crash_at = 10.0 in
-  let cluster : string Cluster.t =
-    Cluster.create ~legal_change:(Smr_log.legal_change cfg)
-      ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ()
-  in
-  Smr_log.setup_regions cluster cfg;
-  let replicas =
-    Array.init cfg.Consensus_engine.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
-  in
   let commits = ref [] in
-  Cluster.spawn cluster ~pid:3 (fun ctx ->
-      let rec loop seq =
-        if seq < 12 then begin
-          let cmd = Printf.sprintf "cmd%d" seq in
-          match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:200.0 with
-          | Some index ->
-              commits :=
-                (index, Rdma_sim.Engine.now ctx.Cluster.ctx_engine) :: !commits;
-              loop (seq + 1)
-          | None -> loop (seq + 1)
-        end
-      in
-      loop 0);
-  Fault.apply cluster [ Crash_process { pid = 0; at = crash_at } ];
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  let spawn cluster pid =
+    (if pid < cfg.Consensus_engine.replicas then
+       ignore (Smr_log.spawn_replica cluster ~cfg ~pid ())
+     else
+       Cluster.spawn cluster ~pid (fun ctx ->
+           let rec loop seq =
+             if seq < 12 then begin
+               let cmd = Printf.sprintf "cmd%d" seq in
+               match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:200.0 with
+               | Some index ->
+                   commits :=
+                     (index, Rdma_sim.Engine.now ctx.Cluster.ctx_engine) :: !commits;
+                   loop (seq + 1)
+               | None -> loop (seq + 1)
+             end
+           in
+           loop 0));
+    fun () -> ()
+  in
+  ignore
+    (Instance.run ~legal_change:(Smr_log.legal_change cfg)
+       ~setup:(fun cluster -> Smr_log.setup_regions cluster cfg)
+       ~faults:[ Crash_process { pid = 0; at = crash_at } ]
+       ~seed:1 ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ~spawn ());
   let commits = List.rev !commits in
   pr env "client-observed commit times (leader crash at t=%.0f):@." crash_at;
   let prev = ref 0.0 in
@@ -457,8 +458,7 @@ let exp_d7 env =
       pr env "@.steady-state append RTT: 4 delays (send 1 + replicated write 2 + ack 1)@.";
       pr env "failover downtime: %.1f delays (detection + permission grab + log read/rewrite)@."
         (first_after -. last_before)
-  | _ -> ());
-  ignore replicas
+  | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* A1: ablations of the design choices (DESIGN.md section 4)            *)
@@ -501,9 +501,7 @@ let exp_a1 env =
     (fun poll_interval ->
       let cfg =
         { Robust_backup.default_config with
-          trusted =
-            { Trusted.neb =
-                { Neb.ns = ""; max_seq = 128; poll_interval; give_up_at = 4000.0 } } }
+          trusted = { Neb.ns = ""; max_seq = 128; poll_interval; give_up_at = 4000.0 } }
       in
       let report, _ = Robust_backup.run ~cfg ~n:3 ~m:3 ~inputs:(inputs 3) () in
       pr env "   poll=%4.1f -> first decision at %s delays (%d memory ops)@."
@@ -828,42 +826,49 @@ let exp_r1 env =
         { Consensus_engine.default_config with
           replicas = 3; max_entries = 32; serve_until = 300.0; checkpoint_every }
       in
-      let cluster : string Cluster.t =
-        Cluster.create ~legal_change:(Smr_log.legal_change cfg)
-          ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ()
+      let spawn cluster pid =
+        if pid < cfg.Consensus_engine.replicas then begin
+          let r = Smr_log.spawn_replica cluster ~cfg ~pid () in
+          fun () -> Some r
+        end
+        else begin
+          Cluster.spawn cluster ~pid (fun ctx ->
+              for seq = 0 to 11 do
+                ignore
+                  (Smr_log.submit ctx ~cfg ~seq
+                     ~cmd:(Printf.sprintf "cmd%d" seq)
+                     ~timeout:200.0)
+              done);
+          fun () -> None
+        end
       in
-      Smr_log.setup_regions cluster cfg;
-      let replicas =
-        Array.init cfg.Consensus_engine.replicas (fun pid ->
-            Smr_log.spawn_replica cluster ~cfg ~pid ())
-      in
-      Cluster.spawn cluster ~pid:3 (fun ctx ->
-          for seq = 0 to 11 do
-            ignore
-              (Smr_log.submit ctx ~cfg ~seq
-                 ~cmd:(Printf.sprintf "cmd%d" seq)
-                 ~timeout:200.0)
-          done);
       let restart_at = ref nan and repaired_at = ref nan in
-      Obs.subscribe (Cluster.obs cluster) (fun ~at ~actor:_ ev ->
-          match (ev : Event.t) with
-          | Event.Mem_restart { mid = 1; _ } -> restart_at := at
-          | Event.Custom { name = "smr.repair"; detail = "mu1" } ->
-              if Float.is_nan !repaired_at then repaired_at := at
-          | _ -> ());
-      Fault.apply cluster
-        [
-          Fault.Crash_memory { mid = 1; at = 20.0 };
-          Fault.Recover_memory { mid = 1; at = 40.0 };
-        ];
-      Cluster.run cluster;
-      Cluster.check_errors cluster;
+      let watch_repair cluster =
+        Obs.subscribe (Cluster.obs cluster) (fun ~at ~actor:_ ev ->
+            match (ev : Event.t) with
+            | Event.Mem_restart { mid = 1; _ } -> restart_at := at
+            | Event.Custom { name = "smr.repair"; detail = "mu1" } ->
+                if Float.is_nan !repaired_at then repaired_at := at
+            | _ -> ())
+      in
+      let cluster, results =
+        Instance.run ~legal_change:(Smr_log.legal_change cfg)
+          ~setup:(fun cluster -> Smr_log.setup_regions cluster cfg)
+          ~prepare:watch_repair
+          ~faults:
+            [
+              Fault.Crash_memory { mid = 1; at = 20.0 };
+              Fault.Recover_memory { mid = 1; at = 40.0 };
+            ]
+          ~seed:1 ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ~spawn ()
+      in
+      let replicas = Array.to_list results |> List.filter_map Option.join in
       let stale =
         Rdma_mem.Memory.stale_registers (Cluster.memory cluster 1)
           ~region:Smr_log.region
       in
       pr env "%-18d %-9d %-7d %-16s %-12s@." checkpoint_every
-        (Smr_log.applied_count replicas.(0))
+        (Smr_log.applied_count (List.hd replicas))
         (Obs.counter (Cluster.obs cluster) "smr.checkpoints")
         (if Float.is_nan !repaired_at || Float.is_nan !restart_at then "-"
          else Printf.sprintf "%.1f" (!repaired_at -. !restart_at))
@@ -915,57 +920,63 @@ let v1_run (engine : Rdma_smr.Consensus_engine.engine) ~mode ~crash =
       lease_duration = 100.0;
     }
   in
-  let cluster : string Cluster.t =
-    Cluster.create ~legal_change:(E.legal_change cfg) ~n:4 ~m:3 ()
-  in
-  E.setup_regions cluster cfg;
-  let replicas =
-    Array.init cfg.Consensus_engine.replicas (fun pid ->
-        E.spawn_replica cluster ~cfg ~pid ())
-  in
-  let obs = Cluster.obs cluster in
-  let eng = Cluster.engine cluster in
   let n_cmds = if crash then 10 else 8 in
   let commit_delays = ref [] and read_delays = ref [] in
   let ack_times = ref [] in
-  Cluster.spawn cluster ~pid:3 (fun ctx ->
-      for seq = 0 to n_cmds - 1 do
-        let t0 = Rdma_sim.Engine.now eng in
-        (* Retry past failovers; a committed-but-unacked submit is
-           deduplicated by (client, seq) on the next attempt. *)
-        let rec attempt () =
-          if Rdma_sim.Engine.now eng < 150.0 then
-            match
-              E.submit ctx ~cfg ~seq
-                ~cmd:(Printf.sprintf "c%d" seq)
-                ~timeout:30.0
-            with
-            | Some _ ->
-                commit_delays :=
-                  (Rdma_sim.Engine.now eng -. t0) :: !commit_delays;
-                ack_times := Rdma_sim.Engine.now eng :: !ack_times
-            | None -> attempt ()
-        in
-        attempt ()
-      done;
-      for seq = 100 to 105 do
-        let t0 = Rdma_sim.Engine.now eng in
-        match E.linearizable_read ctx ~cfg ~seq ~timeout:30.0 with
-        | Some _ ->
-            read_delays := (Rdma_sim.Engine.now eng -. t0) :: !read_delays
-        | None -> ()
-      done);
+  let client (ctx : string Cluster.ctx) =
+    let eng = ctx.Cluster.ctx_engine in
+    for seq = 0 to n_cmds - 1 do
+      let t0 = Rdma_sim.Engine.now eng in
+      (* Retry past failovers; a committed-but-unacked submit is
+         deduplicated by (client, seq) on the next attempt. *)
+      let rec attempt () =
+        if Rdma_sim.Engine.now eng < 150.0 then
+          match
+            E.submit ctx ~cfg ~seq
+              ~cmd:(Printf.sprintf "c%d" seq)
+              ~timeout:30.0
+          with
+          | Some _ ->
+              commit_delays :=
+                (Rdma_sim.Engine.now eng -. t0) :: !commit_delays;
+              ack_times := Rdma_sim.Engine.now eng :: !ack_times
+          | None -> attempt ()
+      in
+      attempt ()
+    done;
+    for seq = 100 to 105 do
+      let t0 = Rdma_sim.Engine.now eng in
+      match E.linearizable_read ctx ~cfg ~seq ~timeout:30.0 with
+      | Some _ ->
+          read_delays := (Rdma_sim.Engine.now eng -. t0) :: !read_delays
+      | None -> ()
+    done
+  in
+  let spawn cluster pid =
+    if pid < cfg.Consensus_engine.replicas then begin
+      let r = E.spawn_replica cluster ~cfg ~pid () in
+      fun () -> Some r
+    end
+    else begin
+      Cluster.spawn cluster ~pid client;
+      fun () -> None
+    end
+  in
   let faults =
     (match (mode : Rdma_mem.Ordering.mode) with
     | Rdma_mem.Ordering.Strict -> []
     | m -> [ Fault.Set_ordering { mode = m } ])
     @ if crash then [ Fault.Crash_process { pid = 0; at = 40.0 } ] else []
   in
-  Fault.apply cluster faults;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  let cluster, results =
+    Instance.run ~legal_change:(E.legal_change cfg)
+      ~setup:(fun cluster -> E.setup_regions cluster cfg)
+      ~faults ~seed:1 ~n:4 ~m:3 ~spawn ()
+  in
+  let replicas = Array.to_list results |> List.filter_map Option.join in
+  let obs = Cluster.obs cluster in
   let logs =
-    Array.to_list (Array.map E.applied_entries replicas)
+    List.map E.applied_entries replicas
     |> List.filteri (fun pid _ -> not (crash && pid = 0))
   in
   let agree =
@@ -987,7 +998,7 @@ let v1_run (engine : Rdma_smr.Consensus_engine.engine) ~mode ~crash =
         worst
   in
   {
-    v1_commits = E.applied_count replicas.(1);
+    v1_commits = E.applied_count (List.nth replicas 1);
     v1_commit_delay = avg !commit_delays;
     v1_read_delay = avg !read_delays;
     v1_leased = Obs.counter obs "velos.reads.leased";

@@ -560,8 +560,7 @@ let chaos_explore_cmd =
     let name = scenario.Scenario.name in
     let options =
       {
-        Explore.default_options with
-        runs;
+        Explore.runs;
         seed;
         adversary;
         byz = byzantine;
@@ -619,15 +618,25 @@ let chaos_replay_cmd =
     | Error e ->
         Fmt.epr "%s: %s@." file e;
         exit 2
-    | Ok repro ->
+    | Ok repro -> (
         let scenario = find_scenario repro.Repro.scenario in
-        let outcome = Explore.replay scenario repro in
-        Fmt.pr "replay %s seed=%d@." repro.Repro.scenario repro.Repro.seed;
-        Fmt.pr "  schedule: %a@."
-          Fmt.(list ~sep:(any ", ") Fault.pp)
-          repro.Repro.faults;
-        Fmt.pr "%a" pp_outcome outcome;
-        if outcome.violations <> [] then exit 1
+        (* A schedule the scenario's cluster cannot run is a bad
+           artifact, not a reproduced violation. *)
+        match
+          Fault.problem ~n:scenario.Scenario.n ~m:scenario.Scenario.m
+            repro.Repro.faults
+        with
+        | Some problem ->
+            Fmt.epr "%s: %s@." file problem;
+            exit 2
+        | None ->
+            let outcome = Explore.replay scenario repro in
+            Fmt.pr "replay %s seed=%d@." repro.Repro.scenario repro.Repro.seed;
+            Fmt.pr "  schedule: %a@."
+              Fmt.(list ~sep:(any ", ") Fault.pp)
+              repro.Repro.faults;
+            Fmt.pr "%a" pp_outcome outcome;
+            if outcome.violations <> [] then exit 1)
   in
   let doc = "Replay a minimized repro artifact bit-for-bit." in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const action $ file)

@@ -20,40 +20,41 @@ open Rdma_consensus
 
 let act1 () =
   Fmt.pr "=== Act 1: equivocation over plain message passing ===@.";
-  let cluster : string Cluster.t = Cluster.create ~n:3 ~m:0 () in
   let views = Array.make 3 "?" in
-  Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
-      Network.send ctx.Cluster.ep ~dst:1 "commit";
-      Network.send ctx.Cluster.ep ~dst:2 "abort");
-  for pid = 1 to 2 do
-    Cluster.spawn cluster ~pid (fun ctx ->
-        let _, msg = Network.recv ctx.Cluster.ep in
-        views.(pid) <- msg)
-  done;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  let equivocate (ctx : string Cluster.ctx) =
+    Network.send ctx.Cluster.ep ~dst:1 "commit";
+    Network.send ctx.Cluster.ep ~dst:2 "abort"
+  in
+  ignore
+    (Instance.run ~byzantine:[ (0, equivocate) ] ~seed:1 ~n:3 ~m:0
+       ~spawn:(fun cluster pid ->
+         Cluster.spawn cluster ~pid (fun ctx ->
+             let _, msg = Network.recv ctx.Cluster.ep in
+             views.(pid) <- msg);
+         fun () -> ())
+       ());
   Fmt.pr "  p1 heard %S, p2 heard %S -> split: %b@." views.(1) views.(2)
     (views.(1) <> views.(2))
 
 let act2 () =
   Fmt.pr "@.=== Act 2: the same attack vs non-equivocating broadcast ===@.";
-  let cluster : string Cluster.t = Cluster.create ~n:3 ~m:3 () in
   let neb_cfg = { Neb.default_config with give_up_at = 120.0; poll_interval = 1.0 } in
-  Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ();
   let delivered = Array.make 3 "nothing" in
-  Cluster.spawn_byzantine cluster ~pid:0
-    (Attacks.neb_overwrite_equivocation ~m1:"commit" ~m2:"abort");
-  for pid = 1 to 2 do
-    Cluster.spawn cluster ~pid (fun ctx ->
-        let neb =
-          Neb.create ctx ~cfg:neb_cfg
-            ~deliver:(fun ~k:_ ~msg ~src -> if src = 0 then delivered.(pid) <- msg)
-            ()
-        in
-        Neb.spawn_poller ctx neb)
-  done;
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  ignore
+    (Instance.run
+       ~setup:(fun cluster -> Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ())
+       ~byzantine:[ (0, Attacks.neb_overwrite_equivocation ~m1:"commit" ~m2:"abort") ]
+       ~seed:1 ~n:3 ~m:3
+       ~spawn:(fun cluster pid ->
+         Cluster.spawn cluster ~pid (fun ctx ->
+             let neb =
+               Neb.create ctx ~cfg:neb_cfg
+                 ~deliver:(fun ~k:_ ~msg ~src -> if src = 0 then delivered.(pid) <- msg)
+                 ()
+             in
+             Neb.spawn_poller ctx neb);
+         fun () -> ())
+       ());
   Fmt.pr "  p1 delivered %S, p2 delivered %S -> split: %b@." delivered.(1) delivered.(2)
     (delivered.(1) <> delivered.(2))
 

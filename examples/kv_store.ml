@@ -11,6 +11,7 @@
 
 open Rdma_sim
 open Rdma_mm
+open Rdma_consensus
 open Rdma_smr
 
 let cfg =
@@ -20,50 +21,59 @@ let () =
   let clients = 2 in
   let n = cfg.Consensus_engine.replicas + clients in
   let m = 3 in
-  let cluster : string Cluster.t =
-    Cluster.create ~legal_change:(Smr_log.legal_change cfg) ~n ~m ()
-  in
-  Smr_log.setup_regions cluster cfg;
-  let replicas =
-    Array.init cfg.Consensus_engine.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
-  in
   Fmt.pr "Replicated KV store: %d replicas, %d memories, %d clients@."
     cfg.Consensus_engine.replicas m clients;
 
   (* client 3: writes user records, then crashes the leader, then writes
      more *)
-  Cluster.spawn cluster ~pid:3 (fun ctx ->
-      let put seq k v =
-        let cmd = Kv.encode_command (Kv.Set (k, v)) in
-        match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:200.0 with
-        | Some index ->
-            Fmt.pr "  [%.1f] client3 put %s=%s -> committed at index %d@."
-              (Engine.now ctx.Cluster.ctx_engine) k v index
-        | None -> Fmt.pr "  client3 put %s timed out@." k
-      in
-      put 0 "alice" "online";
-      put 1 "bob" "offline";
-      Fmt.pr "  [%.1f] *** crashing the leader replica p0 ***@."
-        (Engine.now ctx.Cluster.ctx_engine);
-      Cluster.crash_process cluster 0;
-      put 2 "carol" "online";
-      put 3 "alice" "away");
+  let client3 cluster (ctx : string Cluster.ctx) =
+    let put seq k v =
+      let cmd = Kv.encode_command (Kv.Set (k, v)) in
+      match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:200.0 with
+      | Some index ->
+          Fmt.pr "  [%.1f] client3 put %s=%s -> committed at index %d@."
+            (Engine.now ctx.Cluster.ctx_engine) k v index
+      | None -> Fmt.pr "  client3 put %s timed out@." k
+    in
+    put 0 "alice" "online";
+    put 1 "bob" "offline";
+    Fmt.pr "  [%.1f] *** crashing the leader replica p0 ***@."
+      (Engine.now ctx.Cluster.ctx_engine);
+    Cluster.crash_process cluster 0;
+    put 2 "carol" "online";
+    put 3 "alice" "away"
+  in
 
   (* client 4: interleaved counters *)
-  Cluster.spawn cluster ~pid:4 (fun ctx ->
-      Engine.sleep 1.0;
-      List.iteri
-        (fun seq i ->
-          let cmd = Kv.encode_command (Kv.Set (Printf.sprintf "counter%d" i, "1")) in
-          match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:250.0 with
-          | Some index ->
-              Fmt.pr "  [%.1f] client4 counter%d -> index %d@."
-                (Engine.now ctx.Cluster.ctx_engine) i index
-          | None -> Fmt.pr "  client4 counter%d timed out@." i)
-        [ 0; 1 ]);
+  let client4 (ctx : string Cluster.ctx) =
+    Engine.sleep 1.0;
+    List.iteri
+      (fun seq i ->
+        let cmd = Kv.encode_command (Kv.Set (Printf.sprintf "counter%d" i, "1")) in
+        match Smr_log.submit ctx ~cfg ~seq ~cmd ~timeout:250.0 with
+        | Some index ->
+            Fmt.pr "  [%.1f] client4 counter%d -> index %d@."
+              (Engine.now ctx.Cluster.ctx_engine) i index
+        | None -> Fmt.pr "  client4 counter%d timed out@." i)
+      [ 0; 1 ]
+  in
 
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
+  let spawn cluster pid =
+    if pid < cfg.Consensus_engine.replicas then begin
+      let r = Smr_log.spawn_replica cluster ~cfg ~pid () in
+      fun () -> Some r
+    end
+    else begin
+      Cluster.spawn cluster ~pid (if pid = 3 then client3 cluster else client4);
+      fun () -> None
+    end
+  in
+  let _, results =
+    Instance.run ~legal_change:(Smr_log.legal_change cfg)
+      ~setup:(fun cluster -> Smr_log.setup_regions cluster cfg)
+      ~seed:1 ~n ~m ~spawn ()
+  in
+  let replicas = Array.to_list results |> List.filter_map Option.join |> Array.of_list in
 
   Fmt.pr "@.Surviving replica logs:@.";
   for pid = 1 to cfg.Consensus_engine.replicas - 1 do

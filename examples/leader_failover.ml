@@ -18,37 +18,40 @@ open Rdma_consensus
 let () =
   Fmt.pr "=== Permission hand-off under Protected Memory Paxos ===@.";
   let n = 2 and m = 3 in
-  let cluster : string Cluster.t =
-    Cluster.create ~legal_change:Protected_paxos.legal_change ~n ~m ()
+  let setup cluster =
+    Protected_paxos.setup_regions cluster;
+    (* watch the permission state of memory 0 over time *)
+    let log_perm at =
+      Engine.schedule (Cluster.engine cluster) at (fun () ->
+          match Memory.region_perm (Cluster.memory cluster 0) Protected_paxos.region with
+          | Some p ->
+              Fmt.pr "  [%.1f] memory 0 permission: %a@."
+                (Engine.now (Cluster.engine cluster))
+                Permission.pp p
+          | None -> ())
+    in
+    List.iter log_perm [ 0.0; 3.0; 8.0 ]
   in
-  Protected_paxos.setup_regions cluster;
-  (* watch the permission state of memory 0 over time *)
-  let log_perm at =
-    Engine.schedule (Cluster.engine cluster) at (fun () ->
-        match Memory.region_perm (Cluster.memory cluster 0) Protected_paxos.region with
-        | Some p ->
-            Fmt.pr "  [%.1f] memory 0 permission: %a@."
-              (Engine.now (Cluster.engine cluster))
-              Permission.pp p
-        | None -> ())
+  let inputs = [| "from-old-leader"; "from-new-leader" |] in
+  let _, decisions =
+    Instance.run ~legal_change:Protected_paxos.legal_change ~setup
+      (* depose p0 before it can write (its proposal write is in flight) *)
+      ~faults:[ Fault.Set_leader { pid = 1; at = 0.5 } ]
+      ~seed:1 ~n ~m
+      ~spawn:(fun cluster pid ->
+        let h = Protected_paxos.spawn cluster ~pid ~input:inputs.(pid) () in
+        fun () -> Ivar.peek (Protected_paxos.decision h))
+      ()
   in
-  List.iter log_perm [ 0.0; 3.0; 8.0 ];
-  let h0 = Protected_paxos.spawn cluster ~pid:0 ~input:"from-old-leader" () in
-  let h1 = Protected_paxos.spawn cluster ~pid:1 ~input:"from-new-leader" () in
-  (* depose p0 before it can write (its proposal write is in flight) *)
-  Fault.apply cluster [ Fault.Set_leader { pid = 1; at = 0.5 } ];
-  Cluster.run cluster;
-  Cluster.check_errors cluster;
-  let show pid h =
-    match Ivar.peek (Protected_paxos.decision h) with
+  let decisions = Array.map Option.join decisions in
+  let show pid =
+    match decisions.(pid) with
     | Some { Report.value; at } -> Fmt.pr "  p%d decided %S at %.1f@." pid value at
     | None -> Fmt.pr "  p%d did not decide@." pid
   in
-  show 0 h0;
-  show 1 h1;
-  let v0 = Ivar.peek (Protected_paxos.decision h0) in
-  let v1 = Ivar.peek (Protected_paxos.decision h1) in
-  (match (v0, v1) with
+  show 0;
+  show 1;
+  (match (decisions.(0), decisions.(1)) with
   | Some d0, Some d1 ->
       Fmt.pr "  agreement across the hand-off: %b@."
         (String.equal d0.Report.value d1.Report.value)

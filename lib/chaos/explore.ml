@@ -26,7 +26,6 @@ type options = {
   adversary : bool;  (* arm telemetry-driven triggers *)
   byz : bool;  (* draw Byzantine processes from the scenario pool *)
   over_budget : bool;  (* lift the crash budget past the fault model *)
-  shrink_runs : int;  (* probe cap for the shrinker *)
   jobs : int;  (* worker domains for case runs and shrink batches *)
   ordering : Rdma_mem.Ordering.mode option;
       (* force every case onto this memory-ordering model; None = let
@@ -41,7 +40,6 @@ let default_options =
     adversary = false;
     byz = false;
     over_budget = false;
-    shrink_runs = 200;
     jobs = 1;
     ordering = None;
   }
@@ -73,7 +71,7 @@ let run_with_faults scenario (case : Nemesis.case) faults =
 let still_fails scenario case faults =
   (run_with_faults scenario case faults).Scenario.violations <> []
 
-let shrink ?(max_runs = 200) ?(jobs = 1) scenario (outcome : Scenario.outcome) =
+let shrink ?(jobs = 1) scenario (outcome : Scenario.outcome) =
   let case = outcome.Scenario.case in
   (* One delta-debugging step's candidates as one pool batch.  Every
      probe is a full deterministic re-run seeded by the case alone, so
@@ -90,7 +88,7 @@ let shrink ?(max_runs = 200) ?(jobs = 1) scenario (outcome : Scenario.outcome) =
              (fun ~seed:_ -> still_fails scenario case faults))
     |> Pool.run_exn ~jobs
   in
-  let minimized, probes = Shrink.minimize ~max_runs ~eval case.Nemesis.faults in
+  let minimized, probes = Shrink.minimize ~eval case.Nemesis.faults in
   (* The minimized schedule's outcome (re-run once more so the artifact
      records the violations of what it actually ships). *)
   let final = run_with_faults scenario case minimized in
@@ -154,10 +152,7 @@ let explore ?(options = default_options) scenario =
   let failures =
     List.map
       (fun outcome ->
-        let repro, shrink_probes =
-          shrink ~max_runs:options.shrink_runs ~jobs:options.jobs scenario
-            outcome
-        in
+        let repro, shrink_probes = shrink ~jobs:options.jobs scenario outcome in
         { outcome; repro; shrink_probes })
       (List.rev failed)
   in

@@ -14,7 +14,6 @@ type options = {
   adversary : bool;  (** arm telemetry-driven triggers *)
   byz : bool;  (** draw Byzantine processes from the scenario pool *)
   over_budget : bool;  (** lift the crash budget past the fault model *)
-  shrink_runs : int;  (** probe cap for the shrinker *)
   jobs : int;  (** worker domains for case runs and shrink batches *)
   ordering : Rdma_mem.Ordering.mode option;
       (** force every case onto this memory-ordering model; [None] = the
@@ -44,10 +43,10 @@ type batch = {
 val total : batch -> int
 
 (** Shrink one violating outcome to a repro artifact; returns the probe
-    count too.  [jobs] parallelizes each shrink step's candidate batch
-    without changing the trajectory or the probe count. *)
-val shrink :
-  ?max_runs:int -> ?jobs:int -> Scenario.t -> Scenario.outcome -> Repro.t * int
+    count too, at most 200.  [jobs] parallelizes each shrink step's
+    candidate batch without changing the trajectory or the probe
+    count. *)
+val shrink : ?jobs:int -> Scenario.t -> Scenario.outcome -> Repro.t * int
 
 val explore : ?options:options -> Scenario.t -> batch
 

@@ -5,8 +5,6 @@
 open Rdma_consensus
 open Rdma_obs
 
-val to_json : Fault.t -> Json.t
-
 val of_json : Json.t -> (Fault.t, string) result
 
 val schedule_to_json : Fault.t list -> Json.t

@@ -42,8 +42,6 @@ val names : unit -> string list
   "Y2 names maps over the scenario table without invoking any run \
    closure; same over-approximation as find"]
 
-val attack : t -> string -> (string Cluster.ctx -> unit) option
-
 (** The fixed per-run proposal vector ["v0"; "v1"; ...]. *)
 val inputs : t -> string array
 

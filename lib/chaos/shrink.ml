@@ -13,10 +13,10 @@
    each probe is a full deterministic re-run seeded only by the
    candidate — while the selection rule (first failing index) and the
    probe accounting (every submitted candidate counts) depend only on
-   the batch contents, never on completion order.  A run cap bounds
-   the worst case; when the remaining budget cannot cover a full
-   batch, the batch is truncated to the first [budget] candidates so
-   the probe count stays identical at every [-j]. *)
+   the batch contents, never on completion order.  A run cap
+   ([max_runs]) bounds the worst case; when the remaining budget cannot
+   cover a full batch, the batch is truncated to the first [budget]
+   candidates so the probe count stays identical at every [-j]. *)
 
 open Rdma_consensus
 
@@ -32,11 +32,14 @@ let first_failing verdicts =
   in
   go 0 verdicts
 
+(* The probe cap of one minimization. *)
+let max_runs = 200
+
 (* [minimize ~eval faults] returns the minimized schedule and the number
    of probe runs spent.  [eval candidates] must return one still-fails
    verdict per candidate, in candidate order, each verdict a
    deterministic function of its candidate alone. *)
-let minimize ?(max_runs = 200) ~eval (faults : Fault.t list) =
+let minimize ~eval (faults : Fault.t list) =
   let runs = ref 0 in
   let rec step faults =
     let len = List.length faults in

@@ -11,11 +11,7 @@ open Rdma_consensus
     order; each verdict must be a deterministic function of its
     candidate alone, which lets callers evaluate the batch on several
     domains without affecting the result or the probe count.  Returns
-    the minimized schedule and the number of probe runs spent;
-    [max_runs] (default 200) bounds the probe count, truncating the
-    last batch deterministically if needed. *)
+    the minimized schedule and the number of probe runs spent, at most
+    200: the last batch is truncated deterministically if needed. *)
 val minimize :
-  ?max_runs:int ->
-  eval:(Fault.t list list -> bool list) ->
-  Fault.t list ->
-  Fault.t list * int
+  eval:(Fault.t list list -> bool list) -> Fault.t list -> Fault.t list * int

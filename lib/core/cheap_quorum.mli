@@ -13,8 +13,6 @@ val leader_region : string
 
 val leader_value_reg : string
 
-val region_of : ?ns:string -> int -> string
-
 (** The byte string processes sign: the proposed value under a protocol
     tag and instance namespace (so signatures and proofs cannot be
     replayed across instances). *)

@@ -49,13 +49,13 @@ let classify ?(ns = "") chain ~n : Preferential_paxos.classify =
 
 type config = {
   cheap_quorum : Cheap_quorum.config;
-  preferential : Preferential_paxos.config;
+  preferential : Robust_backup.config;
 }
 
 let default_config =
   {
     cheap_quorum = Cheap_quorum.default_config;
-    preferential = Preferential_paxos.default_config;
+    preferential = Robust_backup.default_config;
   }
 
 (* A configuration whose Cheap Quorum and NEB layers live in instance
@@ -64,24 +64,15 @@ let config_with_ns ?(base = default_config) ns =
   {
     cheap_quorum = { base.cheap_quorum with Cheap_quorum.ns };
     preferential =
-      { Preferential_paxos.backup =
-          { base.preferential.Preferential_paxos.backup with
-            Robust_backup.trusted =
-              { Trusted.neb =
-                  { base.preferential.Preferential_paxos.backup.Robust_backup.trusted
-                      .Trusted.neb
-                    with Neb.ns } } } };
+      { base.preferential with
+        Robust_backup.trusted = { base.preferential.Robust_backup.trusted with Neb.ns } };
   }
 
 let ns_of cfg = cfg.cheap_quorum.Cheap_quorum.ns
 
-type handle = { decision : Report.decision Ivar.t }
-
-let decision h = h.decision
-
 let setup_regions cluster ?(cfg = default_config) () =
   Cheap_quorum.setup_regions ~ns:(ns_of cfg) cluster;
-  Robust_backup.setup_regions cluster ~cfg:cfg.preferential.Preferential_paxos.backup ()
+  Robust_backup.setup_regions cluster ~cfg:cfg.preferential ()
 
 let legal_change ~n = Cheap_quorum.legal_change ~n
 
@@ -149,11 +140,6 @@ let attach ctx ?(cfg = default_config) ~input () =
   program ctx cfg ~input decision;
   decision
 
-let spawn cluster ?(cfg = default_config) ~pid ~input () =
-  let decision = Ivar.create () in
-  Cluster.spawn cluster ~pid (fun ctx -> program ctx cfg ~input decision);
-  { decision }
-
 let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare
     ?(byzantine : Instance.byzantine = []) ~n ~m ~inputs () =
   let report, cluster =
@@ -161,8 +147,9 @@ let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare
       ~setup:(fun cluster -> setup_regions cluster ~cfg ())
       ~byzantine ?faults ?prepare ~seed ~n ~m ~inputs
       ~spawn:(fun cluster pid input ->
-        let h = spawn cluster ~cfg ~pid ~input () in
-        fun () -> Ivar.peek h.decision)
+        let decision = Ivar.create () in
+        Cluster.spawn cluster ~pid (fun ctx -> program ctx cfg ~input decision);
+        fun () -> Ivar.peek decision)
       ()
   in
   (report, List.map fst byzantine, cluster)

@@ -13,7 +13,7 @@ val classify : ?ns:string -> Keychain.t -> n:int -> Preferential_paxos.classify
 
 type config = {
   cheap_quorum : Cheap_quorum.config;
-  preferential : Preferential_paxos.config;
+  preferential : Robust_backup.config;  (** the Preferential Paxos phase *)
 }
 
 val default_config : config
@@ -21,10 +21,6 @@ val default_config : config
 (** A configuration whose Cheap Quorum and NEB layers live in instance
     namespace [ns] — the slots of a BFT log use one per slot. *)
 val config_with_ns : ?base:config -> string -> config
-
-type handle
-
-val decision : handle -> Report.decision Ivar.t
 
 (** Name of the [Event.Custom] each process records on the collector
     when Cheap Quorum hands off to Preferential Paxos.  Its detail reads
@@ -42,9 +38,6 @@ val legal_change : n:int -> Rdma_mem.Permission.legal_change
 val attach :
   string Cluster.ctx -> ?cfg:config -> input:string -> unit -> Report.decision Ivar.t
 [@@sim.yields]
-
-val spawn :
-  string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
 
 (** Run one instance; returns the report, the Byzantine pids, and the
     cluster (for inspecting its collector). *)

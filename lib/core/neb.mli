@@ -18,8 +18,6 @@ val slot_payload : ?ns:string -> k:int -> string -> string
 
 val encode_slot : k:int -> msg:string -> signature:Keychain.signature -> string
 
-val decode_slot : string -> (int * string * Keychain.signature) option
-
 type config = {
   ns : string;  (** instance namespace; [""] for standalone use *)
   max_seq : int;  (** pre-allocated sequence numbers per broadcaster *)

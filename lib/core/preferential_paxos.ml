@@ -29,10 +29,6 @@ type classify = value:string -> evidence:string -> int
    Byzantine agreement, no preference). *)
 let no_priorities : classify = fun ~value:_ ~evidence:_ -> 0
 
-type config = { backup : Robust_backup.config }
-
-let default_config = { backup = Robust_backup.default_config }
-
 (* Safety net: adopt from whatever arrived if the set-up quorum never
    completes (only reachable when > fP processes are faulty). *)
 let setup_timeout = 400.0
@@ -50,13 +46,13 @@ type handle = { decision : Report.decision Ivar.t }
 let decision h = h.decision
 
 (* Must run inside the process's program fiber. *)
-let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorities)
-    ~value ~evidence () =
+let attach (ctx : _ Cluster.ctx) ?(cfg = Robust_backup.default_config)
+    ?(classify = no_priorities) ~value ~evidence () =
   let n = ctx.Cluster.cluster_n in
   let f_p = (n - 1) / 2 in
   let setup_box = Mailbox.create () in
   let transport, trusted =
-    Robust_backup.make_channel ctx ~cfg:cfg.backup
+    Robust_backup.make_channel ctx ~cfg
       ~route:(fun ~src ~msg ->
         match decode_setup msg with
         | Some (v, e) ->
@@ -103,7 +99,7 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorit
       (* Robust Backup(Paxos) with the adopted input. *)
       let paxos =
         Robust_backup.Paxos_bft.spawn ~engine:ctx.Cluster.ctx_engine
-          ~omega:ctx.Cluster.ctx_omega ~cfg:cfg.backup.Robust_backup.paxos
+          ~omega:ctx.Cluster.ctx_omega ~cfg:cfg.Robust_backup.paxos
           ~spawn_fiber:ctx.Cluster.spawn_sub ~transport ~input:adopted ()
       in
       Ivar.on_fill (Robust_backup.Paxos_bft.decision paxos) (fun d ->
@@ -111,12 +107,12 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(classify = no_priorit
           Trusted.stop trusted));
   { decision }
 
-let run ?(cfg = default_config) ?(classify = no_priorities) ?(seed = 1) ?faults
-    ?prepare ?(byzantine : Instance.byzantine = []) ~n ~m
+let run ?(cfg = Robust_backup.default_config) ?(classify = no_priorities)
+    ?(seed = 1) ?faults ?prepare ?(byzantine : Instance.byzantine = []) ~n ~m
     ~(inputs : (string * string) array) () =
   let report, _ =
     Instance.decide ~algorithm:"preferential-paxos"
-      ~setup:(fun cluster -> Robust_backup.setup_regions cluster ~cfg:cfg.backup ())
+      ~setup:(fun cluster -> Robust_backup.setup_regions cluster ~cfg ())
       ~byzantine ?faults ?prepare ~seed ~n ~m ~inputs
       ~spawn:(fun cluster pid (value, evidence) ->
         let handle = ref None in

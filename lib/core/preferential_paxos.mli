@@ -10,20 +10,17 @@ open Rdma_mm
     evidence must get the bottom priority. *)
 type classify = value:string -> evidence:string -> int
 
-type config = { backup : Robust_backup.config }
-
-val default_config : config
-
 val encode_setup : value:string -> evidence:string -> string
 
 type handle
 
 val decision : handle -> Report.decision Ivar.t
 
-(** Must run inside the process's program fiber. *)
+(** Must run inside the process's program fiber.  [cfg] configures the
+    Robust Backup phase (default {!Robust_backup.default_config}). *)
 val attach :
   'm Cluster.ctx ->
-  ?cfg:config ->
+  ?cfg:Robust_backup.config ->
   ?classify:classify ->
   value:string ->
   evidence:string ->
@@ -31,7 +28,7 @@ val attach :
   handle
 
 val run :
-  ?cfg:config ->
+  ?cfg:Robust_backup.config ->
   ?classify:classify ->
   ?seed:int ->
   ?faults:Fault.t list ->

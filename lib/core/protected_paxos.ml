@@ -42,12 +42,6 @@ let legal_change ~pid ~region:r ~current:_ ~requested =
   &&
   match Permission.sole_writer requested with Some w -> w = pid | None -> false
 
-type config = {
-  f_m : int option; (* tolerated memory crashes; default ⌊(m-1)/2⌋ *)
-}
-
-let default_config = { f_m = None }
-
 (* Proposer retry budget; keeps failing runs finite. *)
 let max_rounds = 64
 
@@ -124,16 +118,16 @@ let listener (ctx : _ Cluster.ctx) decision =
     | _ -> ()
   done
 
-let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
+let proposer (ctx : _ Cluster.ctx) ~input decision =
   let n = ctx.Cluster.cluster_n in
   let m = ctx.Cluster.cluster_m in
   let me = ctx.Cluster.pid in
   let client = ctx.Cluster.client in
   let obs = ctx.Cluster.ctx_obs in
   let actor = Printf.sprintf "p%d" me in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
-  if quorum <= 0 || f_m < 0 then invalid_arg "Protected_paxos: bad f_m";
+  (* m ≥ 2fM + 1: tolerate fM = ⌊(m−1)/2⌋ memory crashes *)
+  let quorum = m - ((m - 1) / 2) in
+  if quorum <= 0 then invalid_arg "Protected_paxos: no memories";
   let round = ref 0 in
   let first_attempt = ref true in
   let continue = ref true in
@@ -215,18 +209,18 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input decision =
     end
   done
 
-let spawn cluster ?(cfg = default_config) ~pid ~input () =
+let spawn cluster ~pid ~input () =
   let decision = Ivar.create () in
   Cluster.spawn cluster ~pid (fun ctx ->
       ctx.Cluster.spawn_sub "pmp.listener" (fun () -> listener ctx decision);
-      proposer ctx cfg ~input decision);
+      proposer ctx ~input decision);
   { decision }
 
-let run ?(cfg = default_config) ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
+let run ?(seed = 1) ?faults ?prepare ~n ~m ~inputs () =
   fst
     (Instance.decide ~algorithm:"protected-memory-paxos" ~legal_change
        ~setup:setup_regions ?faults ?prepare ~seed ~n ~m ~inputs
        ~spawn:(fun cluster pid input ->
-         let h = spawn cluster ~cfg ~pid ~input () in
+         let h = spawn cluster ~pid ~input () in
          fun () -> Ivar.peek h.decision)
        ())

@@ -9,17 +9,9 @@ open Rdma_mem
 (** The single region spanning each memory. *)
 val region : string
 
-val slot_reg : int -> string
-
 (** legalChange: a process may only take the exclusive-writer shape for
     itself (Algorithm 7 line 13). *)
 val legal_change : Permission.legal_change
-
-type config = {
-  f_m : int option;  (** tolerated memory crashes; default ⌊(m−1)/2⌋ *)
-}
-
-val default_config : config
 
 (** Create Region[i] on every memory with p0 as initial exclusive writer. *)
 val setup_regions : 'm Cluster.t -> unit
@@ -28,13 +20,12 @@ type handle
 
 val decision : handle -> Report.decision Ivar.t
 
-val spawn :
-  string Cluster.t -> ?cfg:config -> pid:int -> input:string -> unit -> handle
+val spawn : string Cluster.t -> pid:int -> input:string -> unit -> handle
 
 (** Build a cluster, run one consensus instance, report decisions and
-    delay counts. *)
+    delay counts.  The instance tolerates ⌊(m−1)/2⌋ memory crashes;
+    [m = 0] raises [Invalid_argument] from the proposers. *)
 val run :
-  ?cfg:config ->
   ?seed:int ->
   ?faults:Fault.t list ->
   ?prepare:(string Cluster.t -> unit) ->

@@ -44,8 +44,6 @@ val of_cluster :
 (** Look up a named counter or gauge (0 if absent). *)
 val named : t -> string -> int
 
-val decided : t -> decision list
-
 val decided_count : t -> int
 
 (** Uniform agreement among deciders outside [ignore_pids]. *)

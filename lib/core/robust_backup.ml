@@ -232,7 +232,7 @@ let paxos_validator ~n : Trusted.validator =
 
 type config = {
   paxos : Paxos.config;
-  trusted : Trusted.config;
+  trusted : Neb.config;
   validate : bool; (* replay-check histories (Clement et al.) *)
 }
 
@@ -244,9 +244,7 @@ type config = {
 let default_config =
   {
     paxos = { Paxos.round_timeout = 150.0; retry_backoff = 30.0; max_rounds = 16 };
-    trusted =
-      { Trusted.neb =
-          { Neb.ns = ""; max_seq = 128; poll_interval = 1.0; give_up_at = 4000.0 } };
+    trusted = { Neb.ns = ""; max_seq = 128; poll_interval = 1.0; give_up_at = 4000.0 };
     validate = true;
   }
 
@@ -297,8 +295,7 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ~input () =
   { decision; trusted; transport }
 
 let setup_regions cluster ?(cfg = default_config) () =
-  Neb.setup_regions cluster ~ns:cfg.trusted.Trusted.neb.Neb.ns
-    ~max_seq:cfg.trusted.Trusted.neb.Neb.max_seq ()
+  Neb.setup_regions cluster ~ns:cfg.trusted.Neb.ns ~max_seq:cfg.trusted.Neb.max_seq ()
 
 (* Run honest processes with the given inputs; [byzantine] replaces the
    programs of chosen processes with adversarial behaviours. *)

@@ -37,7 +37,7 @@ val setup_tag : string
 
 type config = {
   paxos : Paxos.config;
-  trusted : Trusted.config;
+  trusted : Neb.config;  (** the trusted channel's broadcast *)
   validate : bool;  (** replay-check histories *)
 }
 

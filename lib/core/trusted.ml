@@ -59,10 +59,6 @@ type validator = src:int -> history:entry list -> msg:string -> [ `Accept | `Rej
 
 let accept_all : validator = fun ~src:_ ~history:_ ~msg:_ -> `Accept
 
-type config = { neb : Neb.config }
-
-let default_config = { neb = Neb.default_config }
-
 type t = {
   me : int;
   n : int;
@@ -150,7 +146,7 @@ let handle_delivery t ~k ~payload ~src =
             end)
   end
 
-let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_all)
+let create (ctx : _ Cluster.ctx) ?(cfg = Neb.default_config) ?(validator = accept_all)
     ~on_receive () =
   let n = ctx.Cluster.cluster_n in
   let rec t =
@@ -162,7 +158,7 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_al
         signer = ctx.Cluster.signer;
         obs = ctx.Cluster.ctx_obs;
         neb =
-          Neb.create ctx ~cfg:cfg.neb
+          Neb.create ctx ~cfg
             ~deliver:(fun ~k ~msg ~src ->
               handle_delivery (Lazy.force t) ~k ~payload:msg ~src)
             ();

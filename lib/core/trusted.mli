@@ -10,10 +10,6 @@ type entry =
   | Sent of { k : int; msg : string }
   | Received of { src : int; k : int; msg : string; sig_enc : string }
 
-val encode_entry : entry -> string
-
-val decode_entry : string -> entry option
-
 val encode_history : entry list -> string
 
 val decode_history : string -> entry list option
@@ -27,15 +23,13 @@ type validator = src:int -> history:entry list -> msg:string -> [ `Accept | `Rej
 
 val accept_all : validator
 
-type config = { neb : Neb.config }
-
-val default_config : config
-
 type t
 
+(** [cfg] configures the underlying non-equivocating broadcast (default
+    {!Neb.default_config}). *)
 val create :
   'm Cluster.ctx ->
-  ?cfg:config ->
+  ?cfg:Neb.config ->
   ?validator:validator ->
   on_receive:(src:int -> msg:string -> unit) ->
   unit ->

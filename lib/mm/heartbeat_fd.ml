@@ -21,11 +21,8 @@
 open Rdma_sim
 open Rdma_net
 
-type config = {
-  run_until : float; (* virtual time at which the daemon stops *)
-}
-
-let default_config = { run_until = 300.0 }
+(* Virtual time at which the daemon stops. *)
+let run_until = 120.0
 
 (* Heartbeat broadcast interval. *)
 let period = 2.0
@@ -58,7 +55,7 @@ let history t = List.rev t.leader_history
 (* Spawn the heartbeat daemon for process [me]: one sender fiber and one
    receiver fiber.  [ep] must be this process's endpoint on a network
    whose messages are heartbeats (unit payloads). *)
-let spawn ~engine ~(ep : unit Network.endpoint) ~n ?(cfg = default_config) () =
+let spawn ~engine ~(ep : unit Network.endpoint) ~n () =
   let me = Network.endpoint_pid ep in
   let t =
     {
@@ -79,7 +76,7 @@ let spawn ~engine ~(ep : unit Network.endpoint) ~n ?(cfg = default_config) () =
     (Engine.spawn engine
        (Printf.sprintf "fd.sender.%d" me)
        (fun () ->
-         while Engine.now engine < cfg.run_until do
+         while Engine.now engine < run_until do
            Network.broadcast_others ep ();
            note_leader ();
            Engine.sleep period
@@ -90,11 +87,11 @@ let spawn ~engine ~(ep : unit Network.endpoint) ~n ?(cfg = default_config) () =
        (fun () ->
          let continue = ref true in
          while !continue do
-           match Network.recv_timeout ep (cfg.run_until -. Engine.now engine) with
+           match Network.recv_timeout ep (run_until -. Engine.now engine) with
            | Some (src, ()) ->
                if src >= 0 && src < n then t.last_seen.(src) <- Engine.now engine;
                note_leader ();
-               if Engine.now engine >= cfg.run_until then continue := false
+               if Engine.now engine >= run_until then continue := false
            | None -> continue := false
          done));
   t

@@ -1,17 +1,12 @@
 (** A heartbeat-based implementation of the Ω leader oracle: after GST,
     every correct process converges on the lowest-id correct process.
     Shows the model's liveness assumption is implementable from its own
-    primitives.  Heartbeats go out every 2 delays, and a peer silent for
-    more than 7 is suspected. *)
+    primitives.  Heartbeats go out every 2 delays, a peer silent for
+    more than 7 is suspected, and the daemon stops at virtual time
+    120. *)
 
 open Rdma_sim
 open Rdma_net
-
-type config = {
-  run_until : float;  (** virtual time at which the daemon stops *)
-}
-
-val default_config : config
 
 type t
 
@@ -23,5 +18,4 @@ val suspects : t -> int -> bool
 (** Leadership changes as seen by this process, oldest first. *)
 val history : t -> (float * int) list
 
-val spawn :
-  engine:Engine.t -> ep:unit Network.endpoint -> n:int -> ?cfg:config -> unit -> t
+val spawn : engine:Engine.t -> ep:unit Network.endpoint -> n:int -> unit -> t

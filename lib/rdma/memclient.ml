@@ -73,40 +73,37 @@ let read_all_async t ~region ~reg =
 let change_permission_all_async t ~region ~perm =
   Array.map (fun m -> Memory.change_permission_async m ~from:t.pid ~region ~perm) t.memories
 
-(* [write_quorum t ~k ~region ~reg v] writes to every memory and waits for
-   [k] responses (default: a majority).  Returns [Ack] iff every response
-   received was an ack — a nak means some memory refused (permission lost),
-   which the paper's algorithms treat as "give up". *)
-let write_quorum ?k t ~region ~reg value =
-  let k = Option.value k ~default:(majority t) in
+(* [write_quorum t ~region ~reg v] writes to every memory and waits for a
+   majority of responses.  Returns [Ack] iff every response received was
+   an ack — a nak means some memory refused (permission lost), which the
+   paper's algorithms treat as "give up". *)
+let write_quorum t ~region ~reg value =
   client_span t "rdma.write_quorum" (fun () ->
-      let responses = Par.await_k (write_all_async t ~region ~reg value) k in
+      let responses =
+        Par.await_k (write_all_async t ~region ~reg value) (majority t)
+      in
       if List.for_all (fun (_, r) -> r = Memory.Ack) responses then Memory.Ack
       else Memory.Nak)
 
-(* [read_quorum t ~region ~reg] reads from every memory, waits for [k]
-   responses, and returns them as [(memory index, result)] pairs. *)
-let read_quorum ?k t ~region ~reg =
-  let k = Option.value k ~default:(majority t) in
+(* [read_quorum t ~region ~reg] reads from every memory, waits for a
+   majority of responses, and returns them as [(memory index, result)]
+   pairs. *)
+let read_quorum t ~region ~reg =
   client_span t "rdma.read_quorum" (fun () ->
-      Par.await_k (read_all_async t ~region ~reg) k)
+      Par.await_k (read_all_async t ~region ~reg) (majority t))
 
-let change_permission_quorum ?k t ~region ~perm =
-  let k = Option.value k ~default:(majority t) in
+let change_permission_quorum t ~region ~perm =
   client_span t "rdma.perm_quorum" (fun () ->
-      Par.await_k (change_permission_all_async t ~region ~perm) k)
+      Par.await_k (change_permission_all_async t ~region ~perm) (majority t))
 
 (* {2 Fences}
 
    The explicit flush of the weak ordering models (see [Ordering]): a
    fence on a memory completes once every op this client issued there
    before the fence has been applied.  Under [Ordering.Strict] every
-   per-memory fence is an already-full ivar, and the client-side
-   wrappers below short-circuit entirely — no span, no suspension — so
-   algorithms fence unconditionally at zero strict-mode cost. *)
-
-let all_strict t =
-  Array.for_all (fun m -> Memory.ordering m = Ordering.Strict) t.memories
+   per-memory fence is an already-full ivar, and [fence] short-circuits
+   entirely — no span, no suspension — so algorithms fence
+   unconditionally at zero strict-mode cost. *)
 
 let fence_all_async t =
   Array.map (fun m -> Memory.fence_async m ~from:t.pid) t.memories
@@ -116,19 +113,6 @@ let fence t ~mem =
   else
     client_span t "rdma.fence" (fun () ->
         Ivar.await (Memory.fence_async t.memories.(mem) ~from:t.pid))
-
-(* Fence every memory and wait for [k] of them (default: a majority) —
-   the companion of a quorum write: once it returns, the write has been
-   *applied*, not merely acked, at k memories. *)
-let fence_quorum ?k t =
-  if all_strict t then Memory.Ack
-  else begin
-    let k = Option.value k ~default:(majority t) in
-    client_span t "rdma.fence_quorum" (fun () ->
-        let responses = Par.await_k (fence_all_async t) k in
-        if List.for_all (fun (_, r) -> r = Memory.Ack) responses then Memory.Ack
-        else Memory.Nak)
-  end
 
 (* {2 Single-memory batched write (state transfer)} *)
 

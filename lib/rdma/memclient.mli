@@ -39,41 +39,34 @@ val write_all_async :
 
 val read_all_async : t -> region:string -> reg:string -> Memory.read_result Ivar.t array
 
-val change_permission_all_async :
-  t -> region:string -> perm:Permission.t -> Memory.op_result Ivar.t array
-
-(** Write to every memory, wait for [k] responses (default majority);
-    [Ack] iff all received responses were acks. *)
-val write_quorum :
-  ?k:int -> t -> region:string -> reg:string -> string -> Memory.op_result
+(** Write to every memory, wait for a majority of responses; [Ack] iff
+    all received responses were acks. *)
+val write_quorum : t -> region:string -> reg:string -> string -> Memory.op_result
 [@@sim.yields]
 
-(** Read from every memory, wait for [k] responses (default majority);
-    returns [(memory index, result)] pairs. *)
+(** Read from every memory, wait for a majority of responses; returns
+    [(memory index, result)] pairs. *)
 val read_quorum :
-  ?k:int -> t -> region:string -> reg:string -> (int * Memory.read_result) list
+  t -> region:string -> reg:string -> (int * Memory.read_result) list
 [@@sim.yields]
 
 val change_permission_quorum :
-  ?k:int -> t -> region:string -> perm:Permission.t -> (int * Memory.op_result) list
+  t -> region:string -> perm:Permission.t -> (int * Memory.op_result) list
 [@@sim.yields]
 
 (** {2 Fences}
 
     The explicit flush of the weak ordering models ({!Ordering}): a
     fence on a memory completes once every op this client issued there
-    before it has been applied.  Under {!Ordering.Strict} all three
-    entry points short-circuit — no span, no suspension, no engine
-    event — so unconditional fences cost nothing in the strict model. *)
+    before it has been applied.  Under {!Ordering.Strict} both entry
+    points short-circuit — no span, no suspension, no engine event — so
+    unconditional fences cost nothing in the strict model. *)
 
 val fence : t -> mem:int -> Memory.op_result [@@sim.yields]
 
+(** One fence per memory; awaiting them all means the client's prior
+    writes are {e applied} — not merely acked — at every memory. *)
 val fence_all_async : t -> Memory.op_result Ivar.t array
-
-(** Fence every memory, wait for [k] (default majority): on return the
-    client's prior writes are {e applied} — not merely acked — at [k]
-    memories. *)
-val fence_quorum : ?k:int -> t -> Memory.op_result [@@sim.yields]
 
 (** {2 State transfer} *)
 

@@ -13,25 +13,19 @@
    Crash–recovery extends the paper's crash-stop memories: [restart]
    brings a crashed memory back *empty*, under a fresh epoch.  Nothing
    stored before the crash survives — register contents and the
-   permission state granted through legalChange are both lost.  Epoch
-   stamps enforce the two safety obligations of rejoin:
+   permission state granted through legalChange are both lost.  On
+   rejoin the trusted kernel restores each region's creation-time
+   permission, as a NIC driver re-registers configured memory regions
+   on reboot, so a pre-crash legalChange grant is never honoured again.
 
-   - Region permissions carry the epoch at which they were granted.  A
-     grant from a previous epoch is dead: every operation naks until the
-     region's permission is re-established *at the current epoch* —
-     either through [change_permission_async] (which shows legalChange a
-     [Permission.none] current state, because the pre-crash grant is
-     forgotten) or through the trusted-kernel [force_permission] path.
-     A recovering memory can therefore never honour a stale grant.
-
-   - Registers carry the epoch at which they were last written.  A
-     register whose stamp predates the current epoch is *unrepaired*:
-     reads (single or batched) nak on it, while fresh-epoch writes both
-     store the value and repair the register.  An amnesiac replica thus
-     answers "I don't know" instead of a silently-empty ⊥, so quorum
-     readers can never mistake lost state for genuinely-unwritten state;
-     repair is exactly "write the register back" (read-repair, snapshot
-     installation), after which reads serve again. *)
+   Registers carry the epoch at which they were last written.  A
+   register whose stamp predates the current epoch is *unrepaired*:
+   reads (single or batched) nak on it, while fresh-epoch writes both
+   store the value and repair the register.  An amnesiac replica thus
+   answers "I don't know" instead of a silently-empty ⊥, so quorum
+   readers can never mistake lost state for genuinely-unwritten state;
+   repair is exactly "write the register back" (read-repair, snapshot
+   installation), after which reads serve again. *)
 
 open Rdma_sim
 open Rdma_obs
@@ -45,10 +39,8 @@ type region = {
   registers : string list;
   mutable perm : Permission.t;
   (* the permission the region was created with; the kernel restores it
-     on a [`Genesis] rejoin, as a NIC driver re-registers configured
-     memory regions on reboot *)
+     on a restart *)
   genesis : Permission.t;
-  mutable granted_epoch : int;
 }
 
 (* A register: the region it belongs to (exactly one — our algorithms'
@@ -86,8 +78,8 @@ type t = {
   mutable data_horizon : float;
 }
 
-let create ?(legal_change = Permission.static_permissions)
-    ?(ordering = Ordering.Strict) ?(seed = 0) ~engine ~mid () =
+let create ?(legal_change = Permission.static_permissions) ?(seed = 0) ~engine
+    ~mid () =
   let obs = Engine.obs engine in
   {
     mid;
@@ -100,7 +92,7 @@ let create ?(legal_change = Permission.static_permissions)
     epoch = 0;
     regions = Hashtbl.create 64;
     cells = Hashtbl.create 256;
-    ordering;
+    ordering = Ordering.Strict;
     ord_rng = Random.State.make [| 0x6f7264; seed; mid |];
     qps = Hashtbl.create 8;
     data_horizon = 0.0;
@@ -128,15 +120,7 @@ let epoch t = t.epoch
 let add_region t ~name ~perm ~registers =
   if Hashtbl.mem t.regions name then
     invalid_arg (Printf.sprintf "Memory.add_region: duplicate region %s" name);
-  let region =
-    {
-      region_name = name;
-      registers;
-      perm;
-      genesis = perm;
-      granted_epoch = t.epoch;
-    }
-  in
+  let region = { region_name = name; registers; perm; genesis = perm } in
   List.iter
     (fun r ->
       match Hashtbl.find_opt t.cells r with
@@ -173,51 +157,32 @@ let region_perm t name =
   | Some r -> Some r.perm
   | None -> None
 
-(* Whether the region's permission was granted in the current epoch —
-   i.e. the region serves operations rather than nak-ing as rejoining. *)
-let region_serving t name =
-  match Hashtbl.find_opt t.regions name with
-  | Some r -> r.granted_epoch = t.epoch
-  | None -> false
-
 let region_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.regions [] |> List.sort compare
 
 (* Kernel-side permission override, bypassing legalChange.  Section 7
    places permission management in the (trusted) OS kernel: the Verbs
    facade is that kernel, so it may install any permission; untrusted
-   process programs can still only go through changePermission.  A
-   kernel grant is always at the current epoch. *)
+   process programs can still only go through changePermission. *)
 let force_permission t ~region ~perm =
   match Hashtbl.find_opt t.regions region with
-  | Some r ->
-      r.perm <- perm;
-      r.granted_epoch <- t.epoch
+  | Some r -> r.perm <- perm
   | None -> invalid_arg "Memory.force_permission: no such region"
 
 (* Restart a crashed memory under a fresh epoch: register contents and
-   legalChange-granted permission state are lost.  [`Genesis] rejoin
-   has the kernel restore each region's creation-time permission (the
-   NIC driver re-registering configured regions on reboot); under
-   [`Quarantine] every region stays fenced until someone re-establishes
-   its permission via changePermission or the kernel.  Either way all
-   registers come back stale: reads nak until a current-epoch write
-   repairs them. *)
-let restart ?(rejoin = `Genesis) t =
+   legalChange-granted permission state are lost.  The kernel restores
+   each region's creation-time permission (the NIC driver
+   re-registering configured regions on reboot), and every register
+   comes back stale: reads nak until a current-epoch write repairs
+   it. *)
+let restart t =
   if not t.crashed then invalid_arg "Memory.restart: memory is not crashed";
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
   (* In-place field updates commute across cells and across regions, so
      the hash-bucket visit order is unobservable. *)
   (Hashtbl.iter (fun _ c -> c.value <- None) t.cells;
-   match rejoin with
-   | `Genesis ->
-       Hashtbl.iter
-         (fun _ r ->
-           r.perm <- r.genesis;
-           r.granted_epoch <- t.epoch)
-         t.regions
-   | `Quarantine -> ())
+   Hashtbl.iter (fun _ r -> r.perm <- r.genesis) t.regions)
   [@simlint.allow "D2"];
   (* In-flight pre-crash placements are dead (the epoch guard drops
      them), so the fresh epoch owes them no ordering: QP floors and the
@@ -353,19 +318,11 @@ let operation t ~span_name ~from ~cls decide =
       end);
   result
 
-let lookup_region t name =
-  match Hashtbl.find_opt t.regions name with
-  | Some region -> Some region
-  | None -> None
-
 (* [reg]'s cell, if [reg] belongs to the region named [region]. *)
 let cell_in t ~region reg =
   match Hashtbl.find_opt t.cells reg with
   | Some c when String.equal c.owner.region_name region -> Some c
   | Some _ | None -> None
-
-(* A region accepts operations only under a current-epoch grant. *)
-let serving r ~epoch = r.granted_epoch = epoch
 
 let store t c value =
   c.stamp <- t.epoch;
@@ -378,7 +335,7 @@ let write_async t ~from ~region ~reg value =
       let ok =
         match cell with
         | None -> false
-        | Some c -> serving c.owner ~epoch:t.epoch && Permission.can_write c.owner.perm from
+        | Some c -> Permission.can_write c.owner.perm from
       in
       emit t (Event.Mem_write { pid = from; mid = t.mid; region; reg; value; ok });
       match cell with
@@ -392,10 +349,7 @@ let read_async t ~from ~region ~reg =
       let ok =
         match cell with
         | None -> false
-        | Some c ->
-            serving c.owner ~epoch:t.epoch
-            && Permission.can_read c.owner.perm from
-            && c.stamp = t.epoch
+        | Some c -> Permission.can_read c.owner.perm from && c.stamp = t.epoch
       in
       emit t (Event.Mem_read { pid = from; mid = t.mid; region; reg; ok });
       match cell with
@@ -414,11 +368,10 @@ let read_many_async t ~from ~region ~regs =
   operation t ~span_name:"mem.read_many" ~from ~cls:`Read (fun () ->
       let cells = List.map (cell_in t ~region) regs in
       let ok =
-        match lookup_region t region with
+        match Hashtbl.find_opt t.regions region with
         | None -> false
         | Some r ->
-            serving r ~epoch:t.epoch
-            && Permission.can_read r.perm from
+            Permission.can_read r.perm from
             && List.for_all
                  (function Some c -> c.stamp = t.epoch | None -> false)
                  cells
@@ -444,11 +397,10 @@ let write_many_async t ~from ~region ~values =
   operation t ~span_name:"mem.write_many" ~from ~cls:`Write (fun () ->
       let cells = List.map (fun (reg, v) -> (cell_in t ~region reg, v)) values in
       let ok =
-        match lookup_region t region with
+        match Hashtbl.find_opt t.regions region with
         | None -> false
         | Some r ->
-            serving r ~epoch:t.epoch
-            && Permission.can_write r.perm from
+            Permission.can_write r.perm from
             && List.for_all (fun (c, _) -> Option.is_some c) cells
       in
       emit t
@@ -465,25 +417,17 @@ let write_many_async t ~from ~region ~values =
 
 (* changePermission (Section 3): the memory evaluates legalChange on
    arrival; an illegal request silently becomes a no-op (the paper's
-   semantics), but we report whether it was applied for observability.
-   After a restart the pre-crash grant is forgotten, so legalChange is
-   shown [Permission.none] as the current state — the rejoin protocol:
-   whatever the policy allows from nothing is what a recovering memory
-   may grant, and nothing else. *)
+   semantics), but we report whether it was applied for observability. *)
 let change_permission_async t ~from ~region ~perm =
   incr t.ops;
   operation t ~span_name:"mem.perm" ~from ~cls:`Control (fun () ->
       let applied =
-        match lookup_region t region with
+        match Hashtbl.find_opt t.regions region with
         | None -> false
         | Some r ->
-            let current =
-              if serving r ~epoch:t.epoch then r.perm else Permission.none
-            in
-            if t.legal_change ~pid:from ~region ~current ~requested:perm
+            if t.legal_change ~pid:from ~region ~current:r.perm ~requested:perm
             then begin
               r.perm <- perm;
-              r.granted_epoch <- t.epoch;
               true
             end
             else false

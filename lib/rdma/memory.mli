@@ -4,11 +4,11 @@
 
     Beyond the paper's crash-stop memories, a crashed memory can
     {!restart} under a fresh {e epoch}, coming back empty: register
-    contents and legalChange-granted permissions are lost.  Permissions
-    and registers are epoch-stamped — a stale grant never serves, and a
-    stale (lost) register naks reads until a current-epoch write repairs
-    it, so an amnesiac replica answers "I don't know" rather than serving
-    lost state as ⊥.
+    contents and legalChange-granted permissions are lost, and each
+    region gets back the permission it was created with.  Registers are
+    epoch-stamped: a stale (lost) register naks reads until a
+    current-epoch write repairs it, so an amnesiac replica answers "I
+    don't know" rather than serving lost state as ⊥.
 
     Timing follows the paper's delay metric: an operation issued at time
     [t] applies at the memory one {!Rdma_sim.Engine.delay} later and its
@@ -26,13 +26,12 @@ type read_result = Read of string option | Read_nak
 
 type t
 
-(** [ordering] is the memory-ordering model (default {!Ordering.Strict});
-    [seed] keys the per-memory stream the weak modes draw their per-op
-    lag/reorder decisions from — pass the run's seed so chaos schedules
-    replay to identical decisions. *)
+(** A memory starts under {!Ordering.Strict}; {!set_ordering} installs
+    a weak mode.  [seed] keys the per-memory stream the weak modes draw
+    their per-op lag/reorder decisions from — pass the run's seed so
+    chaos schedules replay to identical decisions. *)
 val create :
   ?legal_change:Permission.legal_change ->
-  ?ordering:Ordering.mode ->
   ?seed:int ->
   engine:Engine.t ->
   mid:int ->
@@ -63,15 +62,12 @@ val epoch : t -> int
 
 (** Restart a crashed memory under a fresh epoch.  All register contents
     are lost (stale until rewritten) and in-flight pre-crash operations
-    are dropped for good.  [`Genesis] (default) has the trusted kernel
-    restore each region's creation-time permission, as a NIC driver
-    re-registers configured regions on reboot; [`Quarantine] leaves every
-    region fenced — nak-ing all operations — until a permission is
-    re-established at the new epoch via {!change_permission_async} (which
-    shows [legal_change] a [Permission.none] current state) or
-    {!force_permission}.  Raises [Invalid_argument] if the memory is not
-    crashed. *)
-val restart : ?rejoin:[ `Genesis | `Quarantine ] -> t -> unit
+    are dropped for good.  The trusted kernel restores each region's
+    creation-time permission, as a NIC driver re-registers configured
+    regions on reboot, so a grant made through {!change_permission_async}
+    before the crash is forgotten.  Raises [Invalid_argument] if the
+    memory is not crashed. *)
+val restart : t -> unit
 
 (** [add_region t ~name ~perm ~registers] creates a region.  Each register
     may belong to only one region (the convention our algorithms use);
@@ -89,16 +85,11 @@ val stale_registers : t -> region:string -> string list
 
 val region_perm : t -> string -> Permission.t option
 
-(** Whether the region's permission was granted in the current epoch —
-    false while a restarted region is still fenced. *)
-val region_serving : t -> string -> bool
-
 val region_names : t -> string list
 
 (** Kernel-side permission override, bypassing [legal_change] (the Verbs
     facade models the trusted kernel of Section 7).  Untrusted programs
-    must use {!change_permission_async}.  The grant is stamped with the
-    current epoch. *)
+    must use {!change_permission_async}. *)
 val force_permission : t -> region:string -> perm:Permission.t -> unit
 
 (** Timed write; the ivar fills with the result two delays later
@@ -129,9 +120,7 @@ val write_many_async :
   op_result Ivar.t
 
 (** [changePermission]: the memory evaluates its [legal_change] policy on
-    arrival; [Nak] means the request was refused and nothing changed.
-    After a restart the forgotten pre-crash grant is presented to the
-    policy as [Permission.none]. *)
+    arrival; [Nak] means the request was refused and nothing changed. *)
 val change_permission_async :
   t -> from:int -> region:string -> perm:Permission.t -> op_result Ivar.t
 

@@ -49,21 +49,6 @@ let read t ~reg =
   | [ v ] -> Some v
   | _ -> None
 
-(* Read and also report whether any replica nak'd (permission trouble is
-   interesting to some callers). *)
-let read_detailed t ~reg =
-  let responses = Memclient.read_quorum t.client ~region:t.region ~reg in
-  let naks = List.exists (fun (_, r) -> r = Memory.Read_nak) responses in
-  let values =
-    List.filter_map
-      (fun (_, r) -> match r with Memory.Read v -> v | Memory.Read_nak -> None)
-      responses
-  in
-  let value =
-    match List.sort_uniq String.compare values with [ v ] -> Some v | _ -> None
-  in
-  (value, naks)
-
 (* How long a repair sweep waits for every replica, in delays. *)
 let grace = 10.0
 

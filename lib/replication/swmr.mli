@@ -10,16 +10,11 @@ type handle
 
 val attach : client:Memclient.t -> region:string -> handle
 
-val majority : handle -> int
-
 (** [Ack] iff all responding memories (a majority) acked; [Nak] means some
     memory refused — write permission was revoked there. *)
 val write : handle -> reg:string -> string -> Memory.op_result [@@sim.yields]
 
 val read : handle -> reg:string -> string option [@@sim.yields]
-
-(** Like {!read} but also reports whether any replica nak'd the read. *)
-val read_detailed : handle -> reg:string -> string option * bool [@@sim.yields]
 
 (** Quorum read with write-back repair: when the responding majority
     agrees on one value v, every responding replica that returned ⊥, a

@@ -3,7 +3,7 @@
    [fold ~jobs tasks ~init ~f] executes every task and folds the
    results with [f] in SUBMISSION order, regardless of completion
    order, so [-j 1] and [-j N] are byte-identical for any consumer.
-   [run] and [run_exn] are folds into a list.
+   [run_exn] is a fold into a list.
 
    Memory is O(jobs), not O(tasks): the calling domain pulls [tasks]
    lazily and hands a task to the workers only while its index is below
@@ -150,9 +150,6 @@ let fold ?jobs tasks ~init ~f =
       (* Sequential fast path: same fold order by construction. *)
       Seq.fold_left (fun acc task -> f acc (run_task task)) init tasks
   | _ -> fold_parallel ~workers:(List.length head) tasks ~init ~f
-
-let run ?jobs tasks =
-  List.rev (fold ?jobs (List.to_seq tasks) ~init:[] ~f:(fun acc r -> r :: acc))
 
 (* All-or-nothing variant: re-raise the first (submission-order) task
    failure.  Harness drivers use this when a task exception means a

@@ -33,12 +33,7 @@ val fold :
   f:('acc -> ('r, error) result -> 'acc) ->
   'acc
 
-(** [run ~jobs tasks] executes the tasks on [min jobs (length tasks)]
-    worker domains ([jobs <= 1] runs inline on the calling domain) and
-    returns per-task results in submission order.  [jobs] defaults to
-    {!default_jobs}. *)
-val run : ?jobs:int -> 'r Task.t list -> ('r, error) result list
-
-(** Like {!run} but re-raises the first (in submission order) captured
-    task exception; tasks after it may not run. *)
+(** [run_exn ~jobs tasks] is {!fold} into a list of the tasks' results
+    in submission order, re-raising the first (in submission order)
+    captured task exception; tasks after it may not run. *)
 val run_exn : ?jobs:int -> 'r Task.t list -> 'r list

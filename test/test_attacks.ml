@@ -115,11 +115,12 @@ let test_permission_thief_cannot_take_neb_region () =
   let stolen = ref false in
   Cluster.spawn_byzantine cluster ~pid:2 (fun ctx ->
       let results =
-        Rdma_mem.Memclient.change_permission_quorum ~k:3 ctx.Cluster.client
-          ~region:(Neb.region_of 1)
-          ~perm:(Rdma_mem.Permission.exclusive_writer ~writer:2 ~n)
+        List.init 3 (fun mem ->
+            Rdma_mem.Memclient.change_permission ctx.Cluster.client ~mem
+              ~region:(Neb.region_of 1)
+              ~perm:(Rdma_mem.Permission.exclusive_writer ~writer:2 ~n))
       in
-      if List.exists (fun (_, r) -> r = Rdma_mem.Memory.Ack) results then stolen := true);
+      if List.mem Rdma_mem.Memory.Ack results then stolen := true);
   Cluster.run cluster;
   Cluster.check_errors cluster;
   Alcotest.(check bool) "NEB regions cannot be stolen" false !stolen

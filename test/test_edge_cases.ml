@@ -85,8 +85,7 @@ let test_mailbox_drain () =
 
 let test_pmp_single_memory () =
   (* m = 1, fM = 0: legal (m ≥ 2·0+1); still 2-deciding. *)
-  let cfg = { Protected_paxos.f_m = Some 0 } in
-  let report = Protected_paxos.run ~cfg ~n:2 ~m:1 ~inputs:[| "a"; "b" |] () in
+  let report = Protected_paxos.run ~n:2 ~m:1 ~inputs:[| "a"; "b" |] () in
   Alcotest.(check (option (float 0.0))) "2-deciding with one memory" (Some 2.0)
     (Report.first_decision_time report);
   Alcotest.(check bool) "agreement" true (Report.agreement_ok report)

@@ -7,14 +7,12 @@ open Rdma_net
 open Rdma_mm
 open Rdma_consensus
 
-let cfg = { Heartbeat_fd.run_until = 120.0 }
-
 let run_fd_scenario ?(n = 4) ~crash () =
   let engine = Engine.create () in
   let net : unit Network.t = Network.create ~engine ~n () in
   let fds =
     Array.init n (fun pid ->
-        Heartbeat_fd.spawn ~engine ~ep:(Network.endpoint net pid) ~n ~cfg ())
+        Heartbeat_fd.spawn ~engine ~ep:(Network.endpoint net pid) ~n ())
   in
   crash engine net;
   Engine.run engine;

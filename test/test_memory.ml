@@ -265,38 +265,27 @@ let test_restart_write_many_repairs () =
       Alcotest.(check bool) "batch with a stale member naks" true
         (rm2 = Memory.Read_many_nak))
 
-let test_restart_genesis_vs_quarantine () =
+let test_restart_genesis () =
   let legal_change ~pid ~region:_ ~current:_ ~requested =
     Permission.sole_writer requested = Some pid
   in
   let engine, mem = make_memory ~legal_change () in
-  Memory.add_region mem ~name:"r" ~perm:(Permission.exclusive_writer ~writer:0 ~n:2)
-    ~registers:[ "x" ];
+  let genesis = Permission.exclusive_writer ~writer:0 ~n:2 in
+  Memory.add_region mem ~name:"r" ~perm:genesis ~registers:[ "x" ];
   in_fiber engine (fun () ->
       (* a legalChange-granted takeover is forgotten by the restart *)
-      ignore
-        (Ivar.await
-           (Memory.change_permission_async mem ~from:1 ~region:"r"
-              ~perm:(Permission.exclusive_writer ~writer:1 ~n:2)));
-      Memory.crash mem;
-      Memory.restart mem ~rejoin:`Quarantine;
-      Alcotest.(check bool) "quarantined region is fenced" false
-        (Memory.region_serving mem "r");
-      let w = Ivar.await (Memory.write_async mem ~from:1 ~region:"r" ~reg:"x" "v") in
-      Alcotest.check op_result "fenced region naks even the old owner" Memory.Nak w;
-      (* re-establishing a permission at the new epoch unfences it *)
       let c =
         Ivar.await
           (Memory.change_permission_async mem ~from:1 ~region:"r"
              ~perm:(Permission.exclusive_writer ~writer:1 ~n:2))
       in
-      Alcotest.check op_result "rejoin grant acks" Memory.Ack c;
-      Alcotest.(check bool) "region serves again" true (Memory.region_serving mem "r");
-      (* a second crash with `Genesis restores the creation-time owner *)
+      Alcotest.check op_result "takeover acks" Memory.Ack c;
+      (* the restart restores the creation-time owner *)
       Memory.crash mem;
       Memory.restart mem;
-      Alcotest.(check bool) "genesis rejoin serves immediately" true
-        (Memory.region_serving mem "r");
+      Alcotest.(check bool) "genesis rejoin restores the creation-time permission"
+        true
+        (Option.equal Permission.equal (Some genesis) (Memory.region_perm mem "r"));
       let w0 = Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"x" "v0") in
       Alcotest.check op_result "creation-time owner writes" Memory.Ack w0;
       let w1 = Ivar.await (Memory.write_async mem ~from:1 ~region:"r" ~reg:"x" "v1") in
@@ -355,8 +344,7 @@ let suite =
       test_restart_wipes_and_stamps;
     Alcotest.test_case "write_many is the state-transfer primitive" `Quick
       test_restart_write_many_repairs;
-    Alcotest.test_case "genesis vs quarantine rejoin" `Quick
-      test_restart_genesis_vs_quarantine;
+    Alcotest.test_case "genesis rejoin" `Quick test_restart_genesis;
     Alcotest.test_case "restart drops in-flight operations" `Quick
       test_restart_drops_in_flight;
     Alcotest.test_case "restart requires a crash" `Quick test_restart_requires_crash;

@@ -16,7 +16,8 @@ open Rdma_mem
 
 let make_memory ?legal_change ?(ordering = Ordering.Strict) ?(seed = 1) () =
   let engine = Engine.create () in
-  let mem = Memory.create ?legal_change ~ordering ~seed ~engine ~mid:0 () in
+  let mem = Memory.create ?legal_change ~seed ~engine ~mid:0 () in
+  Memory.set_ordering mem ordering;
   (engine, mem)
 
 let in_fiber engine f =
@@ -255,23 +256,23 @@ let test_memclient_fence_quorum () =
   let engine = Engine.create () in
   let memories =
     Array.init 3 (fun mid ->
-        let m =
-          Memory.create
-            ~ordering:(Ordering.Completion_lag { max_lag = 50.0 })
-            ~seed:1 ~engine ~mid ()
-        in
+        let m = Memory.create ~seed:1 ~engine ~mid () in
+        Memory.set_ordering m (Ordering.Completion_lag { max_lag = 50.0 });
         Memory.add_region m ~name:"r" ~perm:region_all ~registers:[ "x" ];
         m)
   in
   let writer = Memclient.create ~pid:0 ~memories in
   let reader = Memclient.create ~pid:1 ~memories in
   in_fiber engine (fun () ->
-      let w = Memclient.write_quorum ~k:3 writer ~region:"r" ~reg:"x" "v" in
-      Alcotest.check op_result "quorum write acks" Memory.Ack w;
-      let f = Memclient.fence_quorum ~k:3 writer in
-      Alcotest.check op_result "quorum fence acks" Memory.Ack f;
+      let all_ack ivars =
+        List.for_all (fun (_, r) -> r = Memory.Ack) (Par.await_all ivars)
+      in
+      Alcotest.(check bool) "quorum write acks" true
+        (all_ack (Memclient.write_all_async writer ~region:"r" ~reg:"x" "v"));
+      Alcotest.(check bool) "quorum fence acks" true
+        (all_ack (Memclient.fence_all_async writer));
       (* after the fence, the write is applied at every fenced memory *)
-      let reads = Memclient.read_quorum ~k:3 reader ~region:"r" ~reg:"x" in
+      let reads = Par.await_all (Memclient.read_all_async reader ~region:"r" ~reg:"x") in
       List.iter
         (fun (mid, r) ->
           Alcotest.check read_result
@@ -290,8 +291,10 @@ let test_memclient_fence_strict_free () =
   let client = Memclient.create ~pid:0 ~memories in
   in_fiber engine (fun () ->
       let before = Engine.now engine in
-      Alcotest.check op_result "strict quorum fence acks" Memory.Ack
-        (Memclient.fence_quorum client);
+      Alcotest.(check bool) "strict quorum fence acks" true
+        (List.for_all
+           (fun (_, r) -> r = Memory.Ack)
+           (Par.await_all (Memclient.fence_all_async client)));
       Alcotest.check op_result "strict single fence acks" Memory.Ack
         (Memclient.fence client ~mem:0);
       Alcotest.(check (float 0.0)) "both cost zero virtual time" before

@@ -80,7 +80,11 @@ let mixed_tasks =
 let test_exception_capture () =
   List.iter
     (fun jobs ->
-      let results = Pool.run ~jobs mixed_tasks in
+      let results =
+        Pool.fold ~jobs (List.to_seq mixed_tasks) ~init:[] ~f:(fun acc r ->
+            r :: acc)
+        |> List.rev
+      in
       check int "six slots" 6 (List.length results);
       List.iteri
         (fun i r ->

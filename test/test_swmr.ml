@@ -105,9 +105,11 @@ let test_write_nak_on_revoked_replica () =
   run_fiber engine (fun () ->
       (* process 1 takes over every replica *)
       let grabber = Memclient.create ~pid:1 ~memories in
-      ignore
-        (Memclient.change_permission_quorum ~k:3 grabber ~region:"swmr.0"
-           ~perm:(Permission.exclusive_writer ~writer:1 ~n:2));
+      for mem = 0 to 2 do
+        ignore
+          (Memclient.change_permission grabber ~mem ~region:"swmr.0"
+             ~perm:(Permission.exclusive_writer ~writer:1 ~n:2))
+      done;
       let w = handle memories 0 in
       Alcotest.(check bool) "deposed writer sees Nak" true
         (Swmr.write w ~reg:"x" "v" = Memory.Nak))
@@ -123,10 +125,12 @@ let test_read_detailed_reports_naks () =
         ~registers:[ "x" ])
     memories;
   run_fiber engine (fun () ->
-      let r = handle memories 1 in
-      let value, naks = Swmr.read_detailed r ~reg:"x" in
-      Alcotest.(check (option string)) "no value" None value;
-      Alcotest.(check bool) "naks reported" true naks)
+      let client = Memclient.create ~pid:1 ~memories in
+      let r = Swmr.attach ~client ~region:"swmr.0" in
+      Alcotest.(check (option string)) "no value" None (Swmr.read r ~reg:"x");
+      let responses = Memclient.read_quorum client ~region:"swmr.0" ~reg:"x" in
+      Alcotest.(check bool) "naks reported" true
+        (List.exists (fun (_, res) -> res = Memory.Read_nak) responses))
 
 let test_read_repair_converges_after_restart () =
   (* A replica crashes after the write and rejoins EMPTY: its register is

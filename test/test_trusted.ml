@@ -7,8 +7,6 @@ open Rdma_consensus
 
 let neb_cfg = { Neb.default_config with give_up_at = 300.0; poll_interval = 1.0 }
 
-let cfg = { Trusted.neb = neb_cfg }
-
 let build ?(seed = 1) ~n ~m () =
   let cluster : string Cluster.t = Cluster.create ~seed ~n ~m () in
   Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ();
@@ -21,7 +19,7 @@ let test_basic_roundtrip () =
   for pid = 0 to n - 1 do
     Cluster.spawn cluster ~pid (fun ctx ->
         let t =
-          Trusted.create ctx ~cfg
+          Trusted.create ctx ~cfg:neb_cfg
             ~on_receive:(fun ~src ~msg -> received.(pid) := (src, msg) :: !(received.(pid)))
             ()
         in
@@ -45,13 +43,13 @@ let test_history_accumulates () =
   let cluster = build ~n ~m () in
   let history_len = ref 0 in
   Cluster.spawn cluster ~pid:0 (fun ctx ->
-      let t = Trusted.create ctx ~cfg ~on_receive:(fun ~src:_ ~msg:_ -> ()) () in
+      let t = Trusted.create ctx ~cfg:neb_cfg ~on_receive:(fun ~src:_ ~msg:_ -> ()) () in
       Trusted.t_send t "a";
       Engine.sleep 40.0;
       Trusted.t_send t "b";
       history_len := List.length (Trusted.history t));
   Cluster.spawn cluster ~pid:1 (fun ctx ->
-      let t = Trusted.create ctx ~cfg ~on_receive:(fun ~src:_ ~msg:_ -> ()) () in
+      let t = Trusted.create ctx ~cfg:neb_cfg ~on_receive:(fun ~src:_ ~msg:_ -> ()) () in
       ignore t);
   Cluster.run cluster;
   Cluster.check_errors cluster;
@@ -72,7 +70,7 @@ let test_validator_rejects () =
   for pid = 0 to n - 1 do
     Cluster.spawn cluster ~pid (fun ctx ->
         let t =
-          Trusted.create ctx ~cfg ~validator
+          Trusted.create ctx ~cfg:neb_cfg ~validator
             ~on_receive:(fun ~src ~msg -> received.(pid) := (src, msg) :: !(received.(pid)))
             ()
         in
@@ -113,7 +111,7 @@ let test_prefix_violation_convicts () =
       Neb.broadcast neb (Codec.join3 "again" (bare 2 "again") (Trusted.encode_history [])));
   Cluster.spawn cluster ~pid:1 (fun ctx ->
       let t =
-        Trusted.create ctx ~cfg
+        Trusted.create ctx ~cfg:neb_cfg
           ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
           ()
       in
@@ -154,7 +152,7 @@ let test_fabricated_citation_convicts () =
   for pid = 1 to 2 do
     Cluster.spawn cluster ~pid (fun ctx ->
         let t =
-          Trusted.create ctx ~cfg
+          Trusted.create ctx ~cfg:neb_cfg
             ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
             ()
         in
@@ -192,7 +190,7 @@ let run_byzantine_sender ?(validator = fun _ -> Trusted.accept_all) histories =
         histories);
   Cluster.spawn cluster ~pid:1 (fun ctx ->
       let t =
-        Trusted.create ctx ~cfg ~validator:(validator cluster)
+        Trusted.create ctx ~cfg:neb_cfg ~validator:(validator cluster)
           ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
           ()
       in

@@ -58,8 +58,7 @@ let yield_seeds : fn_id list =
     ("Memclient", "change_permission");
     ("Memclient", "write_quorum"); ("Memclient", "read_quorum");
     ("Memclient", "change_permission_quorum");
-    ("Memclient", "fence"); ("Memclient", "fence_quorum");
-    ("Memclient", "write_many");
+    ("Memclient", "fence"); ("Memclient", "write_many");
   ]
 
 (* Callback-registration primitives whose function arguments run on
@@ -105,7 +104,6 @@ let write_issuer_prims : fn_id list =
 let fence_prims : fn_id list =
   [
     ("Memclient", "fence"); ("Memclient", "fence_all_async");
-    ("Memclient", "fence_quorum");
     ("Memclient", "change_permission");
     ("Memclient", "change_permission_all_async");
     ("Memclient", "change_permission_quorum");

@@ -51,18 +51,17 @@
          [@simlint.allow "F1 <structural reason>"] justification — the
          per-algorithm excuses of EXPERIMENTS.md W2, made machine-
          checked.
-   - A1  stale suppression: a [simlint.allow] attribute or allow-file
-         entry that no longer matches any finding is itself an error, so
-         suppressions cannot outlive the code they excused.
+   - A1  stale suppression: a [simlint.allow] attribute that no longer
+         matches any finding is itself an error, so suppressions cannot
+         outlive the code they excused.
 
    Suppression: attach [@simlint.allow "ID justification..."] to the
    offending expression, its pattern (for D3 arms), an enclosing [let]
    binding or [val] item, or file-wide via a floating
    [@@@simlint.allow "..."]; several rule ids may share one payload
    ("D2 D4"), and everything after the leading rule ids is the recorded
-   justification.  Alternatively list [RULE-ID path-fragment  # why]
-   lines in a checked-in [simlint.allow] file.  Unknown rule ids in
-   payloads are ignored (forward compatibility). *)
+   justification.  Unknown rule ids in payloads are ignored (forward
+   compatibility). *)
 
 type rule = D1 | D2 | D3 | D4 | D5 | D6 | Y1 | Y2 | F1 | A1
 
@@ -107,21 +106,6 @@ type finding = {
 let pp_finding ppf f =
   Format.fprintf ppf "%s:%d: [%s] %s" f.file f.line (rule_id f.rule) f.message
 
-(* An entry of the checked-in allow file (or an equivalent literal in a
-   test config): rule + path fragment + recorded justification.
-   [ae_source] is the allow file's own (path, line), used to report the
-   entry as stale when it stops matching. *)
-type allow_entry = {
-  ae_rule : rule;
-  ae_frag : string;
-  ae_just : string;
-  ae_source : (string * int) option;
-  mutable ae_used : bool;
-}
-
-let allow_frag rule frag =
-  { ae_rule = rule; ae_frag = frag; ae_just = ""; ae_source = None; ae_used = false }
-
 type config = {
   rules : rule list;  (** enabled rules *)
   sim_dirs : string list;
@@ -132,7 +116,6 @@ type config = {
   y2_dirs : string list;  (** path fragments whose .mli carry the Y2 contract *)
   fence_exempt_dirs : string list;
       (** the substrate that implements the ordering models; F1-exempt *)
-  allow : allow_entry list;
 }
 
 let default_config =
@@ -144,7 +127,6 @@ let default_config =
     yield_dirs = [ "lib/"; "bench/" ];
     y2_dirs = [ "lib/" ];
     fence_exempt_dirs = [ "lib/rdma/" ];
-    allow = [];
   }
 
 (* {2 Small utilities} *)
@@ -1249,7 +1231,7 @@ let lint_signature cfg ~graph (path, (sg : Parsetree.signature)) =
 
 (* {2 Suppression application + stale detection} *)
 
-let apply_suppressions ~sites ~allow findings =
+let apply_suppressions ~sites findings =
   List.map
     (fun f ->
       let matching =
@@ -1260,25 +1242,14 @@ let apply_suppressions ~sites ~allow findings =
             && f.offset >= s.s_lo && f.offset < s.s_hi)
           sites
       in
-      let entry_matching =
-        List.filter
-          (fun e -> e.ae_rule = f.rule && contains_fragment f.file e.ae_frag)
-          allow
-      in
-      match (matching, entry_matching) with
-      | [], [] -> f
-      | sites', entries ->
-          List.iter (fun s -> s.s_used <- true) sites';
-          List.iter (fun e -> e.ae_used <- true) entries;
-          let just =
-            match sites' with
-            | s :: _ -> s.s_just
-            | [] -> ( match entries with e :: _ -> e.ae_just | [] -> "")
-          in
-          { f with suppressed = Some just })
+      match matching with
+      | [] -> f
+      | s :: _ ->
+          List.iter (fun s -> s.s_used <- true) matching;
+          { f with suppressed = Some s.s_just })
     findings
 
-let stale_findings cfg ~sites ~allow =
+let stale_findings cfg ~sites =
   if not (List.mem A1 cfg.rules) then []
   else
     let enabled r = List.mem r cfg.rules in
@@ -1301,29 +1272,7 @@ let stale_findings cfg ~sites ~allow =
             suppressed = None;
           }
     in
-    let of_entry e =
-      match e.ae_source with
-      | None -> None (* literal config entries carry no reportable site *)
-      | Some (file, line) ->
-          if e.ae_used || not (enabled e.ae_rule) then None
-          else
-            Some
-              {
-                file;
-                line;
-                col = 0;
-                offset = line;
-                rule = A1;
-                message =
-                  Printf.sprintf
-                    "stale suppression: allow-file entry \"%s %s\" matches \
-                     no current finding — delete the line so it cannot \
-                     silently cover future regressions"
-                    (rule_id e.ae_rule) e.ae_frag;
-                suppressed = None;
-              }
-    in
-    List.filter_map of_site sites @ List.filter_map of_entry allow
+    List.filter_map of_site sites
 
 (* {2 Entry points} *)
 
@@ -1354,17 +1303,12 @@ let lint_parsed_all cfg (units : (string * unit_ast) list) =
         (fun (path, sg) -> collect_sites_signature ~file:path sg)
         intfs
   in
-  let allow = cfg.allow in
-  List.iter (fun e -> e.ae_used <- false) allow;
   let raw =
     List.concat_map (lint_structure cfg ~ctors ~graph) impls
     @ List.concat_map (lint_signature cfg ~graph) intfs
   in
-  let filtered = apply_suppressions ~sites ~allow raw in
-  let stale =
-    apply_suppressions ~sites:[] ~allow (stale_findings cfg ~sites ~allow)
-  in
-  List.sort compare_findings (filtered @ stale)
+  let filtered = apply_suppressions ~sites raw in
+  List.sort compare_findings (filtered @ stale_findings cfg ~sites)
 
 let active findings = List.filter (fun f -> f.suppressed = None) findings
 
@@ -1417,54 +1361,6 @@ let collect_ml_files roots =
     else acc
   in
   List.fold_left walk [] roots |> List.sort_uniq compare
-
-(* [simlint.allow]: one [RULE-ID path-fragment  # justification] per
-   line; a [#] comment on an entry line is recorded as that entry's
-   justification. *)
-let load_allow_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-            let body, comment =
-              match String.index_opt line '#' with
-              | Some i ->
-                  ( String.sub line 0 i,
-                    String.trim
-                      (String.sub line (i + 1) (String.length line - i - 1)) )
-              | None -> (line, "")
-            in
-            match
-              String.split_on_char ' ' (String.trim body)
-              |> List.filter (fun s -> s <> "")
-            with
-            | [] -> go (lineno + 1) acc
-            | [ rid; frag ] -> (
-                match rule_of_id rid with
-                | Some r ->
-                    go (lineno + 1)
-                      ({
-                         ae_rule = r;
-                         ae_frag = frag;
-                         ae_just = comment;
-                         ae_source = Some (path, lineno);
-                         ae_used = false;
-                       }
-                      :: acc)
-                | None ->
-                    failwith
-                      (Printf.sprintf "%s: unknown rule id %S" path rid))
-            | _ ->
-                failwith
-                  (Printf.sprintf
-                     "%s: expected \"RULE-ID path-fragment\", got %S" path
-                     line))
-      in
-      go 1 [])
 
 (* {2 JSON findings output}
 

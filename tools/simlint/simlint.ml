@@ -4,16 +4,14 @@
 
    Scans every .ml/.mli under the given roots, prints findings as
    [file:line: [RULE-ID] message], and exits nonzero if any survive the
-   suppressions ([@simlint.allow] attributes and the [simlint.allow]
-   file, picked up from the current directory by default).
+   [@simlint.allow] attributes.
    [--json] emits the full machine-readable report instead — every
    finding including suppressed ones with their justification, in
    stable (file, line, col, rule) order.  [--dump-yields] prints the
    may-yield verdict for every harvested definition and exits. *)
 
 let usage =
-  "simlint [--rules D1,..] [--disable D1,..] [--allow-file F | \
-   --no-allow-file] [--json] [--dump-yields] PATH.."
+  "simlint [--rules D1,..] [--disable D1,..] [--json] [--dump-yields] PATH.."
 
 module Lint = Simlint_lib.Lint
 module Callgraph = Simlint_lib.Callgraph
@@ -22,7 +20,6 @@ let () =
   let roots = ref [] in
   let only = ref None in
   let disabled = ref [] in
-  let allow_file = ref (Some "simlint.allow") in
   let json = ref false in
   let dump_yields = ref false in
   let parse_rule_list s =
@@ -42,12 +39,6 @@ let () =
       ( "--disable",
         Arg.String (fun s -> disabled := parse_rule_list s @ !disabled),
         "IDS disable these comma-separated rules" );
-      ( "--allow-file",
-        Arg.String (fun s -> allow_file := Some s),
-        "FILE read RULE-ID/path-fragment suppressions (default: ./simlint.allow)" );
-      ( "--no-allow-file",
-        Arg.Unit (fun () -> allow_file := None),
-        " ignore any simlint.allow file" );
       ( "--json",
         Arg.Set json,
         " emit all findings (suppressed included) as JSON on stdout" );
@@ -61,16 +52,11 @@ let () =
     prerr_endline usage;
     exit 2
   end;
-  let allow =
-    match !allow_file with
-    | Some f when Sys.file_exists f -> Lint.load_allow_file f
-    | _ -> []
-  in
   let rules =
     let base = match !only with Some rs -> rs | None -> Lint.all_rules in
     List.filter (fun r -> not (List.mem r !disabled)) base
   in
-  let cfg = { Lint.default_config with rules; allow } in
+  let cfg = { Lint.default_config with rules } in
   let files = Lint.collect_ml_files (List.rev !roots) in
   if !dump_yields then begin
     match Lint.dump_yields files with

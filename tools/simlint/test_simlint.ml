@@ -1,8 +1,7 @@
 (* simlint's own test suite: every rule fires exactly where the bad
    fixtures say it does, stays quiet on the clean fixtures, and each
-   suppression mechanism ([@simlint.allow] on expressions, bindings and
-   patterns, floating [@@@simlint.allow], and the allow-file) actually
-   suppresses.  Findings are compared as (file, rule, line) triples so a
+   suppression form ([@simlint.allow] on expressions, bindings and
+   patterns, and floating [@@@simlint.allow]) actually suppresses.  Findings are compared as (file, rule, line) triples so a
    rule firing on the wrong line is a test failure, not a pass. *)
 
 module Lint = Simlint_lib.Lint
@@ -76,6 +75,9 @@ let test_corpus () =
       ("stale_allow.ml", "A1", 2);
       ("tsend_prefix.ml", "Y1", 18);
       ("uses_proto.ml", "D3", 5);
+      ("wrong_rule_allow.ml", "A1", 3);
+      ("wrong_rule_allow.ml", "D4", 4);
+      ("wrong_rule_allow.ml", "D4", 5);
     ]
     (lint all_fixtures)
 
@@ -215,22 +217,15 @@ let test_justification_recorded () =
     [ Some "single-writer: only the owner fiber bumps epoch" ]
     (List.map (fun f -> f.Lint.suppressed) all)
 
-(* The checked-in allow-file format: rule id + path fragment.  An entry
-   left unused by the linted set is itself a finding (A1). *)
-let test_allow_file () =
-  let allow = Lint.load_allow_file (fixture "test.allow") in
-  Alcotest.check finding_t "allow-file suppresses D4 by path" []
-    (lint ~cfg:{ cfg with allow } [ fixture "bad_d4.ml" ]);
-  Alcotest.check finding_t "allow-file is path-specific, unused entry is stale"
-    [ ("bad_d5.ml", "D5", 2); ("bad_d5.ml", "D5", 3); ("test.allow", "A1", 3) ]
-    (lint ~cfg:{ cfg with allow } [ fixture "bad_d5.ml" ])
-
 (* An unrelated allow id must not silence a different rule. *)
 let test_allow_is_rule_specific () =
-  let allow = [ Lint.allow_frag Lint.D1 "bad_d4.ml" ] in
   Alcotest.check finding_t "D1 allow does not hide D4"
-    [ ("bad_d4.ml", "D4", 2); ("bad_d4.ml", "D4", 3) ]
-    (lint ~cfg:{ cfg with allow } [ fixture "bad_d4.ml" ])
+    [
+      ("wrong_rule_allow.ml", "A1", 3);
+      ("wrong_rule_allow.ml", "D4", 4);
+      ("wrong_rule_allow.ml", "D4", 5);
+    ]
+    (lint [ fixture "wrong_rule_allow.ml" ])
 
 (* A1: an attribute matching no finding is an error; it is moot (not
    stale) when the rule it grants is disabled, and off with A1 itself. *)
@@ -291,7 +286,6 @@ let () =
         [
           Alcotest.test_case "attributes" `Quick test_attribute_suppression;
           Alcotest.test_case "justification" `Quick test_justification_recorded;
-          Alcotest.test_case "allow file" `Quick test_allow_file;
           Alcotest.test_case "rule specific" `Quick test_allow_is_rule_specific;
           Alcotest.test_case "stale suppression" `Quick test_stale_suppression;
         ] );
