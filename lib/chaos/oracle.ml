@@ -110,12 +110,6 @@ let install ?repair ~deadline cluster =
               (List.sort compare w.restarted)));
   w
 
-let missed w = w.missed
-
-let decided w = List.rev w.decided
-
-let restarted w = List.sort compare w.restarted
-
 (* Verdict over a completed run. *)
 let check ?watch ?(validity = true) ~inputs ~byz (report : Report.t) =
   let correct_decisions =

@@ -33,16 +33,6 @@ type watch
 val install :
   ?repair:(int -> string option) -> deadline:float -> 'm Cluster.t -> watch
 
-(** Correct, uncrashed pids that had not decided when the watchdog
-    fired. *)
-val missed : watch -> int list
-
-(** Decisions seen on the telemetry stream, as [(pid, value, at)]. *)
-val decided : watch -> (int * string * float) list
-
-(** Memories observed rejoining under a fresh epoch, sorted. *)
-val restarted : watch -> int list
-
 (** Verdict over a completed run: agreement over the non-Byzantine
     decisions, validity (crash-only runs; pass [~validity:false] when
     the scenario decides a derived value that is not literally any

@@ -15,29 +15,15 @@
      a read-back after the phase-2 write instead.  Permissions are then
      not needed at all, at the cost of two extra delays.
 
-   Process agents run a standard Paxos acceptor (we reuse the Paxos
-   message codec). *)
+   Process agents run Paxos's own acceptor and message codec; memory
+   agents keep Protected Memory Paxos's slots. *)
 
 open Rdma_sim
 open Rdma_mem
 open Rdma_mm
 open Rdma_net
-open Rdma_obs
 
 let region = "aligned"
-
-let slot_reg q = Printf.sprintf "slot.%d" q
-
-let encode_slot ~min_prop ~acc_prop ~value =
-  Codec.join3 (Codec.int_field min_prop) (Codec.int_field acc_prop) value
-
-let decode_slot s =
-  match Codec.split3 s with
-  | None -> None
-  | Some (mp, ap, v) -> (
-      match (Codec.int_of_field mp, Codec.int_of_field ap) with
-      | Some min_prop, Some acc_prop -> Some (min_prop, acc_prop, v)
-      | _ -> None)
 
 type memory_mode = Permissions | Disk
 
@@ -64,7 +50,7 @@ let setup_regions cluster ~mode =
     | Disk -> Permission.all_readwrite ~n
   in
   Cluster.add_region_everywhere cluster ~name:region ~perm
-    ~registers:(List.init n slot_reg)
+    ~registers:(List.init n Protected_paxos.slot_reg)
 
 (* Everything the proposer hears back, from either kind of agent, lands in
    one mailbox tagged with the proposal number it answers. *)
@@ -90,8 +76,8 @@ let phase1_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~grab box =
            ~perm:(Permission.exclusive_writer ~writer:me ~n))
   | Permissions | Disk -> ());
   let w =
-    Memclient.write client ~mem ~region ~reg:(slot_reg me)
-      (encode_slot ~min_prop:prop_nr ~acc_prop:0 ~value:"")
+    Memclient.write client ~mem ~region ~reg:(Protected_paxos.slot_reg me)
+      (Protected_paxos.encode_slot ~min_prop:prop_nr ~acc_prop:0 ~value:"")
   in
   match w with
   | Memory.Nak -> Mailbox.send box (Mem_fail { prop_nr })
@@ -99,11 +85,13 @@ let phase1_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~grab box =
       match
         Ivar.await
           (Memory.read_many_async (Memclient.mem client mem) ~from:me ~region
-             ~regs:(List.init n slot_reg))
+             ~regs:(List.init n Protected_paxos.slot_reg))
       with
       | Memory.Read_many_nak -> Mailbox.send box (Mem_fail { prop_nr })
       | Memory.Read_many values ->
-          let slots = Array.map (fun v -> Option.bind v decode_slot) values in
+          let slots =
+            Array.map (fun v -> Option.bind v Protected_paxos.decode_slot) values
+          in
           Mailbox.send box (Mem_info { prop_nr; slots }))
 [@@simlint.allow
   "F1 Nak-vs-Ack detects permission loss, not remote visibility; in \
@@ -118,8 +106,8 @@ let phase2_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~value box =
   let me = ctx.Cluster.pid in
   let client = ctx.Cluster.client in
   let w =
-    Memclient.write client ~mem ~region ~reg:(slot_reg me)
-      (encode_slot ~min_prop:prop_nr ~acc_prop:prop_nr ~value)
+    Memclient.write client ~mem ~region ~reg:(Protected_paxos.slot_reg me)
+      (Protected_paxos.encode_slot ~min_prop:prop_nr ~acc_prop:prop_nr ~value)
   in
   match w with
   | Memory.Nak -> Mailbox.send box (Mem_fail { prop_nr })
@@ -130,14 +118,14 @@ let phase2_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~value box =
           match
             Ivar.await
               (Memory.read_many_async (Memclient.mem client mem) ~from:me ~region
-                 ~regs:(List.init n slot_reg))
+                 ~regs:(List.init n Protected_paxos.slot_reg))
           with
           | Memory.Read_many_nak -> Mailbox.send box (Mem_fail { prop_nr })
           | Memory.Read_many values ->
               let rival =
                 Array.exists
                   (fun v ->
-                    match Option.bind v decode_slot with
+                    match Option.bind v Protected_paxos.decode_slot with
                     | Some (mp, _, _) -> mp > prop_nr
                     | None -> false)
                   values
@@ -148,16 +136,6 @@ let phase2_mem_chain (ctx : _ Cluster.ctx) cfg ~mem ~prop_nr ~value box =
   "F1 same structure as phase 1: permission drain in Permissions mode, \
    awaited same-QP read-back self-fence in Disk mode (EXPERIMENTS.md W2)"]
 
-let decide_now (ctx : _ Cluster.ctx) decision value =
-  if
-    Ivar.try_fill decision
-      { Report.value; at = Engine.now ctx.Cluster.ctx_engine }
-  then
-    Obs.event
-      (Engine.obs ctx.Cluster.ctx_engine)
-      ~actor:(Printf.sprintf "p%d" ctx.Cluster.pid)
-      (Event.Decide { pid = ctx.Cluster.pid; value })
-
 (* Route network traffic: acceptor requests to the acceptor, everything
    else to the proposer's reply box. *)
 let pump (ctx : _ Cluster.ctx) ~acceptor_box ~reply_box decision =
@@ -167,48 +145,12 @@ let pump (ctx : _ Cluster.ctx) ~acceptor_box ~reply_box decision =
     match Paxos.decode payload with
     | None -> ()
     | Some (Paxos.Decide { value } as m) ->
-        decide_now ctx decision value;
+        Report.decide ctx.Cluster.ctx_engine ~pid:ctx.Cluster.pid decision value;
         Mailbox.send acceptor_box (from, m);
         continue := false
     | Some (Paxos.Prepare _ as m) | Some (Paxos.Accept _ as m) ->
         Mailbox.send acceptor_box (from, m)
     | Some m -> Mailbox.send reply_box (Proc_msg { from; msg = m })
-  done
-
-(* Standard Paxos acceptor over the network — the process-agent half. *)
-let acceptor (ctx : _ Cluster.ctx) ~acceptor_box =
-  let ep = ctx.Cluster.ep in
-  let min_proposal = ref 0 in
-  let accepted_ballot = ref 0 in
-  let accepted_value = ref "" in
-  let continue = ref true in
-  while !continue do
-    let from, m = Mailbox.recv acceptor_box in
-    match m with
-    | Paxos.Prepare { ballot } ->
-        if ballot > !min_proposal then begin
-          min_proposal := ballot;
-          Network.send ep ~dst:from
-            (Paxos.encode
-               (Paxos.Promise
-                  { ballot; accepted_ballot = !accepted_ballot;
-                    accepted_value = !accepted_value }))
-        end
-        else
-          Network.send ep ~dst:from
-            (Paxos.encode (Paxos.Reject { ballot; higher = !min_proposal }))
-    | Paxos.Accept { ballot; value } ->
-        if ballot >= !min_proposal then begin
-          min_proposal := ballot;
-          accepted_ballot := ballot;
-          accepted_value := value;
-          Network.send ep ~dst:from (Paxos.encode (Paxos.Accepted { ballot }))
-        end
-        else
-          Network.send ep ~dst:from
-            (Paxos.encode (Paxos.Reject { ballot; higher = !min_proposal }))
-    | Paxos.Decide _ -> continue := false
-    | Paxos.Promise _ | Paxos.Reject _ | Paxos.Accepted _ -> ()
   done
 
 type collect_outcome =
@@ -219,7 +161,7 @@ type collect_outcome =
    [prop_nr]; restart on any rejection/failure or on timeout. *)
 let collect (ctx : _ Cluster.ctx) ~reply_box ~prop_nr ~is_positive =
   let n = ctx.Cluster.cluster_n and m = ctx.Cluster.cluster_m in
-  let needed = ((n + m) / 2) + 1 in
+  let needed = Paxos.majority (n + m) in
   let deadline = Engine.now ctx.Cluster.ctx_engine +. round_timeout in
   let rec loop acc count =
     if count >= needed then Enough acc
@@ -254,7 +196,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
       incr round;
       if !round > max_rounds then continue := false
       else begin
-        let prop_nr = (!round * n) + me + 1 in
+        let prop_nr = Paxos.ballot ~n ~round:!round ~pid:me in
         let grab = not !holds_permission in
         if cfg.mode = Permissions then holds_permission := true;
         (* Phase 1: communicate with every agent. *)
@@ -282,7 +224,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
                 ->
                   `No
               | Proc_msg { msg = Paxos.Decide { value }; _ } ->
-                  decide_now ctx decision value;
+                  Report.decide ctx.Cluster.ctx_engine ~pid:me decision value;
                   `No
               | Mem_info _ | Mem_fail _ (* stale proposal *)
               | Mem_ack _ (* phase-2 stragglers *)
@@ -295,29 +237,21 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
         | Enough replies -> (
             (* Analyze 1: adopt the value with the highest accProposal
                seen across both kinds of agents. *)
-            let best = ref None in
-            let consider acc_prop v =
-              if acc_prop > 0 then
-                match !best with
-                | Some (b, _) when b >= acc_prop -> ()
-                | _ -> best := Some (acc_prop, v)
+            let reports =
+              List.concat_map
+                (function
+                  | Mem_info { slots; _ } ->
+                      List.filter_map
+                        (Option.map (fun (_, ap, v) -> (ap, v)))
+                        (Array.to_list slots)
+                  | Proc_msg
+                      { msg = Paxos.Promise { accepted_ballot; accepted_value; _ }; _ }
+                    ->
+                      [ (accepted_ballot, accepted_value) ]
+                  | Mem_ack _ | Mem_fail _ | Proc_msg _ -> [])
+                replies
             in
-            List.iter
-              (fun reply ->
-                match reply with
-                | Mem_info { slots; _ } ->
-                    Array.iter
-                      (function
-                        | Some (_, ap, v) -> consider ap v
-                        | None -> ())
-                      slots
-                | Proc_msg
-                    { msg = Paxos.Promise { accepted_ballot; accepted_value; _ }; _ }
-                  ->
-                    consider accepted_ballot accepted_value
-                | Mem_ack _ | Mem_fail _ | Proc_msg _ -> ())
-              replies;
-            let value = match !best with Some (_, v) -> v | None -> input in
+            let value = Option.value (Paxos.highest_accepted reports) ~default:input in
             (* Phase 2 *)
             for i = 0 to m - 1 do
               ctx.Cluster.spawn_sub
@@ -337,7 +271,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
                     when ballot = prop_nr ->
                       `No
                   | Proc_msg { msg = Paxos.Decide { value }; _ } ->
-                      decide_now ctx decision value;
+                      Report.decide ctx.Cluster.ctx_engine ~pid:me decision value;
                       `No
                   | Mem_ack _ | Mem_fail _ | Mem_info _ (* stale proposal *)
                   | Proc_msg _ -> `Stale)
@@ -347,7 +281,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
                 holds_permission := false;
                 Engine.sleep 2.0
             | Enough _ ->
-                decide_now ctx decision value;
+                Report.decide ctx.Cluster.ctx_engine ~pid:me decision value;
                 Network.broadcast ep (Paxos.encode (Paxos.Decide { value }));
                 continue := false)
       end
@@ -361,7 +295,8 @@ let spawn cfg cluster pid input =
       let reply_box = Mailbox.create () in
       ctx.Cluster.spawn_sub "aligned.pump" (fun () ->
           pump ctx ~acceptor_box ~reply_box decision);
-      ctx.Cluster.spawn_sub "aligned.acceptor" (fun () -> acceptor ctx ~acceptor_box);
+      ctx.Cluster.spawn_sub "aligned.acceptor" (fun () ->
+          Paxos.acceptor ~send:(Network.send ctx.Cluster.ep) acceptor_box);
       proposer ctx cfg ~input ~reply_box decision);
   fun () -> Ivar.peek decision
 

@@ -101,7 +101,7 @@ let cq_permission_thief ~then_ (ctx : _ Cluster.ctx) =
 (* Join Preferential Paxos claiming top (T) priority with fabricated
    evidence: the verified classifier must demote it to B. *)
 let pp_priority_liar ~value (ctx : _ Cluster.ctx) =
-  let transport, _trusted = Robust_backup.make_channel ctx () in
+  let transport = Robust_backup.make_channel ctx () in
   Robust_backup.T_transport.broadcast transport
     (Preferential_paxos.encode_setup ~value ~evidence:(Codec.join2 "T" "garbage-proof"))
 
@@ -109,21 +109,21 @@ let pp_priority_liar ~value (ctx : _ Cluster.ctx) =
    history cannot justify: the Paxos replay validator must reject it and
    convict us at every correct receiver. *)
 let rb_fabricated_promise ~ballot ~value (ctx : _ Cluster.ctx) =
-  let transport, _trusted = Robust_backup.make_channel ctx () in
+  let transport = Robust_backup.make_channel ctx () in
   Robust_backup.T_transport.send transport ~dst:0
     (Paxos.encode
        (Paxos.Promise { ballot; accepted_ballot = 1; accepted_value = value }))
 
 (* Send a Decide for an arbitrary value with no quorum behind it. *)
 let rb_spurious_decide ~value (ctx : _ Cluster.ctx) =
-  let transport, _trusted = Robust_backup.make_channel ctx () in
+  let transport = Robust_backup.make_channel ctx () in
   Robust_backup.T_transport.broadcast transport (Paxos.encode (Paxos.Decide { value }))
 
 (* Send an Accept without ever preparing or gathering promises: the
    replay validator must reject it (no Sent Prepare, no promise
    quorum). *)
 let rb_unjustified_accept ~ballot ~value (ctx : _ Cluster.ctx) =
-  let transport, _trusted = Robust_backup.make_channel ctx () in
+  let transport = Robust_backup.make_channel ctx () in
   Robust_backup.T_transport.broadcast transport
     (Paxos.encode (Paxos.Accept { ballot; value }))
 
@@ -132,7 +132,7 @@ let rb_unjustified_accept ~ballot ~value (ctx : _ Cluster.ctx) =
    second (its ballot is no longer above the replayed minProposal). *)
 let rb_double_promise (ctx : _ Cluster.ctx) =
   let box = Rdma_sim.Mailbox.create () in
-  let transport, _trusted =
+  let transport =
     Robust_backup.make_channel ctx
       ~route:(fun ~src ~msg ->
         match Paxos.decode msg with

@@ -193,6 +193,57 @@ let someone_panicked st =
   in
   check 0
 
+(* The fast path's one waiting loop: give up ([None]) once the fast path
+   expired or someone panicked; otherwise run [step], and while it finds
+   nothing ([None]) sleep [check_interval] and try again. *)
+let rec poll st step =
+  if Engine.now st.ctx.Cluster.ctx_engine > st.deadline || someone_panicked st then None
+  else
+    match step () with
+    | Some _ as found -> found
+    | None ->
+        Engine.sleep check_interval;
+        poll st step
+
+(* The leader's proposal in [lv], if its signature checks out. *)
+let leader_value st lv =
+  match decode_leader_value lv with
+  | Some (value, sig_l)
+    when Keychain.valid st.chain ~author:leader (value_payload ~ns:st.cfg.ns value) sig_l
+    ->
+      Some (value, sig_l)
+  | _ -> None
+
+(* Wait until every process has copied and countersigned [value], then
+   write the unanimity proof those copies form to our region and return
+   it. *)
+let unanimity st ~value =
+  let proof =
+    poll st (fun () ->
+        let copies =
+          List.init st.n (fun q ->
+              match Swmr.read st.regions.(q) ~reg:(st.cfg.ns ^ value_reg q) with
+              | Some c -> (
+                  match decode_copy c with
+                  | Some (v, _, sig_q)
+                    when v = value
+                         && Keychain.author sig_q = q
+                         && Keychain.valid st.chain ~author:q
+                              (value_payload ~ns:st.cfg.ns v)
+                              sig_q ->
+                      Some (q, sig_q)
+                  | _ -> None)
+              | None -> None)
+        in
+        if List.for_all Option.is_some copies then
+          Some (encode_proof ~value ~sigs:(List.filter_map Fun.id copies))
+        else None)
+  in
+  Option.iter
+    (fun proof -> ignore (Swmr.write st.own ~reg:(st.cfg.ns ^ proof_reg st.me) proof))
+    proof;
+  proof
+
 (* Panic mode (Algorithm 5). *)
 let panic_mode st =
   ignore (Swmr.write st.own ~reg:(st.cfg.ns ^ panic_reg st.me) "1");
@@ -211,15 +262,12 @@ let panic_mode st =
           | _ -> Aborted { value; proof = Leader_signed sig_l })
       | None -> Aborted { value = st.input; proof = Bare })
   | None -> (
-      match Swmr.read st.lregion ~reg:(st.cfg.ns ^ leader_value_reg) with
-      | Some lv -> (
-          match decode_leader_value lv with
-          | Some (value, sig_l)
-            when Keychain.valid st.chain ~author:leader
-                   (value_payload ~ns:st.cfg.ns value)
-                   sig_l ->
-              Aborted { value; proof = Leader_signed sig_l }
-          | _ -> Aborted { value = st.input; proof = Bare })
+      match
+        Option.bind
+          (Swmr.read st.lregion ~reg:(st.cfg.ns ^ leader_value_reg))
+          (leader_value st)
+      with
+      | Some (value, sig_l) -> Aborted { value; proof = Leader_signed sig_l }
       | None -> Aborted { value = st.input; proof = Bare })
 
 (* Leader (Algorithm 4, lines 1–6): sign, write, decide on ack. *)
@@ -240,8 +288,7 @@ let run_leader st =
   end
 
 (* After the leader decision, keep helping the followers: write our copy
-   and proof like any follower would.  Returns the possibly-upgraded
-   evidence (a unanimity proof if we saw one). *)
+   and proof like any follower would. *)
 let leader_helper st ~sig_l =
   let value = st.input in
   (* the leader's countersignature is its original signature *)
@@ -249,64 +296,18 @@ let leader_helper st ~sig_l =
     (Swmr.write st.own
        ~reg:(st.cfg.ns ^ value_reg st.me)
        (encode_copy ~value ~sig_l ~sig_p:sig_l));
-  (* gather countersignatures until everyone copied or time runs out *)
-  let rec gather () =
-    if Engine.now st.ctx.Cluster.ctx_engine > st.deadline || someone_panicked st then None
-    else begin
-      let copies =
-        List.init st.n (fun q ->
-            match Swmr.read st.regions.(q) ~reg:(st.cfg.ns ^ value_reg q) with
-            | Some c -> (
-                match decode_copy c with
-                | Some (v, _, sig_q)
-                  when v = value
-                       && Keychain.author sig_q = q
-                       && Keychain.valid st.chain ~author:q
-                            (value_payload ~ns:st.cfg.ns v)
-                            sig_q ->
-                    Some (q, sig_q)
-                | _ -> None)
-            | None -> None)
-      in
-      if List.for_all Option.is_some copies then
-        Some (encode_proof ~value ~sigs:(List.filter_map Fun.id copies))
-      else begin
-        Engine.sleep check_interval;
-        gather ()
-      end
-    end
-  in
-  match gather () with
-  | Some proof ->
-      ignore (Swmr.write st.own ~reg:(st.cfg.ns ^ proof_reg st.me) proof);
-      Some proof
-  | None -> None
+  ignore (unanimity st ~value)
 
 (* Follower (Algorithm 4, lines 8–23). *)
 let run_follower st =
-  let engine = st.ctx.Cluster.ctx_engine in
-  let expired () = Engine.now engine > st.deadline in
-  (* Wait for the leader's signed proposal. *)
-  let rec await_leader_value () =
-    if expired () || someone_panicked st then None
-    else
-      match Swmr.read st.lregion ~reg:(st.cfg.ns ^ leader_value_reg) with
-      | Some lv -> (
-          match decode_leader_value lv with
-          | Some (value, sig_l)
-            when Keychain.valid st.chain ~author:leader
-                   (value_payload ~ns:st.cfg.ns value)
-                   sig_l ->
-              Some (value, sig_l)
-          | _ ->
-              (* garbage or a bad signature in the leader region: the
-                 leader is Byzantine *)
-              None)
-      | None ->
-          Engine.sleep check_interval;
-          await_leader_value ()
+  (* Wait for the leader's signed proposal; garbage or a bad signature
+     in the leader region means the leader is Byzantine. *)
+  let proposal =
+    poll st (fun () ->
+        Option.map (leader_value st)
+          (Swmr.read st.lregion ~reg:(st.cfg.ns ^ leader_value_reg)))
   in
-  match await_leader_value () with
+  match Option.join proposal with
   | None -> panic_mode st
   | Some (value, sig_l) -> (
       (* Countersign and replicate. *)
@@ -317,58 +318,25 @@ let run_follower st =
            (encode_copy ~value ~sig_l ~sig_p:sig_me));
       (* Wait for all n copies, assemble and publish the unanimity proof,
          then wait for n valid proofs. *)
-      let rec await_unanimity () =
-        if expired () || someone_panicked st then None
-        else begin
-          let copies =
-            List.init st.n (fun q ->
-                match Swmr.read st.regions.(q) ~reg:(st.cfg.ns ^ value_reg q) with
-                | Some c -> (
-                    match decode_copy c with
-                    | Some (v, _, sig_q)
-                      when v = value
-                           && Keychain.author sig_q = q
-                           && Keychain.valid st.chain ~author:q
-                                (value_payload ~ns:st.cfg.ns v)
-                                sig_q ->
-                        Some (q, sig_q)
-                    | _ -> None)
-                | None -> None)
-          in
-          if List.for_all Option.is_some copies then
-            Some (encode_proof ~value ~sigs:(List.filter_map Fun.id copies))
-          else begin
-            Engine.sleep check_interval;
-            await_unanimity ()
-          end
-        end
-      in
-      match await_unanimity () with
+      match unanimity st ~value with
       | None -> panic_mode st
       | Some proof -> (
-          ignore (Swmr.write st.own ~reg:(st.cfg.ns ^ proof_reg st.me) proof);
-          let rec await_proofs () =
-            if expired () || someone_panicked st then None
-            else begin
-              let ok =
-                List.init st.n (fun q ->
-                    match Swmr.read st.regions.(q) ~reg:(st.cfg.ns ^ proof_reg q) with
-                    | Some p -> verify_proof ~ns:st.cfg.ns st.chain ~n:st.n p = Some value
-                    | None -> false)
-              in
-              if List.for_all Fun.id ok then Some ()
-              else begin
-                Engine.sleep check_interval;
-                await_proofs ()
-              end
-            end
+          let all_proofs_valid =
+            poll st (fun () ->
+                let ok =
+                  List.init st.n (fun q ->
+                      match Swmr.read st.regions.(q) ~reg:(st.cfg.ns ^ proof_reg q) with
+                      | Some p -> verify_proof ~ns:st.cfg.ns st.chain ~n:st.n p = Some value
+                      | None -> false)
+                in
+                if List.for_all Fun.id ok then Some () else None)
           in
-          match await_proofs () with
+          match all_proofs_valid with
           | Some () ->
               Decided
                 {
                   value;
-                  at = Engine.now engine;
+                  at = Engine.now st.ctx.Cluster.ctx_engine;
                   proof = Unanimity proof;
                 }
           | None -> panic_mode st))
@@ -385,7 +353,7 @@ let participate (ctx : _ Cluster.ctx) ?(cfg = default_config) ~input () =
     | Decided { value; at; proof = Leader_signed sig_l } ->
         ctx.Cluster.spawn_sub
           (cfg.ns ^ "cq.helper")
-          (fun () -> ignore (leader_helper st ~sig_l));
+          (fun () -> leader_helper st ~sig_l);
         Decided { value; at; proof = Leader_signed sig_l }
     | outcome -> outcome
   end

@@ -9,7 +9,9 @@
    dynamic permissions let Protected Memory Paxos skip (Section 5.1,
    Theorem 6.1).
 
-   Each disk holds one block per process: dblock[p] = (mbal, bal, inp).
+   Each disk holds one block per process: dblock[p] = (mbal, bal, inp),
+   in the bytes of a Protected Memory Paxos slot (minProp, accProp,
+   value).
    A round: write your block to every disk, then read everyone else's
    blocks from every disk; proceed when a majority of disks completed
    both; abort the round if any block shows a higher mbal.  Phase 1
@@ -23,24 +25,12 @@
 open Rdma_sim
 open Rdma_mem
 open Rdma_mm
-open Rdma_obs
 
 let region = "disk"
 
 let dblock_reg q = Printf.sprintf "dblock.%d" q
 
 let decided_reg q = Printf.sprintf "decided.%d" q
-
-let encode_block ~mbal ~bal ~inp =
-  Codec.join3 (Codec.int_field mbal) (Codec.int_field bal) inp
-
-let decode_block s =
-  match Codec.split3 s with
-  | None -> None
-  | Some (mb, b, inp) -> (
-      match (Codec.int_of_field mb, Codec.int_of_field b) with
-      | Some mbal, Some bal -> Some (mbal, bal, inp)
-      | _ -> None)
 
 (* Proposer retry budget; keeps failing runs finite. *)
 let max_rounds = 64
@@ -85,7 +75,7 @@ let disk_round_chain (ctx : _ Cluster.ctx) ~mem ~block result =
           let info = Array.make n None in
           List.iteri
             (fun idx q ->
-              info.(q) <- Option.bind values.(idx) decode_block)
+              info.(q) <- Option.bind values.(idx) Protected_paxos.decode_slot)
             others;
           Ivar.fill result (Disk_ok info))
 [@@simlint.allow
@@ -93,16 +83,6 @@ let disk_round_chain (ctx : _ Cluster.ctx) ~mem ~block result =
    awaited same-QP batched read-back, which orders behind this write \
    under every model, so by the time the round returns the write is \
    remotely visible (EXPERIMENTS.md W2)"]
-
-let decide_now (ctx : _ Cluster.ctx) decision value =
-  if
-    Ivar.try_fill decision
-      { Report.value; at = Engine.now ctx.Cluster.ctx_engine }
-  then
-    Obs.event
-      (Engine.obs ctx.Cluster.ctx_engine)
-      ~actor:(Printf.sprintf "p%d" ctx.Cluster.pid)
-      (Event.Decide { pid = ctx.Cluster.pid; value })
 
 (* Publish the decision on the disks so followers can learn it without
    messages; best effort (majority ack). *)
@@ -142,7 +122,7 @@ let poller (ctx : _ Cluster.ctx) decision =
         in
         match found with
         | Some v ->
-            decide_now ctx decision v;
+            Report.decide ctx.Cluster.ctx_engine ~pid:me decision v;
             continue := false
         | None -> Engine.sleep poll_interval
       end
@@ -153,8 +133,8 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
   let n = ctx.Cluster.cluster_n in
   let m = ctx.Cluster.cluster_m in
   let me = ctx.Cluster.pid in
-  let quorum = m - ((m - 1) / 2) in
-  if quorum <= 0 then invalid_arg "Disk_paxos: no memories";
+  if m = 0 then invalid_arg "Disk_paxos: no memories";
+  let quorum = Memclient.majority ctx.Cluster.client in
   let round = ref 0 in
   let bal = ref 0 in
   let inp = ref input in
@@ -200,34 +180,36 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
       incr round;
       if !round > max_rounds then continue := false
       else begin
-        let mbal = (!round * n) + me + 1 in
+        let mbal = Paxos.ballot ~n ~round:!round ~pid:me in
         (* Phase 1 — skipped when p0 still owns the initial ballot. *)
         let phase1_ok =
           if me = 0 && !round = 1 then true
           else
-            match run_round ~mbal ~block:(encode_block ~mbal ~bal:!bal ~inp:!inp) with
+            match
+              run_round ~mbal
+                ~block:(Protected_paxos.encode_slot ~min_prop:mbal ~acc_prop:!bal ~value:!inp)
+            with
             | None -> false
             | Some merged ->
-                let best = ref None in
-                Array.iter
-                  (function
-                    | Some (_, b, v) when b > 0 -> (
-                        match !best with
-                        | Some (b0, _) when b0 >= b -> ()
-                        | _ -> best := Some (b, v))
-                    | _ -> ())
-                  merged;
-                (match !best with Some (_, v) -> inp := v | None -> ());
+                Option.iter
+                  (fun v -> inp := v)
+                  (Paxos.highest_accepted
+                     (List.filter_map
+                        (Option.map (fun (_, b, v) -> (b, v)))
+                        (Array.to_list merged)));
                 true
         in
         if phase1_ok then begin
           (* Phase 2: commit (mbal, mbal, inp); the read-back in the round
              is what makes Disk Paxos 4-deciding instead of 2. *)
           bal := mbal;
-          match run_round ~mbal ~block:(encode_block ~mbal ~bal:mbal ~inp:!inp) with
+          match
+            run_round ~mbal
+              ~block:(Protected_paxos.encode_slot ~min_prop:mbal ~acc_prop:mbal ~value:!inp)
+          with
           | None -> ()
           | Some _ ->
-              decide_now ctx decision !inp;
+              Report.decide ctx.Cluster.ctx_engine ~pid:me decision !inp;
               publish_decision ctx !inp;
               continue := false
         end

@@ -27,7 +27,6 @@
 open Rdma_sim
 open Rdma_mm
 open Rdma_net
-open Rdma_obs
 
 type msg =
   | Propose of { value : string } (* round-0 fast proposal *)
@@ -111,14 +110,7 @@ type state = {
 }
 
 let decide_now st value =
-  if
-    Ivar.try_fill st.decision
-      { Report.value; at = Engine.now st.ctx.Cluster.ctx_engine }
-  then
-    Obs.event
-      (Engine.obs st.ctx.Cluster.ctx_engine)
-      ~actor:(Printf.sprintf "p%d" st.ctx.Cluster.pid)
-      (Event.Decide { pid = st.ctx.Cluster.pid; value })
+  Report.decide st.ctx.Cluster.ctx_engine ~pid:st.ctx.Cluster.pid st.decision value
 
 let pump st =
   let continue = ref true in
@@ -267,7 +259,7 @@ let recovery st =
   let n = st.ctx.Cluster.cluster_n in
   let me = st.ctx.Cluster.pid in
   let ep = st.ctx.Cluster.ep in
-  let majority = (n / 2) + 1 in
+  let majority = Paxos.majority n in
   Engine.sleep recovery_timeout;
   let round = ref 0 in
   let continue = ref true in
@@ -280,26 +272,19 @@ let recovery st =
         incr round;
         if !round > max_rounds then continue := false
         else begin
-          let ballot = (!round * n) + me + 1 in
+          let ballot = Paxos.ballot ~n ~round:!round ~pid:me in
           Network.broadcast ep (encode (Prepare { ballot }));
           match collect_promises st ~ballot ~quorum:majority with
           | Rejected | Timeout -> Engine.sleep 3.0
           | Quorum promises -> (
               (* Value selection (observe that with a full-n fast quorum a
                  fast-chosen value appears in every promise). *)
-              let classic_best =
-                List.fold_left
-                  (fun acc (_, ab, av, _) ->
-                    if ab > 0 then
-                      match acc with
-                      | Some (b, _) when b >= ab -> acc
-                      | _ -> Some (ab, av)
-                    else acc)
-                  None promises
-              in
               let value =
-                match classic_best with
-                | Some (_, v) -> v
+                match
+                  Paxos.highest_accepted
+                    (List.map (fun (_, ab, av, _) -> (ab, av)) promises)
+                with
+                | Some v -> v
                 | None -> (
                     let counts = Hashtbl.create 8 in
                     List.iter

@@ -9,8 +9,6 @@ type config = {
       (** followers hold their fast proposal back this long per pid *)
 }
 
-val default_config : config
-
 val run :
   ?cfg:config ->
   ?seed:int ->

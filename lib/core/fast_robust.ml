@@ -83,6 +83,7 @@ let handoff_event = "fr.handoff"
 (* The per-process program: Cheap Quorum, then Preferential Paxos. *)
 let program (ctx : _ Cluster.ctx) cfg ~input decision =
   let n = ctx.Cluster.cluster_n in
+  let engine = ctx.Cluster.ctx_engine in
   let obs = ctx.Cluster.ctx_obs in
   let actor = Printf.sprintf "p%d" ctx.Cluster.pid in
   let outcome =
@@ -91,10 +92,9 @@ let program (ctx : _ Cluster.ctx) cfg ~input decision =
   in
   let value, evidence =
     match outcome with
-    | Cheap_quorum.Decided { value; at; proof } ->
-        if Ivar.try_fill decision { Report.value; at } then
-          Obs.event obs ~actor
-            (Event.Decide { pid = ctx.Cluster.pid; value });
+    | Cheap_quorum.Decided { value; proof; _ } ->
+        (* Cheap Quorum returns at the instant it decides. *)
+        Report.decide engine ~pid:ctx.Cluster.pid decision value;
         if ctx.Cluster.pid = Cheap_quorum.leader then
           Obs.gauge obs "sigs_at_fast_decision"
             (float_of_int
@@ -128,9 +128,7 @@ let program (ctx : _ Cluster.ctx) cfg ~input decision =
   in
   Ivar.on_fill (Preferential_paxos.decision pp) (fun d ->
       Obs.finish obs backup_span;
-      if Ivar.try_fill decision d then
-        Obs.event obs ~actor
-          (Event.Decide { pid = ctx.Cluster.pid; value = d.Report.value }))
+      Report.decide engine ~pid:ctx.Cluster.pid decision d.Report.value)
 
 (* Run one instance from inside an existing process fiber (blocking
    through the Cheap Quorum phase); the returned ivar fills on decision.

@@ -57,6 +57,60 @@ let decode s =
   | Some [ "decide"; v ] -> Some (Decide { value = v })
   | _ -> None
 
+(* {2 The rules every Paxos-family algorithm here shares} *)
+
+(* Ballot [round] of process [pid] among [n]: every ballot above 0 has
+   exactly one owner, and a later round outranks every earlier one. *)
+let ballot ~n ~round ~pid = (round * n) + pid + 1
+
+let owns ~n ~pid b = b > 0 && (b - 1) mod n = pid
+
+let majority n = (n / 2) + 1
+
+(* The value a new ballot must propose: the one accepted at the highest
+   ballot above 0 among [reports] (ballot, value), the earliest report
+   winning a tie; [None] leaves the proposer free. *)
+let highest_accepted reports =
+  List.fold_left
+    (fun acc (b, v) ->
+      match acc with
+      | Some (b0, _) when b0 >= b -> acc
+      | _ -> if b > 0 then Some (b, v) else acc)
+    None reports
+  |> Option.map snd
+
+(* The acceptor role: answer the Prepare and Accept requests arriving in
+   [box] through [send], until a Decide arrives. *)
+let acceptor ~send box =
+  let min_proposal = ref 0 in
+  let accepted_ballot = ref 0 in
+  let accepted_value = ref "" in
+  let continue = ref true in
+  while !continue do
+    let from, m = Mailbox.recv box in
+    match m with
+    | Prepare { ballot } ->
+        if ballot > !min_proposal then begin
+          min_proposal := ballot;
+          send ~dst:from
+            (encode
+               (Promise
+                  { ballot; accepted_ballot = !accepted_ballot;
+                    accepted_value = !accepted_value }))
+        end
+        else send ~dst:from (encode (Reject { ballot; higher = !min_proposal }))
+    | Accept { ballot; value } ->
+        if ballot >= !min_proposal then begin
+          min_proposal := ballot;
+          accepted_ballot := ballot;
+          accepted_value := value;
+          send ~dst:from (encode (Accepted { ballot }))
+        end
+        else send ~dst:from (encode (Reject { ballot; higher = !min_proposal }))
+    | Decide _ -> continue := false
+    | Promise _ | Reject _ | Accepted _ -> ()
+  done
+
 type config = {
   round_timeout : float; (* how long a proposer waits for a quorum *)
   max_rounds : int; (* proposer retry budget; keeps failing runs finite *)
@@ -81,13 +135,7 @@ module Make (T : Transport.S) = struct
 
   let me t = T.me t.tr
 
-  let majority t = (T.n t.tr / 2) + 1
-
-  let decide t value =
-    if Ivar.try_fill t.decision { Report.value; at = Engine.now t.engine } then
-      Obs.event (Engine.obs t.engine)
-        ~actor:(Printf.sprintf "p%d" (me t))
-        (Event.Decide { pid = me t; value })
+  let decide t value = Report.decide t.engine ~pid:(me t) t.decision value
 
   (* Route incoming messages to the role that consumes them.  A Decide
      both records the decision and poisons the role mailboxes so their
@@ -107,36 +155,6 @@ module Make (T : Transport.S) = struct
           Mailbox.send t.acceptor_box (from, m)
       | Some (Promise _ as m) | Some (Reject _ as m) | Some (Accepted _ as m) ->
           Mailbox.send t.proposer_box (from, m)
-    done
-
-  let acceptor t =
-    let min_proposal = ref 0 in
-    let accepted_ballot = ref 0 in
-    let accepted_value = ref "" in
-    let continue = ref true in
-    while !continue do
-      let from, m = Mailbox.recv t.acceptor_box in
-      match m with
-      | Prepare { ballot } ->
-          if ballot > !min_proposal then begin
-            min_proposal := ballot;
-            T.send t.tr ~dst:from
-              (encode
-                 (Promise
-                    { ballot; accepted_ballot = !accepted_ballot;
-                      accepted_value = !accepted_value }))
-          end
-          else T.send t.tr ~dst:from (encode (Reject { ballot; higher = !min_proposal }))
-      | Accept { ballot; value } ->
-          if ballot >= !min_proposal then begin
-            min_proposal := ballot;
-            accepted_ballot := ballot;
-            accepted_value := value;
-            T.send t.tr ~dst:from (encode (Accepted { ballot }))
-          end
-          else T.send t.tr ~dst:from (encode (Reject { ballot; higher = !min_proposal }))
-      | Decide _ -> continue := false
-      | Promise _ | Reject _ | Accepted _ -> ()
     done
 
   (* Collect replies to [ballot] until [quorum] positive replies, a
@@ -188,11 +206,11 @@ module Make (T : Transport.S) = struct
         incr round;
         if !round > t.cfg.max_rounds then continue := false
         else begin
-          let ballot = (!round * T.n t.tr) + me t + 1 in
+          let ballot = ballot ~n:(T.n t.tr) ~round:!round ~pid:(me t) in
           let phase1 =
             Obs.with_span obs ~actor ~cat:"phase" "paxos.phase1" (fun () ->
                 T.broadcast t.tr (encode (Prepare { ballot }));
-                collect_replies t ~ballot ~quorum:(majority t)
+                collect_replies t ~ballot ~quorum:(majority (T.n t.tr))
                   ~extract:(fun _ m ->
                     match m with
                     | Promise { ballot = b; accepted_ballot; accepted_value }
@@ -210,20 +228,12 @@ module Make (T : Transport.S) = struct
           | Timeout -> Engine.sleep t.cfg.retry_backoff
           | Quorum promises -> (
               let value =
-                let best =
-                  List.fold_left
-                    (fun acc (ab, av) ->
-                      match acc with
-                      | Some (b, _) when b >= ab -> acc
-                      | _ -> if ab > 0 then Some (ab, av) else acc)
-                    None promises
-                in
-                match best with Some (_, v) -> v | None -> t.input
+                Option.value (highest_accepted promises) ~default:t.input
               in
               let phase2 =
                 Obs.with_span obs ~actor ~cat:"phase" "paxos.phase2" (fun () ->
                     T.broadcast t.tr (encode (Accept { ballot; value }));
-                    collect_replies t ~ballot ~quorum:(majority t)
+                    collect_replies t ~ballot ~quorum:(majority (T.n t.tr))
                       ~extract:(fun _ m ->
                         match m with
                         | Accepted { ballot = b } when b = ballot -> Some ()
@@ -264,7 +274,8 @@ module Make (T : Transport.S) = struct
       }
     in
     spawn_fiber "paxos.pump" (fun () -> pump t);
-    spawn_fiber "paxos.acceptor" (fun () -> acceptor t);
+    spawn_fiber "paxos.acceptor" (fun () ->
+        acceptor ~send:(T.send t.tr) t.acceptor_box);
     spawn_fiber "paxos.proposer" (fun () -> proposer t);
     t
 end

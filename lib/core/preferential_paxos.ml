@@ -51,7 +51,7 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = Robust_backup.default_config)
   let n = ctx.Cluster.cluster_n in
   let f_p = (n - 1) / 2 in
   let setup_box = Mailbox.create () in
-  let transport, trusted =
+  let transport =
     Robust_backup.make_channel ctx ~cfg
       ~route:(fun ~src ~msg ->
         match decode_setup msg with
@@ -97,14 +97,9 @@ let attach (ctx : _ Cluster.ctx) ?(cfg = Robust_backup.default_config)
       in
       let adopted = match best with Some (_, v) -> v | None -> value in
       (* Robust Backup(Paxos) with the adopted input. *)
-      let paxos =
-        Robust_backup.Paxos_bft.spawn ~engine:ctx.Cluster.ctx_engine
-          ~omega:ctx.Cluster.ctx_omega ~cfg:cfg.Robust_backup.paxos
-          ~spawn_fiber:ctx.Cluster.spawn_sub ~transport ~input:adopted ()
-      in
-      Ivar.on_fill (Robust_backup.Paxos_bft.decision paxos) (fun d ->
-          ignore (Ivar.try_fill decision d);
-          Trusted.stop trusted));
+      Ivar.on_fill
+        (Robust_backup.spawn_paxos ctx ~cfg transport ~input:adopted)
+        (fun d -> ignore (Ivar.try_fill decision d)));
   { decision }
 
 let run ?(cfg = Robust_backup.default_config) ?(classify = no_priorities)

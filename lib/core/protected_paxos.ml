@@ -21,6 +21,8 @@ open Rdma_obs
 
 let region = "pmp"
 
+(* Process q's slot on each memory.  Aligned Paxos's memory agents keep
+   the same slots, and Disk Paxos's blocks the same bytes. *)
 let slot_reg q = Printf.sprintf "slot.%d" q
 
 (* (minProp, accProp, value); an unwritten slot reads as ⊥ (None). *)
@@ -107,13 +109,7 @@ let listener (ctx : _ Cluster.ctx) decision =
     let _, payload = Network.recv ctx.Cluster.ep in
     match Codec.split2 payload with
     | Some ("decide", v) ->
-        if
-          Ivar.try_fill decision
-            { Report.value = v; at = Engine.now ctx.Cluster.ctx_engine }
-        then
-          Obs.event ctx.Cluster.ctx_obs
-            ~actor:(Printf.sprintf "p%d" ctx.Cluster.pid)
-            (Event.Decide { pid = ctx.Cluster.pid; value = v });
+        Report.decide ctx.Cluster.ctx_engine ~pid:ctx.Cluster.pid decision v;
         continue := false
     | _ -> ()
   done
@@ -126,8 +122,8 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
   let obs = ctx.Cluster.ctx_obs in
   let actor = Printf.sprintf "p%d" me in
   (* m ≥ 2fM + 1: tolerate fM = ⌊(m−1)/2⌋ memory crashes *)
-  let quorum = m - ((m - 1) / 2) in
-  if quorum <= 0 then invalid_arg "Protected_paxos: no memories";
+  if m = 0 then invalid_arg "Protected_paxos: no memories";
+  let quorum = Memclient.majority client in
   let round = ref 0 in
   let first_attempt = ref true in
   let continue = ref true in
@@ -138,7 +134,7 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
       incr round;
       if !round > max_rounds then continue := false
       else begin
-        let prop_nr = (!round * n) + me + 1 in
+        let prop_nr = Paxos.ballot ~n ~round:!round ~pid:me in
         (* Phase 1 — skipped by p1 on its very first attempt: it already
            holds the write permission everywhere, so a successful phase-2
            write certifies no rival ever took over. *)
@@ -157,29 +153,22 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
            in
            if any_write_failed then my_value := None
            else begin
-             let best = ref None in
-             let higher_seen = ref false in
-             List.iter
-               (fun (_, r) ->
-                 match r with
-                 | P1_write_failed -> ()
-                 | P1_ok info ->
-                     Array.iter
-                       (function
-                         | None -> ()
-                         | Some (min_prop, acc_prop, v) ->
-                             if min_prop > prop_nr then higher_seen := true;
-                             if acc_prop > 0 then
-                               match !best with
-                               | Some (b, _) when b >= acc_prop -> ()
-                               | _ -> best := Some (acc_prop, v))
-                       info)
-               completed;
-             if !higher_seen then my_value := None
+             let slots =
+               List.concat_map
+                 (fun (_, r) ->
+                   match r with
+                   | P1_write_failed -> []
+                   | P1_ok info -> List.filter_map Fun.id (Array.to_list info))
+                 completed
+             in
+             if List.exists (fun (min_prop, _, _) -> min_prop > prop_nr) slots then
+               my_value := None
              else
-               match !best with
-               | Some (_, v) -> my_value := Some v
-               | None -> my_value := Some input
+               my_value :=
+                 Some
+                   (Option.value ~default:input
+                      (Paxos.highest_accepted
+                         (List.map (fun (_, acc_prop, v) -> (acc_prop, v)) slots)))
            end);
         first_attempt := false;
         match !my_value with
@@ -196,11 +185,7 @@ let proposer (ctx : _ Cluster.ctx) ~input decision =
                 let completed = Par.await_k writes quorum in
                 if List.for_all (fun (_, r) -> r = Memory.Ack) completed
                 then begin
-                  if
-                    Ivar.try_fill decision
-                      { Report.value; at = Engine.now ctx.Cluster.ctx_engine }
-                  then
-                    Obs.event obs ~actor (Event.Decide { pid = me; value });
+                  Report.decide ctx.Cluster.ctx_engine ~pid:me decision value;
                   announce ctx value;
                   continue := false
                 end

@@ -9,6 +9,16 @@ open Rdma_mem
 (** The single region spanning each memory. *)
 val region : string
 
+(** The register of process [q]'s slot. *)
+val slot_reg : int -> string
+
+(** A slot's bytes: (minProp, accProp, value).  Aligned Paxos's memory
+    agents and Disk Paxos's blocks use the same encoding. *)
+val encode_slot : min_prop:int -> acc_prop:int -> value:string -> string
+
+(** [None] for bytes {!encode_slot} did not produce. *)
+val decode_slot : string -> (int * int * string) option
+
 (** legalChange: a process may only take the exclusive-writer shape for
     itself (Algorithm 7 line 13). *)
 val legal_change : Permission.legal_change

@@ -12,6 +12,15 @@ open Rdma_mm
 
 type decision = { value : string; at : float }
 
+(* The decide step of every algorithm: fill [ivar] at the current
+   virtual time and, only if it was empty, record the decision on
+   p<pid>'s track. *)
+let decide engine ~pid ivar value =
+  if Ivar.try_fill ivar { value; at = Engine.now engine } then
+    Obs.event (Engine.obs engine)
+      ~actor:(Printf.sprintf "p%d" pid)
+      (Event.Decide { pid; value })
+
 (* One protocol phase's latency distribution over the run, distilled from
    the telemetry histograms (spans recorded under ~cat:"phase"). *)
 type phase = {

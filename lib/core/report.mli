@@ -4,6 +4,12 @@
 
 type decision = { value : string; at : float }
 
+(** The one decide step: fill the ivar with [value] at [Engine.now].
+    Only if it was empty, record an [Event.Decide] on [p<pid>]'s track;
+    a second decide changes nothing. *)
+val decide :
+  Rdma_sim.Engine.t -> pid:int -> decision Rdma_sim.Ivar.t -> string -> unit
+
 (** One protocol phase's latency distribution over the run (times in
     delays), distilled from the spans recorded under [~cat:"phase"]. *)
 type phase = {

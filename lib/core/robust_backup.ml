@@ -98,8 +98,7 @@ let decode_app msg =
 
 (* Check and apply one outgoing message of [src]. *)
 let replay_sent st ~n ~src (dst, app) =
-  let owns ballot = ballot > 0 && (ballot - 1) mod n = src in
-  let majority = (n / 2) + 1 in
+  let majority = Paxos.majority n in
   (match app with
   | Setup_msg -> if st.sent_setup then st.ok <- false else st.sent_setup <- true
   | Paxos_msg m -> (
@@ -135,12 +134,13 @@ let replay_sent st ~n ~src (dst, app) =
       in
       if (not was_asked) || higher <> st.min_proposal then st.ok <- false
   | Paxos.Prepare { ballot } ->
-      if not (owns ballot) then st.ok <- false
+      if not (Paxos.owns ~n ~pid:src ballot) then st.ok <- false
       else st.sent_prepare <- ballot :: st.sent_prepare
   | Paxos.Accept { ballot; value } ->
       (* needs a majority of promises for this ballot and the mandated
          value selection *)
-      if not (owns ballot && List.mem ballot st.sent_prepare) then st.ok <- false
+      if not (Paxos.owns ~n ~pid:src ballot && List.mem ballot st.sent_prepare) then
+        st.ok <- false
       else begin
         let promises =
           List.filter (fun (_, b, _, _) -> b = ballot) st.recv_promise
@@ -148,16 +148,11 @@ let replay_sent st ~n ~src (dst, app) =
         in
         if List.length promises < majority then st.ok <- false
         else begin
-          let best =
-            List.fold_left
-              (fun acc (_, _, ab, av) ->
-                if ab > 0 then
-                  match acc with Some (b0, _) when b0 >= ab -> acc | _ -> Some (ab, av)
-                else acc)
-              None promises
-          in
-          (match best with
-          | Some (_, v) when v <> value -> st.ok <- false
+          (match
+             Paxos.highest_accepted
+               (List.map (fun (_, _, ab, av) -> (ab, av)) promises)
+           with
+          | Some v when v <> value -> st.ok <- false
           | _ -> ());
           if st.ok then st.sent_accept <- (ballot, value) :: st.sent_accept
         end
@@ -278,21 +273,27 @@ let make_channel (ctx : _ Cluster.ctx) ?(cfg = default_config)
             | _ -> ()))
       ()
   in
-  ({ T_transport.me; n; trusted; inbox }, trusted)
+  { T_transport.me; n; trusted; inbox }
 
-(* Build the trusted transport and Paxos roles for one process.  Must be
-   called from within the process's program fiber (it spawns
-   sub-fibers). *)
-let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ~input () =
-  let transport, trusted = make_channel ctx ~cfg () in
+(* Paxos over a trusted channel: spawn the Paxos roles on [transport]
+   and stop the channel's NEB poller once they decide, so the run
+   quiesces.  Returns the Paxos decision. *)
+let spawn_paxos (ctx : _ Cluster.ctx) ~cfg transport ~input =
   let paxos =
     Paxos_bft.spawn ~engine:ctx.Cluster.ctx_engine ~omega:ctx.Cluster.ctx_omega
       ~cfg:cfg.paxos ~spawn_fiber:ctx.Cluster.spawn_sub ~transport ~input ()
   in
   let decision = Paxos_bft.decision paxos in
-  (* stop the NEB poller once we have decided, so the run quiesces *)
-  Ivar.on_fill decision (fun _ -> Trusted.stop trusted);
-  { decision; trusted; transport }
+  Ivar.on_fill decision (fun _ -> Trusted.stop transport.T_transport.trusted);
+  decision
+
+(* Build the trusted transport and Paxos roles for one process.  Must be
+   called from within the process's program fiber (it spawns
+   sub-fibers). *)
+let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ~input () =
+  let transport = make_channel ctx ~cfg () in
+  let decision = spawn_paxos ctx ~cfg transport ~input in
+  { decision; trusted = transport.trusted; transport }
 
 let setup_regions cluster ?(cfg = default_config) () =
   Neb.setup_regions cluster ~ns:cfg.trusted.Neb.ns ~max_seq:cfg.trusted.Neb.max_seq ()

@@ -58,7 +58,18 @@ val make_channel :
   ?cfg:config ->
   ?route:(src:int -> msg:string -> bool) ->
   unit ->
-  T_transport.t * Trusted.t
+  T_transport.t
+
+(** Paxos over a trusted channel: spawn the three Paxos roles on the
+    transport and stop its channel once they decide.  Returns the Paxos
+    decision. *)
+val spawn_paxos :
+  'm Cluster.ctx ->
+  cfg:config ->
+  T_transport.t ->
+  input:string ->
+  Report.decision Ivar.t
+[@@sim.yields]
 
 (** Trusted channel + the three Paxos roles, from inside the process's
     program fiber. *)

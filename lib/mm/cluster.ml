@@ -126,8 +126,6 @@ let n t = t.n
 
 let m t = t.m
 
-let memories t = t.memories
-
 let memory t i = t.memories.(i)
 
 (* Install a memory-ordering model on every memory — the chaos harness

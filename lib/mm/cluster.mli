@@ -47,8 +47,6 @@ val n : 'm t -> int
 
 val m : 'm t -> int
 
-val memories : 'm t -> Memory.t array
-
 val memory : 'm t -> int -> Memory.t
 
 (** Install a memory-ordering model on every memory (the chaos harness

@@ -51,8 +51,6 @@ let create ~engine ~n () =
     buffered = [];
   }
 
-let n t = t.n
-
 (* Random per-message latency in [min, max), installed by a fault
    schedule's [Random_latency]: with heterogeneous latencies, messages
    between the same pair of processes can overtake each other, which
@@ -153,5 +151,3 @@ let recv_timeout e delay =
   match Mailbox.recv_timeout e.net.boxes.(e.pid) delay with
   | None -> None
   | Some env -> Some (env.from, env.payload)
-
-let pending e = Mailbox.length e.net.boxes.(e.pid)

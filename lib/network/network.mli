@@ -9,8 +9,6 @@ type 'm t
     Every link starts at the base latency of one {!Engine.delay}. *)
 val create : engine:Engine.t -> n:int -> unit -> 'm t
 
-val n : 'm t -> int
-
 (** Random per-message latency in [[min, max)]: messages may overtake
     each other (the model's links are not FIFO).  Reproducible via the
     supplied seeded RNG. *)
@@ -49,6 +47,3 @@ val broadcast_others : 'm endpoint -> 'm -> unit
 val recv : 'm endpoint -> int * 'm [@@sim.yields]
 
 val recv_timeout : 'm endpoint -> float -> (int * 'm) option [@@sim.yields]
-
-(** Queued undelivered messages for this endpoint. *)
-val pending : 'm endpoint -> int

@@ -121,10 +121,3 @@ let fields = function
   | Decide { pid; value } ->
       [ ("pid", Json.Int pid); ("value", Json.String value) ]
   | Custom { detail; _ } -> [ ("detail", Json.String detail) ]
-
-let pp ppf ev =
-  Fmt.pf ppf "%s{%s}" (name ev)
-    (String.concat ","
-       (List.map
-          (fun (k, v) -> Printf.sprintf "%s=%s" k (Json.to_string v))
-          (fields ev)))

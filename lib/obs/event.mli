@@ -43,5 +43,3 @@ val cat : t -> string
 
 (** Structured payload, ready for the JSON exporters. *)
 val fields : t -> (string * Json.t) list
-
-val pp : Format.formatter -> t -> unit

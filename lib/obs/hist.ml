@@ -75,8 +75,6 @@ let min t = if t.count = 0 then 0. else t.vmin
 
 let max t = if t.count = 0 then 0. else t.vmax
 
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
-
 (* Nearest-rank percentile over the buckets: the estimate is the upper
    bound of the bucket holding the rank-th sample, clamped to the exact
    [min, max] envelope, so estimate ∈ [exact, exact * ratio]. *)

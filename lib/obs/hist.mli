@@ -24,8 +24,6 @@ val min : t -> float
 
 val max : t -> float
 
-val mean : t -> float
-
 (** [percentile t q] with [q] in [0, 1], nearest-rank semantics.  The
     estimate lies in [exact, exact * ratio] (exact for [q] landing on the
     tracked min/max or on non-positive samples). *)

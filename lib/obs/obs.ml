@@ -60,10 +60,6 @@ let create () =
 
 let set_clock t clock = t.clock <- clock
 
-let now t = t.clock ()
-
-let recording t = t.recording
-
 let set_recording t flag = t.recording <- flag
 
 let mute t = t.muted <- true

@@ -20,10 +20,6 @@ val create : unit -> t
 (** Install the time source (the engine does this at creation). *)
 val set_clock : t -> (unit -> float) -> unit
 
-val now : t -> float
-
-val recording : t -> bool
-
 (** Toggle retention of the raw event/span stream. *)
 val set_recording : t -> bool -> unit
 

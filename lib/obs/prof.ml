@@ -119,8 +119,6 @@ let create ?clock () =
    global — each domain sees only the profiler it installed itself. *)
 let installed_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let installed () = Domain.DLS.get installed_key
-
 let with_profiler t f =
   let prev = Domain.DLS.get installed_key in
   Domain.DLS.set installed_key (Some t);

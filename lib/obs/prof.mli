@@ -33,9 +33,6 @@ val with_profiler : t -> (unit -> 'a) -> 'a
     like a fresh worker domain. *)
 val without_profiler : (unit -> 'a) -> 'a
 
-(** The profiler installed on the current domain, if any. *)
-val installed : unit -> t option
-
 (** A work counter, resolved from its name once.  Sites declare
     [let c = Prof.counter "sha256.blocks"] at module level; two handles
     with the same name are the same counter. *)

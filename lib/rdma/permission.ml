@@ -46,8 +46,6 @@ let can_read t p = Pset.mem p t.read || Pset.mem p t.readwrite
 
 let can_write t p = Pset.mem p t.write || Pset.mem p t.readwrite
 
-let readers t = Pset.union t.read t.readwrite
-
 let writers t = Pset.union t.write t.readwrite
 
 (* The single process with write access, if exactly one. *)

@@ -25,8 +25,6 @@ val can_read : t -> int -> bool
 
 val can_write : t -> int -> bool
 
-val readers : t -> Pset.t
-
 (** The single process with write access, if exactly one. *)
 val sole_writer : t -> int option
 

@@ -112,7 +112,7 @@ let read_repair t ~reg =
         in
         if ((repairs <> []) [@simlint.allow "F1 the guard checks the repair list is non-empty, not that the \
 write-backs landed; SWMR registers are write-once, so a lagged repair \
-is indistinguishable from the pre-repair â¥ every reader already \
+is indistinguishable from the pre-repair ⊥ every reader already \
 treats as retry (EXPERIMENTS.md W2)"]) then begin
           ignore (Rdma_sim.Par.await_all (Array.of_list repairs));
           match Memclient.obs t.client with

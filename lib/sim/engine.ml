@@ -93,8 +93,6 @@ let steps t = t.steps
 
 let errors t = t.errors
 
-let cancelled f = f.cancelled
-
 let cancel f =
   if not f.cancelled then begin
     f.cancelled <- true;
@@ -288,5 +286,3 @@ let sleep delay =
   suspend (fun t _fiber resume -> schedule t delay (fun () -> resume ()))
 
 let yield () = sleep 0.
-
-let self () = suspend (fun _t fiber resume -> resume fiber)

@@ -61,8 +61,6 @@ val spawn : t -> string -> (unit -> unit) -> fiber
     crash. *)
 val cancel : fiber -> unit
 
-val cancelled : fiber -> bool
-
 (** [on_cancel fiber hook] registers [hook] to run when the fiber is
     cancelled (immediately if it already is) and returns a
     deregistration closure.  Blocking combinators use it to tear down an
@@ -104,11 +102,3 @@ val sleep : float -> unit [@@sim.yields]
 
 (** Re-enqueue the current fiber at the current time. *)
 val yield : unit -> unit [@@sim.yields]
-
-(** The currently running fiber.  Implemented on {!suspend}, but the
-    handler resumes synchronously — the scheduler never runs another
-    fiber in between, so this is not an atomicity boundary. *)
-val self : unit -> fiber
-[@@simlint.allow
-  "Y2 self resumes inside its own Suspend handler without re-entering \
-   the scheduler; no other fiber can run during the call"]

@@ -36,39 +36,21 @@ let setup_regions cluster cfg =
     Fast_robust.setup_regions cluster ~cfg:(slot_config cfg i) ()
   done
 
-type handle = { decisions : Report.decision Ivar.t array (* per slot *) }
-
-let decisions h = h.decisions
-
 (* A replica appends through the slots strictly in order: slot i+1
    starts only once slot i has decided locally, so the applied log is
-   always a dense prefix. *)
-let spawn cluster ?(cfg = default_config) ~pid ~input_for () =
-  let handle = { decisions = Array.make cfg.slots (Ivar.create ()) } in
-  for i = 0 to cfg.slots - 1 do
-    handle.decisions.(i) <- Ivar.create ()
-  done;
+   always a dense prefix.  Returns the replica's per-slot decisions. *)
+let spawn cluster ~cfg ~pid ~input_for =
+  let decisions = Array.init cfg.slots (fun _ -> Ivar.create ()) in
   Cluster.spawn cluster ~pid (fun ctx ->
       for i = 0 to cfg.slots - 1 do
         let d =
           Fast_robust.attach ctx ~cfg:(slot_config cfg i) ~input:(input_for ~slot:i) ()
         in
-        Ivar.on_fill d (fun v -> ignore (Ivar.try_fill handle.decisions.(i) v));
+        Ivar.on_fill d (fun v -> ignore (Ivar.try_fill decisions.(i) v));
         (* strict slot order *)
-        ignore (Ivar.await handle.decisions.(i))
+        ignore (Ivar.await decisions.(i))
       done);
-  handle
-
-(* Committed prefix as seen by one replica. *)
-let applied h =
-  let rec collect i acc =
-    if i >= Array.length h.decisions then List.rev acc
-    else
-      match Ivar.peek h.decisions.(i) with
-      | Some d -> collect (i + 1) ((i, d.Report.value) :: acc)
-      | None -> List.rev acc
-  in
-  collect 0 []
+  decisions
 
 let run ?(cfg = default_config) ?(seed = 1) ?faults
     ?(byzantine : Instance.byzantine = []) ~n ~m ~input_for () =
@@ -77,10 +59,10 @@ let run ?(cfg = default_config) ?(seed = 1) ?faults
       ~setup:(fun cluster -> setup_regions cluster cfg)
       ~byzantine ?faults ~seed ~n ~m
       ~spawn:(fun cluster pid ->
-        let h =
-          spawn cluster ~cfg ~pid ~input_for:(fun ~slot -> input_for ~pid ~slot) ()
+        let decisions =
+          spawn cluster ~cfg ~pid ~input_for:(fun ~slot -> input_for ~pid ~slot)
         in
-        fun () -> Array.map Ivar.peek h.decisions)
+        fun () -> Array.map Ivar.peek decisions)
       ()
   in
   let reports =

@@ -4,7 +4,6 @@
     push individual slots onto the Preferential Paxos backup.  Tolerates
     fP < n/2 Byzantine processes and fM < m/2 memory crashes. *)
 
-open Rdma_sim
 open Rdma_mm
 open Rdma_consensus
 
@@ -16,28 +15,6 @@ type config = {
 val default_config : config
 
 val ns_of_slot : int -> string
-
-val legal_change : n:int -> Rdma_mem.Permission.legal_change
-
-val setup_regions : string Cluster.t -> config -> unit
-
-type handle
-
-(** Per-slot decision ivars of one replica. *)
-val decisions : handle -> Report.decision Ivar.t array
-
-(** Spawn a replica that drives the slots strictly in order. *)
-val spawn :
-  string Cluster.t ->
-  ?cfg:config ->
-  pid:int ->
-  input_for:(slot:int -> string) ->
-  unit ->
-  handle
-
-(** The dense decided prefix as seen by one replica, as
-    [(slot, value)]. *)
-val applied : handle -> (int * string) list
 
 (** Run a [cfg.slots]-slot log; returns one report per slot and the
     Byzantine pids. *)

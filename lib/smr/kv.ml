@@ -29,8 +29,6 @@ let apply_encoded t cmd =
 
 let get t k = Hashtbl.find_opt t.table k
 
-let size t = Hashtbl.length t.table
-
 (* Materialize the store from a replica's applied log. *)
 let of_log entries =
   let t = create () in

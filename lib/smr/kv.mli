@@ -9,15 +9,7 @@ val decode_command : string -> command option
 
 type t
 
-val create : unit -> t
-
-val apply : t -> command -> unit
-
-val apply_encoded : t -> string -> unit
-
 val get : t -> string -> string option
-
-val size : t -> int
 
 (** Materialize the store from a replica's applied log. *)
 val of_log : (int * string) list -> t

@@ -91,8 +91,3 @@ let of_log entries =
 
 (* Engine-agnostic hookups, as in {!Kv}. *)
 let of_replica run = of_log (Consensus_engine.applied run)
-
-let attach run =
-  let t = of_log (Consensus_engine.applied run) in
-  Consensus_engine.on_commit run (fun ~index:_ ~cmd -> apply_encoded t cmd);
-  t

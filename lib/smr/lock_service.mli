@@ -7,15 +7,11 @@ type command =
 
 val encode_command : command -> string
 
-val decode_command : string -> command option
-
 type t
 
 val create : unit -> t
 
 val apply : t -> command -> unit
-
-val apply_encoded : t -> string -> unit
 
 (** Current holder and its fencing token. *)
 val holder : t -> string -> (string * int) option
@@ -32,7 +28,3 @@ val of_log : (int * string) list -> t
 
 (** Materialize from a packed replica of any engine. *)
 val of_replica : Consensus_engine.running -> t
-
-(** Live-following service: seeded from the applied log, then kept
-    current from the commit stream ({!Consensus_engine.on_commit}). *)
-val attach : Consensus_engine.running -> t

@@ -158,10 +158,6 @@ let apply_stored r ~index stored =
   in
   apply_entry r ~index ~cmd
 
-let quorum (ctx : _ Cluster.ctx) =
-  let m = ctx.Cluster.cluster_m in
-  m - ((m - 1) / 2)
-
 (* The replica the Ω oracle points at, clamped to the replica range. *)
 let leader (ctx : _ Cluster.ctx) (cfg : config) =
   min (Omega.leader ctx.Cluster.ctx_omega) (cfg.replicas - 1)
@@ -364,7 +360,7 @@ module Make (E : ENGINE) = struct
   let recover (ctx : _ Cluster.ctx) r ~term =
     let cfg = r.cfg in
     let m = ctx.Cluster.cluster_m in
-    let quorum = quorum ctx in
+    let quorum = Memclient.majority ctx.Cluster.client in
     let n = ctx.Cluster.cluster_n in
     let client = ctx.Cluster.client in
     let k = List.length E.adopt_regs in
@@ -578,7 +574,7 @@ module Make (E : ENGINE) = struct
         ctx;
         r;
         term;
-        quorum = quorum ctx;
+        quorum = Memclient.majority ctx.Cluster.client;
         stored = Hashtbl.create 64;
         dedup = Hashtbl.create 32;
         next = List.length prefix + 1;
@@ -623,7 +619,7 @@ module Make (E : ENGINE) = struct
         incr terms;
         if !terms > max_terms then continue := false
         else begin
-          let term = (!terms * r.cfg.replicas) + r.pid + 1 in
+          let term = Paxos.ballot ~n:r.cfg.replicas ~round:!terms ~pid:r.pid in
           r.current_term <- term;
           (* The very first reign of the initial leader: permissions are
              still at their creation values and the log is empty — skip

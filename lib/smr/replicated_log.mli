@@ -80,9 +80,6 @@ val apply_entry : 'e replica -> index:int -> cmd:string -> unit
 (** [apply_entry] on a stored entry string, stripping its metadata. *)
 val apply_stored : 'e replica -> index:int -> string -> unit
 
-(** Write quorum size: a majority of the m memories, m − ⌊(m−1)/2⌋. *)
-val quorum : 'm Cluster.ctx -> int
-
 (** The Ω leader, clamped to the replica range. *)
 val leader : 'm Cluster.ctx -> config -> int
 

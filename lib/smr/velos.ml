@@ -104,7 +104,7 @@ let poll_window = 8
 
 let poll_once (ctx : _ Cluster.ctx) (r : ext R.replica) =
   let cfg = r.cfg in
-  let quorum = R.quorum ctx in
+  let quorum = Memclient.majority ctx.Cluster.client in
   let base = r.applied_up_to in
   let width = min poll_window (cfg.max_entries - base) in
   let regs =
@@ -272,7 +272,7 @@ module Engine = struct
               (Codec.int_field prefix_len)
           in
           if
-            (not (R.all_acked writes (R.quorum ctx)))
+            (not (R.all_acked writes (Memclient.majority client)))
             [@simlint.allow
               "F1 watermark republish commit point: an acked write may lag \
                its application, but every reader that could contradict it \

@@ -73,6 +73,32 @@ if git grep -n -i -e "split_on_char '|'" -e 'concat "|"' -e '%7c' -e '%25' \
   exit 1
 fi
 
+echo "== one Paxos vocabulary =="
+# Each rule the Paxos family shares has one home: Paxos owns the ballot
+# format (round * n + pid + 1), the process majority and the
+# highest-accepted value rule, Memclient.majority is the memory quorum,
+# and Report.decide is the one decide step that records Event.Decide.
+# None of them may be written out again elsewhere.
+vocab=0
+git grep -nE '!(round|terms) \* ' -- lib ':!lib/core/paxos.ml' && vocab=1
+git grep -nF '((m - 1) / 2)' -- lib && vocab=1
+git grep -nE '\(n / 2\) \+ 1' -- lib ':!lib/core/paxos.ml' && vocab=1
+git grep -n 'Event.Decide {' -- lib/core ':!lib/core/report.ml' && vocab=1
+[ "$vocab" -eq 0 ] || {
+  echo "a Paxos-family rule written out outside its owner" >&2
+  exit 1
+}
+
+echo "== no double-encoded UTF-8 =="
+# UTF-8 text read as Latin-1 and encoded again turns each non-ASCII
+# character into C3 xx C2 yy ... (a ⊥ in a simlint justification once
+# became three Latin-1 characters), and simlint's audit report copies
+# such text as it is.
+if git grep -lP '\xc3[\x80-\xbf]\xc2[\x80-\xbf]' -- lib bin bench tools examples; then
+  echo "double-encoded UTF-8 in the sources" >&2
+  exit 1
+fi
+
 echo "== telemetry smoke test =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

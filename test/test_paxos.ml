@@ -125,6 +125,39 @@ let test_deterministic_runs () =
     (Report.first_decision_time r2);
   Alcotest.(check int) "same message count" r1.Report.messages r2.Report.messages
 
+(* The ballot format every Paxos-family algorithm uses: each ballot has
+   exactly one owner, and the owner and round come back out of it. *)
+let test_ballot_owns () =
+  for n = 1 to 7 do
+    let seen = Hashtbl.create 512 in
+    for round = 1 to 64 do
+      for pid = 0 to n - 1 do
+        let b = Paxos.ballot ~n ~round ~pid in
+        if Hashtbl.mem seen b then Alcotest.failf "n=%d: ballot %d issued twice" n b;
+        Hashtbl.add seen b ();
+        Alcotest.(check int) "round comes back" round ((b - pid - 1) / n);
+        for q = 0 to n - 1 do
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: p%d owns ballot %d" n q b)
+            (q = pid) (Paxos.owns ~n ~pid:q b)
+        done
+      done
+    done;
+    for pid = 0 to n - 1 do
+      Alcotest.(check bool) "ballot 0 has no owner" false (Paxos.owns ~n ~pid 0)
+    done
+  done
+
+let test_highest_accepted () =
+  let check name expected reports =
+    Alcotest.(check (option string)) name expected (Paxos.highest_accepted reports)
+  in
+  check "no reports" None [];
+  check "nothing accepted: every report at ballot 0" None [ (0, ""); (0, "x"); (0, "y") ];
+  check "clear maximum" (Some "c") [ (0, "a"); (4, "b"); (9, "c"); (7, "d") ];
+  check "a tie goes to the earliest report" (Some "first")
+    [ (2, "low"); (5, "first"); (5, "second") ]
+
 let suite =
   [
     Alcotest.test_case "3 processes, no failures" `Quick test_no_failures;
@@ -139,4 +172,6 @@ let suite =
     Alcotest.test_case "decides after asynchronous prefix" `Quick test_asynchronous_prefix;
     Alcotest.test_case "dueling leaders stay safe" `Quick test_competing_leaders;
     Alcotest.test_case "runs are deterministic" `Quick test_deterministic_runs;
+    Alcotest.test_case "ballots: one owner each, round trip" `Quick test_ballot_owns;
+    Alcotest.test_case "highest_accepted value rule" `Quick test_highest_accepted;
   ]

@@ -76,6 +76,46 @@ let test_report_pp_smoke () =
   Alcotest.(check bool) "pp mentions algorithm" true
     (String.length s > 0 && String.sub s 0 4 = "test")
 
+let test_memclient_majority () =
+  let engine = Engine.create () in
+  for m = 1 to 9 do
+    let memories = Array.init m (fun mid -> Memory.create ~engine ~mid ()) in
+    Alcotest.(check int)
+      (Printf.sprintf "m = %d tolerates (m - 1) / 2 crashes" m)
+      (m - ((m - 1) / 2))
+      (Memclient.majority (Memclient.create ~pid:0 ~memories))
+  done
+
+(* The one decide step: the first decide fills the ivar at the current
+   time and records one Decide event; a second one changes nothing. *)
+let test_decide_once () =
+  let engine = Engine.create () in
+  let events = ref [] in
+  Rdma_obs.Obs.subscribe (Engine.obs engine) (fun ~at ~actor ev ->
+      match ev with
+      | Rdma_obs.Event.Decide { pid; value } -> events := (at, actor, pid, value) :: !events
+      | _ -> ());
+  let decision = Ivar.create () in
+  ignore
+    (Engine.spawn engine "decider" (fun () ->
+         Engine.sleep 2.0;
+         Report.decide engine ~pid:1 decision "a";
+         Engine.sleep 3.0;
+         Report.decide engine ~pid:1 decision "b"));
+  Engine.run engine;
+  (match Ivar.peek decision with
+  | Some { Report.value; at } ->
+      Alcotest.(check string) "first value kept" "a" value;
+      Alcotest.(check (float 0.0)) "first time kept" 2.0 at
+  | None -> Alcotest.fail "no decision");
+  match !events with
+  | [ (at, actor, pid, value) ] ->
+      Alcotest.(check (float 0.0)) "event time" 2.0 at;
+      Alcotest.(check string) "on p1's track" "p1" actor;
+      Alcotest.(check int) "event pid" 1 pid;
+      Alcotest.(check string) "event value" "a" value
+  | evs -> Alcotest.failf "expected one Decide event, got %d" (List.length evs)
+
 let suite =
   [
     Alcotest.test_case "agreement checks" `Quick test_agreement;
@@ -84,4 +124,6 @@ let suite =
     Alcotest.test_case "fault pretty-printing" `Quick test_fault_pp;
     Alcotest.test_case "memclient quorum helpers" `Quick test_memclient_quorum;
     Alcotest.test_case "report pretty-printing" `Quick test_report_pp_smoke;
+    Alcotest.test_case "memclient majority = m - (m-1)/2" `Quick test_memclient_majority;
+    Alcotest.test_case "a second decide changes nothing" `Quick test_decide_once;
   ]
