@@ -157,9 +157,10 @@ type collect_outcome =
   | Enough of reply list
   | Restart
 
-(* Wait until a majority of the n + m agents answered positively for
-   [prop_nr]; restart on any rejection/failure or on timeout. *)
-let collect (ctx : _ Cluster.ctx) ~reply_box ~prop_nr ~is_positive =
+(* Wait until a majority of the n + m agents answered positively
+   ([is_positive] filters replies to the current proposal); restart on
+   any rejection/failure or on timeout. *)
+let collect (ctx : _ Cluster.ctx) ~reply_box ~is_positive =
   let n = ctx.Cluster.cluster_n and m = ctx.Cluster.cluster_m in
   let needed = Paxos.majority (n + m) in
   let deadline = Engine.now ctx.Cluster.ctx_engine +. round_timeout in
@@ -177,7 +178,6 @@ let collect (ctx : _ Cluster.ctx) ~reply_box ~prop_nr ~is_positive =
             | `No -> Restart
             | `Stale -> loop acc count)
   in
-  ignore prop_nr;
   loop [] 0
 
 let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
@@ -207,7 +207,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
         done;
         Network.broadcast ep (Paxos.encode (Paxos.Prepare { ballot = prop_nr }));
         let phase1 =
-          collect ctx ~reply_box ~prop_nr ~is_positive:(fun reply ->
+          collect ctx ~reply_box ~is_positive:(fun reply ->
               match reply with
               | Mem_info { prop_nr = p; slots } when p = prop_nr ->
                   if
@@ -260,7 +260,7 @@ let proposer (ctx : _ Cluster.ctx) cfg ~input ~reply_box decision =
             done;
             Network.broadcast ep (Paxos.encode (Paxos.Accept { ballot = prop_nr; value }));
             let phase2 =
-              collect ctx ~reply_box ~prop_nr ~is_positive:(fun reply ->
+              collect ctx ~reply_box ~is_positive:(fun reply ->
                   match reply with
                   | Mem_ack { prop_nr = p } when p = prop_nr -> `Yes
                   | Mem_fail { prop_nr = p } when p = prop_nr -> `No

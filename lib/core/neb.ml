@@ -39,19 +39,41 @@ let slot_reg_ns ~ns ~owner ~k ~src = Printf.sprintf "%ss.%d.%d.%d" ns owner k sr
 
 let slot_reg ~owner ~k ~src = slot_reg_ns ~ns:"" ~owner ~k ~src
 
-(* Region layout: every process needs max_seq * n slots.  [max_seq] bounds
-   how many messages each process may broadcast in this instance (the
-   paper's algorithm is unbounded; a simulation instance pre-allocates). *)
+(* The inverse of [slot_reg_ns] for one owner: does [reg] name
+   slots[owner, k, src] for some 1 ≤ k ≤ max_seq and 0 ≤ src < n?  A
+   field that is not [string_of_int] output ("01", "-0") names no
+   slot. *)
+let is_slot_reg ~ns ~owner ~n ~max_seq =
+  let prefix = Printf.sprintf "%ss.%d." ns owner in
+  let plen = String.length prefix in
+  fun reg ->
+    String.starts_with ~prefix reg
+    &&
+    match String.split_on_char '.' (String.sub reg plen (String.length reg - plen)) with
+    | [ kf; srcf ] -> (
+        match (Codec.int_of_field kf, Codec.int_of_field srcf) with
+        | Some k, Some src -> 1 <= k && k <= max_seq && 0 <= src && src < n
+        | _ -> false)
+    | _ -> false
+
+(* Region layout: process p's region holds slots[p, k, src] for every
+   1 ≤ k ≤ max_seq and src < n.  [max_seq] bounds how many messages each
+   process may broadcast in this instance (the paper's algorithm is
+   unbounded).  A slot's cell is created when an operation first names
+   it — an instance touches a few percent of its slots — and reads ⊥
+   until written, as the paper's registers do. *)
 let setup_regions cluster ?(ns = "") ~max_seq () =
   let n = Cluster.n cluster in
   for p = 0 to n - 1 do
     let registers =
-      List.concat_map
-        (fun k -> List.init n (fun src -> slot_reg_ns ~ns ~owner:p ~k:(k + 1) ~src))
-        (List.init max_seq Fun.id)
+      lazy
+        (List.concat_map
+           (fun k -> List.init n (fun src -> slot_reg_ns ~ns ~owner:p ~k:(k + 1) ~src))
+           (List.init max_seq Fun.id))
     in
-    Cluster.add_region_everywhere cluster ~name:(region_of ~ns p)
+    Cluster.add_region_family_everywhere cluster ~name:(region_of ~ns p)
       ~perm:(Rdma_mem.Permission.swmr ~writer:p ~n)
+      ~member:(is_slot_reg ~ns ~owner:p ~n ~max_seq)
       ~registers
   done
 

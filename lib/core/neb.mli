@@ -20,7 +20,7 @@ val encode_slot : k:int -> msg:string -> signature:Keychain.signature -> string
 
 type config = {
   ns : string;  (** instance namespace; [""] for standalone use *)
-  max_seq : int;  (** pre-allocated sequence numbers per broadcaster *)
+  max_seq : int;  (** sequence numbers each broadcaster may use *)
   poll_interval : float;
   give_up_at : float;  (** virtual time after which the poller stops *)
 }

@@ -245,7 +245,6 @@ let default_config =
 
 type handle = {
   decision : Report.decision Ivar.t;
-  trusted : Trusted.t;
   transport : T_transport.t;
 }
 
@@ -293,7 +292,7 @@ let spawn_paxos (ctx : _ Cluster.ctx) ~cfg transport ~input =
 let attach (ctx : _ Cluster.ctx) ?(cfg = default_config) ~input () =
   let transport = make_channel ctx ~cfg () in
   let decision = spawn_paxos ctx ~cfg transport ~input in
-  { decision; trusted = transport.trusted; transport }
+  { decision; transport }
 
 let setup_regions cluster ?(cfg = default_config) () =
   Neb.setup_regions cluster ~ns:cfg.trusted.Neb.ns ~max_seq:cfg.trusted.Neb.max_seq ()

@@ -45,7 +45,6 @@ val default_config : config
 
 type handle = {
   decision : Report.decision Ivar.t;
-  trusted : Trusted.t;
   transport : T_transport.t;
 }
 

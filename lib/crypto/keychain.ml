@@ -81,7 +81,7 @@ let author signature = signature.author
 let tag_hex signature = Sha256.to_hex signature.tag
 
 (* Wire encoding, so signatures can be embedded in signed histories. *)
-let encode s = Printf.sprintf "%d:%s" s.author (Sha256.to_hex s.tag)
+let encode s = string_of_int s.author ^ ":" ^ Sha256.to_hex s.tag
 
 let decode str =
   match String.index_opt str ':' with

@@ -159,9 +159,16 @@ let digest_string s =
   feed_string ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex digest =
-  let buf = Buffer.create (String.length digest * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) digest;
-  Buffer.contents buf
+  let n = String.length digest in
+  let hex = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let b = Char.code digest.[i] in
+    Bytes.set hex (2 * i) hex_digits.[b lsr 4];
+    Bytes.set hex ((2 * i) + 1) hex_digits.[b land 15]
+  done;
+  Bytes.unsafe_to_string hex
 
 let hex_of_string s = to_hex (digest_string s)

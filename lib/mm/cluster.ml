@@ -154,6 +154,13 @@ let stats = obs
 let add_region_everywhere t ~name ~perm ~registers =
   Array.iter (fun mem -> Memory.add_region mem ~name ~perm ~registers) t.memories
 
+(* The same, for a region laid out on first access: every memory shares
+   the one enumeration, forced at most once. *)
+let add_region_family_everywhere t ~name ~perm ~member ~registers =
+  Array.iter
+    (fun mem -> Memory.add_region_family mem ~name ~perm ~member ~registers)
+    t.memories
+
 let ctx t pid =
   let spawn_sub name f =
     if not t.crashed.(pid) then begin

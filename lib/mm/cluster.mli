@@ -78,6 +78,16 @@ val stats : 'm t -> Stats.t
 val add_region_everywhere :
   'm t -> name:string -> perm:Rdma_mem.Permission.t -> registers:string list -> unit
 
+(** {!add_region_everywhere} for a region laid out on first access (see
+    [Memory.add_region_family]); every memory shares [registers]. *)
+val add_region_family_everywhere :
+  'm t ->
+  name:string ->
+  perm:Rdma_mem.Permission.t ->
+  member:(string -> bool) ->
+  registers:string list Lazy.t ->
+  unit
+
 (** Build the capability bundle for [pid] without spawning (for tests). *)
 val ctx : 'm t -> int -> 'm ctx
 

@@ -34,9 +34,22 @@ type op_result = Ack | Nak
 
 type read_result = Read of string option | Read_nak
 
+(* A region is laid out in one of two ways.  A listed region
+   ([add_region]) gets a cell for every register when it is added.  A
+   family region ([add_region_family]) gets none: [member] names its
+   registers, and a register's cell is created the first time an
+   operation names it, as the cell a listed region would have had — ⊥,
+   stamped [born].  [registers] enumerates the region; only
+   [stale_registers] forces it. *)
 type region = {
   region_name : string;
-  registers : string list;
+  registers : string list Lazy.t;
+  (* a register of the region that may have no cell yet; false for
+     every name of a listed region, whose registers all have cells *)
+  member : string -> bool;
+  (* the epoch the region was added in: the stamp of a register never
+     written since *)
+  born : int;
   mutable perm : Permission.t;
   (* the permission the region was created with; the kernel restores it
      on a restart *)
@@ -117,10 +130,15 @@ let is_crashed t = t.crashed
 
 let epoch t = t.epoch
 
-let add_region t ~name ~perm ~registers =
+let new_region t ~name ~perm ~member ~registers =
   if Hashtbl.mem t.regions name then
     invalid_arg (Printf.sprintf "Memory.add_region: duplicate region %s" name);
-  let region = { region_name = name; registers; perm; genesis = perm } in
+  { region_name = name; registers; member; born = t.epoch; perm; genesis = perm }
+
+let add_region t ~name ~perm ~registers =
+  let region =
+    new_region t ~name ~perm ~member:(fun _ -> false) ~registers:(Lazy.from_val registers)
+  in
   List.iter
     (fun r ->
       match Hashtbl.find_opt t.cells r with
@@ -132,6 +150,9 @@ let add_region t ~name ~perm ~registers =
     registers;
   Hashtbl.add t.regions name region
 
+let add_region_family t ~name ~perm ~member ~registers =
+  Hashtbl.add t.regions name (new_region t ~name ~perm ~member ~registers)
+
 (* Direct (zero-delay) inspection — for tests and trace printing only;
    simulated processes must go through the timed operations below. *)
 let peek_register t reg =
@@ -139,18 +160,18 @@ let peek_register t reg =
   | Some c -> c.value
   | None -> None
 
-(* A register is fresh when its last write happened in the current
-   epoch; stale registers are lost state awaiting repair. *)
-let register_fresh t reg =
-  match Hashtbl.find_opt t.cells reg with
-  | Some c -> c.stamp = t.epoch
-  | None -> false
-
+(* A register is stale when its last write predates the current epoch:
+   lost state awaiting repair.  A register without a cell was never
+   written, so it carries its region's [born]. *)
 let stale_registers t ~region =
   match Hashtbl.find_opt t.regions region with
   | None -> []
   | Some r ->
-      List.filter (fun reg -> not (register_fresh t reg)) r.registers |> List.sort compare
+      let stamp reg =
+        match Hashtbl.find_opt t.cells reg with Some c -> c.stamp | None -> r.born
+      in
+      List.filter (fun reg -> stamp reg <> t.epoch) (Lazy.force r.registers)
+      |> List.sort compare
 
 let region_perm t name =
   match Hashtbl.find_opt t.regions name with
@@ -318,11 +339,22 @@ let operation t ~span_name ~from ~cls decide =
       end);
   result
 
-(* [reg]'s cell, if [reg] belongs to the region named [region]. *)
+(* [reg]'s cell, if [reg] belongs to the region named [region].  A
+   family member's first access creates its cell: ⊥, stamped with the
+   region's [born], exactly what a listed layout would hold for a
+   register never written since (a restart blanks values but keeps
+   stamps). *)
 let cell_in t ~region reg =
   match Hashtbl.find_opt t.cells reg with
   | Some c when String.equal c.owner.region_name region -> Some c
-  | Some _ | None -> None
+  | Some _ -> None
+  | None -> (
+      match Hashtbl.find_opt t.regions region with
+      | Some r when r.member reg ->
+          let c = { owner = r; stamp = r.born; value = None } in
+          Hashtbl.add t.cells reg c;
+          Some c
+      | Some _ | None -> None)
 
 let store t c value =
   c.stamp <- t.epoch;

@@ -75,6 +75,24 @@ val restart : t -> unit
 val add_region :
   t -> name:string -> perm:Permission.t -> registers:string list -> unit
 
+(** [add_region_family t ~name ~perm ~member ~registers] creates a region
+    whose registers are the names [member] accepts, without laying any
+    of them out: a register's cell is created the first time an
+    operation names it, holding ⊥ stamped with the epoch the region was
+    added in — the cell {!add_region} would have created, and what a
+    {!restart} leaves of it while it is unwritten.  Every operation and
+    inspection answers as for [add_region] over the same names.
+    [registers] must enumerate exactly the names [member] accepts; only
+    {!stale_registers} forces it.  No member may be a register of
+    another region (not checked). *)
+val add_region_family :
+  t ->
+  name:string ->
+  perm:Permission.t ->
+  member:(string -> bool) ->
+  registers:string list Lazy.t ->
+  unit
+
 (** Zero-delay inspection, for tests and traces only. *)
 val peek_register : t -> string -> string option
 

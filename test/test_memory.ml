@@ -324,6 +324,164 @@ let test_permission_disjointness () =
        false
      with Invalid_argument _ -> true)
 
+(* {2 Family regions}
+
+   A region declared by a membership test ([add_region_family]) must
+   answer every operation and inspection exactly as the same names
+   declared as a list.  Both layouts run one random sequence of
+   operations — members, a name in no region and another region's
+   registers, under every region name — with crash-and-restarts
+   between operations and before the regions are added (so the
+   region's creation epoch is not always 0). *)
+
+type fam_op =
+  | Write of int * string * string * string (* from, region, reg, value *)
+  | Read of int * string * string
+  | Read_many of int * string * string list
+  | Write_many of int * string * (string * string option) list
+  | Take of int * string (* from takes sole writership of region *)
+  | Crash_restart
+
+let fam_members = [ "a0"; "a1"; "a2"; "a3" ]
+
+(* "a4" is in no region; "b0" and "b1" are the listed region "g"'s *)
+let fam_names = fam_members @ [ "a4"; "b0"; "b1" ]
+
+let show_fam_op = function
+  | Write (f, r, g, v) -> Printf.sprintf "write p%d %s/%s %s" f r g v
+  | Read (f, r, g) -> Printf.sprintf "read p%d %s/%s" f r g
+  | Read_many (f, r, gs) -> Printf.sprintf "read_many p%d %s/[%s]" f r (String.concat ";" gs)
+  | Write_many (f, r, vs) ->
+      Printf.sprintf "write_many p%d %s/[%s]" f r
+        (String.concat ";"
+           (List.map (fun (g, v) -> g ^ "=" ^ Option.value v ~default:"⊥") vs))
+  | Take (f, r) -> Printf.sprintf "take p%d %s" f r
+  | Crash_restart -> "crash+restart"
+
+let fam_op_gen =
+  QCheck2.Gen.(
+    let from = 0 -- 1
+    and region = oneofl [ "f"; "g"; "nope" ]
+    and reg = oneofl fam_names
+    and value = map (Printf.sprintf "v%d") (0 -- 9) in
+    frequency
+      [
+        (4, map4 (fun f r g v -> Write (f, r, g, v)) from region reg value);
+        (4, map3 (fun f r g -> Read (f, r, g)) from region reg);
+        (2, map3 (fun f r gs -> Read_many (f, r, gs)) from region (list_size (0 -- 3) reg));
+        ( 2,
+          map3
+            (fun f r vs -> Write_many (f, r, vs))
+            from region
+            (list_size (0 -- 3) (pair reg (option value))) );
+        (1, map2 (fun f r -> Take (f, r)) from region);
+        (1, return Crash_restart);
+      ])
+
+(* One step on [mem], then everything an observer can read of it: the
+   step's result, each region's stale registers and permission, and
+   every name's value. *)
+let fam_step mem op =
+  let show_ack = function Memory.Ack -> "ack" | Memory.Nak -> "nak" in
+  let show_opt = Option.value ~default:"⊥" in
+  let result =
+    match op with
+    | Write (from, region, reg, v) ->
+        show_ack (Ivar.await (Memory.write_async mem ~from ~region ~reg v))
+    | Read (from, region, reg) -> (
+        match Ivar.await (Memory.read_async mem ~from ~region ~reg) with
+        | Memory.Read v -> show_opt v
+        | Memory.Read_nak -> "nak")
+    | Read_many (from, region, regs) -> (
+        match Ivar.await (Memory.read_many_async mem ~from ~region ~regs) with
+        | Memory.Read_many vs -> String.concat "," (Array.to_list (Array.map show_opt vs))
+        | Memory.Read_many_nak -> "nak")
+    | Write_many (from, region, values) ->
+        show_ack (Ivar.await (Memory.write_many_async mem ~from ~region ~values))
+    | Take (from, region) ->
+        show_ack
+          (Ivar.await
+             (Memory.change_permission_async mem ~from ~region
+                ~perm:(Permission.exclusive_writer ~writer:from ~n:2)))
+    | Crash_restart ->
+        Memory.crash mem;
+        Memory.restart mem;
+        "restarted"
+  in
+  let perm r =
+    Option.fold ~none:"none" ~some:(Fmt.to_to_string Permission.pp) (Memory.region_perm mem r)
+  in
+  String.concat " | "
+    [
+      result;
+      String.concat "," (Memory.stale_registers mem ~region:"f");
+      String.concat "," (Memory.stale_registers mem ~region:"g");
+      perm "f";
+      perm "g";
+      String.concat "," (List.map (fun r -> show_opt (Memory.peek_register mem r)) fam_names);
+    ]
+
+let fam_run ~family ~restarts ops =
+  let legal_change ~pid ~region:_ ~current:_ ~requested =
+    Permission.sole_writer requested = Some pid
+  in
+  let engine, mem = make_memory ~legal_change () in
+  for _ = 1 to restarts do
+    Memory.crash mem;
+    Memory.restart mem
+  done;
+  let perm = Permission.exclusive_writer ~writer:0 ~n:2 in
+  if family then
+    Memory.add_region_family mem ~name:"f" ~perm
+      ~member:(fun r -> List.mem r fam_members)
+      ~registers:(lazy fam_members)
+  else Memory.add_region mem ~name:"f" ~perm ~registers:fam_members;
+  Memory.add_region mem ~name:"g" ~perm:(Permission.all_readwrite ~n:2)
+    ~registers:[ "b0"; "b1" ];
+  let log = ref [] in
+  in_fiber engine (fun () -> List.iter (fun op -> log := fam_step mem op :: !log) ops);
+  List.rev !log
+
+let family_matches_listed =
+  QCheck2.Test.make ~name:"memory: a family region answers as its listed twin"
+    ~count:300
+    ~print:(fun (restarts, ops) ->
+      Printf.sprintf "%d restarts first; %s" restarts
+        (String.concat "; " (List.map show_fam_op ops)))
+    QCheck2.Gen.(pair (0 -- 2) (list_size (0 -- 40) fam_op_gen))
+    (fun (restarts, ops) ->
+      let listed = fam_run ~family:false ~restarts ops in
+      let family = fam_run ~family:true ~restarts ops in
+      if listed = family then true
+      else
+        QCheck2.Test.fail_reportf "listed:@.%s@.family:@.%s" (String.concat "\n" listed)
+          (String.concat "\n" family))
+
+let test_family_unwritten_after_restart () =
+  (* A member first named after a restart reads as a listed register
+     never written: stale (nak) in the new epoch, until a write repairs
+     it; the region's enumeration lists it as stale meanwhile. *)
+  let engine, mem = make_memory () in
+  Memory.add_region_family mem ~name:"f" ~perm:(Permission.all_readwrite ~n:1)
+    ~member:(fun r -> r = "x" || r = "y")
+    ~registers:(lazy [ "y"; "x" ]);
+  in_fiber engine (fun () ->
+      let r = Ivar.await (Memory.read_async mem ~from:0 ~region:"f" ~reg:"x") in
+      Alcotest.check read_result "a member reads ⊥ in its creation epoch" (Memory.Read None) r;
+      Alcotest.(check (list string)) "nothing stale" [] (Memory.stale_registers mem ~region:"f");
+      Memory.crash mem;
+      Memory.restart mem;
+      Alcotest.(check (list string)) "both members stale, sorted" [ "x"; "y" ]
+        (Memory.stale_registers mem ~region:"f");
+      let r = Ivar.await (Memory.read_async mem ~from:0 ~region:"f" ~reg:"y") in
+      Alcotest.check read_result "an untouched member naks after the restart" Memory.Read_nak r;
+      let w = Ivar.await (Memory.write_async mem ~from:0 ~region:"f" ~reg:"y" "v") in
+      Alcotest.check op_result "a write repairs it" Memory.Ack w;
+      Alcotest.(check (list string)) "only x still stale" [ "x" ]
+        (Memory.stale_registers mem ~region:"f");
+      let w = Ivar.await (Memory.write_async mem ~from:0 ~region:"f" ~reg:"z" "v") in
+      Alcotest.check op_result "a non-member naks" Memory.Nak w)
+
 let suite =
   [
     Alcotest.test_case "write then read" `Quick test_write_read;
@@ -350,4 +508,7 @@ let suite =
     Alcotest.test_case "restart requires a crash" `Quick test_restart_requires_crash;
     Alcotest.test_case "permission sets must be disjoint" `Quick
       test_permission_disjointness;
+    QCheck_alcotest.to_alcotest family_matches_listed;
+    Alcotest.test_case "family member first named after a restart" `Quick
+      test_family_unwritten_after_restart;
   ]

@@ -291,6 +291,90 @@ let test_broadcaster_crash_mid_write () =
         true (d1 = d2))
     [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
 
+(* {2 Slot membership}
+
+   A NEB region is laid out on first access, so its membership test
+   alone decides which names are slots.  It must accept exactly the
+   names the slot formatter produces: an owner's write to every slot
+   acks on every memory, and a write to a near miss naks. *)
+
+let slot_name ~ns ~owner ~k ~src = Printf.sprintf "%ss.%d.%d.%d" ns owner k src
+
+(* Issue one write per (owner, name) on every memory, run the cluster,
+   and return each write's result. *)
+let write_all cluster ~ns writes =
+  let ivars =
+    List.concat_map
+      (fun (owner, reg) ->
+        List.init (Cluster.m cluster) (fun mid ->
+            ( (owner, reg, mid),
+              Rdma_mem.Memory.write_async (Cluster.memory cluster mid) ~from:owner
+                ~region:(Neb.region_of ~ns owner) ~reg "v" )))
+      writes
+  in
+  Cluster.run cluster;
+  List.map (fun (w, iv) -> (w, Ivar.peek iv)) ivars
+
+let check_membership ~ns ~n ~max_seq () =
+  let cluster : string Cluster.t = Cluster.create ~n ~m:3 () in
+  Neb.setup_regions cluster ~ns ~max_seq ();
+  let slots =
+    List.concat_map
+      (fun owner ->
+        List.concat_map
+          (fun k -> List.init n (fun src -> (owner, slot_name ~ns ~owner ~k ~src)))
+          (List.init max_seq succ))
+      (List.init n Fun.id)
+  in
+  let near_misses =
+    List.concat_map
+      (fun owner ->
+        let other_ns = if ns = "" then "s3." else "" in
+        List.map
+          (fun reg -> (owner, reg))
+          [
+            slot_name ~ns ~owner ~k:0 ~src:0;
+            slot_name ~ns ~owner ~k:(max_seq + 1) ~src:0;
+            slot_name ~ns ~owner ~k:1 ~src:n;
+            slot_name ~ns ~owner ~k:1 ~src:(-1);
+            Printf.sprintf "%ss.%d.01.0" ns owner;
+            Printf.sprintf "%ss.%d.1.00" ns owner;
+            Printf.sprintf "%ss.%d.-0.0" ns owner;
+            Printf.sprintf "%ss.%d.1.-0" ns owner;
+            slot_name ~ns ~owner:(owner + 1) ~k:1 ~src:0;
+            slot_name ~ns:other_ns ~owner ~k:1 ~src:0;
+            slot_name ~ns ~owner ~k:1 ~src:0 ^ ".";
+            Printf.sprintf "%ss.%d.1" ns owner;
+            Printf.sprintf "%ss.%d.1.0.0" ns owner;
+            Printf.sprintf "%ss.%d." ns owner;
+          ])
+      (List.init n Fun.id)
+  in
+  let expect result writes =
+    List.iter
+      (fun ((owner, reg, mid), r) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "p%d writes %s on mu%d" owner reg mid)
+          true
+          (r = Some result))
+      (write_all cluster ~ns writes)
+  in
+  expect Rdma_mem.Memory.Ack slots;
+  expect Rdma_mem.Memory.Nak near_misses;
+  List.iter
+    (fun (_, reg) ->
+      if not (List.exists (fun (_, slot) -> slot = reg) slots) then
+        Alcotest.(check (option string)) (reg ^ " holds nothing") None
+          (Rdma_mem.Memory.peek_register (Cluster.memory cluster 0) reg))
+    near_misses
+
+let test_slot_membership_exact () =
+  Alcotest.(check string) "the test's slot format is Neb's" (Neb.slot_reg ~owner:2 ~k:7 ~src:1)
+    (slot_name ~ns:"" ~owner:2 ~k:7 ~src:1);
+  check_membership ~ns:"" ~n:3 ~max_seq:4 ();
+  check_membership ~ns:"s3." ~n:5 ~max_seq:128 ();
+  check_membership ~ns:"" ~n:1 ~max_seq:1 ()
+
 let suite =
   [
     Alcotest.test_case "broadcaster crash mid-write sweep" `Quick
@@ -312,4 +396,5 @@ let suite =
     Alcotest.test_case "per-sender FIFO delivery" `Quick test_delivery_order_is_sequential;
     Alcotest.test_case "property 1: a re-encoded copy cannot frame" `Quick
       test_reencoded_copy_cannot_frame;
+    Alcotest.test_case "slot membership is exact" `Quick test_slot_membership_exact;
   ]

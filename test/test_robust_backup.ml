@@ -130,7 +130,7 @@ let test_no_false_convictions () =
             Alcotest.(check bool)
               (Printf.sprintf "p%d did not convict honest p%d" pid peer)
               false
-              (Trusted.is_convicted h.Robust_backup.trusted peer)
+              (Trusted.is_convicted h.Robust_backup.transport.trusted peer)
           done)
     handles
 
